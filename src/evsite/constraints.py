@@ -4,6 +4,7 @@ dynamic per-point adjustment of the clustering radius and density threshold."""
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .geo import GeoPoint, build_index, haversine_distance, project_to_polyline, METERS_PER_DEG
@@ -51,12 +52,6 @@ class ConstraintConfig:
             if getattr(self, name) <= 0:
                 raise ConstraintError(f"{name} must be > 0")
 
-    def is_neutral(self) -> bool:
-        return (self.eps_factor_poi == 1.0 and self.minpts_factor_poi == 1.0
-                and self.minpts_factor_route == 1.0
-                and self.minpts_factor_flood == 1.0
-                and self.minpts_factor_fire == 1.0)
-
 
 @dataclass(frozen=True)
 class AdjustedParams:
@@ -97,29 +92,27 @@ def lookup_ffdi(p: GeoPoint, grid: FireRiskGrid) -> float | None:
 class RouteLocator:
     """Exact nearest-route queries accelerated by a grid index over vertices.
 
-    A segment can only beat a candidate distance d if one of its endpoints
-    lies within d plus the longest segment length, which bounds the vertex
-    search radius.
+    A segment can only beat a candidate distance d if its start vertex lies
+    within d plus the segment's length, which bounds both the vertex search
+    radius (by the longest segment) and which candidates need projecting.
     """
 
     def __init__(self, routes: list[RouteRecord]):
         self.routes = sorted(routes, key=lambda r: r.route_id)
         self._vertices: list[GeoPoint] = []
         self._altitudes: list[float] = []
-        self._segments: list[list[tuple[GeoPoint, GeoPoint]]] = []  # per vertex id
-        self.max_seg_m = 0.0
         self._route_ids: list[str] = []
+        # length of the segment from each vertex to the next; -1 at a route's end
+        self._seg_m = array("d")
         for route in self.routes:
-            for i, v in enumerate(route.polyline):
-                segs = []
-                if i + 1 < len(route.polyline):
-                    seg = (v, route.polyline[i + 1])
-                    segs.append(seg)
-                    self.max_seg_m = max(self.max_seg_m, haversine_distance(*seg))
+            line = route.polyline
+            for i, v in enumerate(line):
                 self._vertices.append(v)
                 self._altitudes.append(route.altitudes[i])
-                self._segments.append(segs)
                 self._route_ids.append(route.route_id)
+                self._seg_m.append(haversine_distance(v, line[i + 1])
+                                   if i + 1 < len(line) else -1.0)
+        self.max_seg_m = max(self._seg_m, default=0.0)
         cell = max(self.max_seg_m, 500.0) / METERS_PER_DEG
         self._index = build_index(self._vertices, cell) if self._vertices else None
 
@@ -132,23 +125,25 @@ class RouteLocator:
         vid, _ = self._index.nearest(p)
         return self._altitudes[vid]
 
-    def locate(self, p: GeoPoint) -> tuple[GeoPoint, float, str]:
-        """(closest on-route point, distance, route id); inf and "" when no routes."""
+    def locate(self, p: GeoPoint) -> tuple[GeoPoint, float, str, float]:
+        """(closest on-route point, distance, route id, altitude of the nearest
+        vertex); inf, "" and nan when no routes."""
         if self._index is None:
-            return p, math.inf, ""
+            return p, math.inf, "", math.nan
         vid, d_vertex = self._index.nearest(p)
         best_pt, best_d, best_id = self._vertices[vid], d_vertex, self._route_ids[vid]
+        vertices, seg_m, route_ids = self._vertices, self._seg_m, self._route_ids
         for cand in self._index.neighbors_within(p, d_vertex + self.max_seg_m):
-            for seg in self._segments[cand]:
-                pt, d = project_to_polyline(p, seg)
-                if d < best_d or (d == best_d and self._route_ids[cand] < best_id):
-                    best_pt, best_d, best_id = pt, d, self._route_ids[cand]
-        return best_pt, best_d, best_id
-
-    def distance_to(self, p: GeoPoint) -> tuple[GeoPoint, float]:
-        """(closest on-route point, distance); inf distance when no routes."""
-        pt, d, _ = self.locate(p)
-        return pt, d
+            start = vertices[cand]
+            # the slack keeps rounding from pruning a segment whose projection
+            # ties best_d, as when p lies on the segment's extension
+            if (seg_m[cand] < 0
+                    or haversine_distance(p, start) - seg_m[cand] > best_d + 1e-6):
+                continue
+            pt, d = project_to_polyline(p, (start, vertices[cand + 1]))
+            if d < best_d or (d == best_d and route_ids[cand] < best_id):
+                best_pt, best_d, best_id = pt, d, route_ids[cand]
+        return best_pt, best_d, best_id, self._altitudes[vid]
 
 
 def annotate_context(points: list[DemandPoint], pois: list[PoiRecord],
@@ -163,8 +158,7 @@ def annotate_context(points: list[DemandPoint], pois: list[PoiRecord],
             _, dist_poi = poi_index.nearest(dp.location)
         else:
             dist_poi = math.inf
-        _, dist_route = locator.distance_to(dp.location)
-        altitude = locator.altitude_at(dp.location) if locator else math.nan
+        _, dist_route, _, altitude = locator.locate(dp.location)
         ffdi = lookup_ffdi(dp.location, grid) if grid is not None else None
         out.append(PointContext(altitude, dist_poi, dist_route, ffdi))
     return out

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .geo import GeoPoint, haversine_distance, point_in_polygon
+from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex, point_in_polygon
+from .geo import haversine_distance  # noqa: F401  (tracing patches it here by name)
 from .ingest import DemandPoint, LgaRecord, StationRecord
 from .recommend import Recommendation
 
@@ -78,10 +78,14 @@ def alignment_rate(recs: list[Recommendation], stations: list[StationRecord],
         raise EvaluateError("align_m must be > 0")
     if not recs:
         return 0.0, 0
-    aligned = sum(
-        1 for r in recs
-        if any(haversine_distance(r.location, s.location) <= align_m for s in stations))
+    index = _site_index([s.location for s in stations], align_m)
+    aligned = sum(1 for r in recs if index.neighbors_within(r.location, align_m))
     return aligned / len(recs), len(recs)
+
+
+def _site_index(sites: list[GeoPoint], radius_m: float) -> SpatialIndex:
+    """Index whose cells are about as wide as the radius it is queried with."""
+    return SpatialIndex(list(sites), radius_m / METERS_PER_DEG)
 
 
 def coverage(points: list[DemandPoint], sites: list[GeoPoint],
@@ -93,9 +97,8 @@ def coverage(points: list[DemandPoint], sites: list[GeoPoint],
         raise EvaluateError("no demand points")
     if not sites:
         return 0.0
-    covered = sum(
-        1 for dp in points
-        if any(haversine_distance(dp.location, s) <= radius_m for s in sites))
+    index = _site_index(sites, radius_m)
+    covered = sum(1 for dp in points if index.neighbors_within(dp.location, radius_m))
     return covered / len(points)
 
 
@@ -124,9 +127,9 @@ def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],
             f"recommended_{r.charger_kind}"] += 1
 
     rate, n_recs = alignment_rate(recs_pre_dedup, stations, align_m)
-    new_area = sum(
-        1 for r in recs_final
-        if all(haversine_distance(r.location, s.location) > align_m for s in stations))
+    station_index = _site_index([s.location for s in stations], align_m)
+    new_area = sum(1 for r in recs_final
+                   if not station_index.neighbors_within(r.location, align_m))
 
     station_sites = [s.location for s in stations]
     cov_before = coverage(demand_points, station_sites, coverage_radius_m)
@@ -134,11 +137,9 @@ def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],
                          station_sites + [r.location for r in recs_final],
                          coverage_radius_m)
 
-    dists = sorted(
-        min((haversine_distance(r.location, s.location) for s in stations),
-            default=math.inf)
-        for r in recs_final)
-    if dists and stations:
+    dists = sorted(station_index.nearest(r.location)[1]
+                   for r in recs_final) if stations else []
+    if dists:
         n = len(dists)
         median = (dists[n // 2] if n % 2 == 1
                   else (dists[n // 2 - 1] + dists[n // 2]) / 2)

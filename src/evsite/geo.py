@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 EARTH_RADIUS_M = 6371008.8
+_DIAMETER_M = 2.0 * EARTH_RADIUS_M
 # great-circle meters per degree of latitude (constant on the sphere)
 METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
 
@@ -141,6 +143,11 @@ class SpatialIndex:
                            if keys else (0, -1))
         self._col_range = ((min(k[1] for k in keys), max(k[1] for k in keys))
                            if keys else (0, -1))
+        # the per-point terms of haversine_distance, so that radius queries
+        # compute the very same doubles without a call per candidate
+        self._rad_lat = array("d", [math.radians(p.lat) for p in self.points])
+        self._cos_lat = array("d", [math.cos(r) for r in self._rad_lat])
+        self._lon = array("d", [p.lon for p in self.points])
 
     def _key(self, p: GeoPoint) -> tuple[int, int]:
         return (math.floor(p.lat / self.cell_size), math.floor(p.lon / self.cell_size))
@@ -155,28 +162,53 @@ class SpatialIndex:
         if not self.points:
             return []
         dlat = radius_m / METERS_PER_DEG
-        # widest longitude extent of the query disc within the latitude band
-        band = min(89.999, max(abs(p.lat - dlat), abs(p.lat + dlat)))
-        cos_band = math.cos(math.radians(band))
-        if cos_band < 1e-9:
-            dlon = 360.0
+        if abs(p.lat) + dlat >= 90.0:
+            dlon = 360.0  # the query disc holds a pole, so every longitude
         else:
-            dlon = dlat / cos_band
-        r0 = max(math.floor((p.lat - dlat) / self.cell_size), self._row_range[0])
-        r1 = min(math.floor((p.lat + dlat) / self.cell_size), self._row_range[1])
-        c0 = max(math.floor((p.lon - dlon) / self.cell_size), self._col_range[0])
-        c1 = min(math.floor((p.lon + dlon) / self.cell_size), self._col_range[1])
-        out = []
-        if (r1 - r0 + 1) * (c1 - c0 + 1) > len(self._cells):
+            # widest longitude extent of the query disc within its latitude band
+            dlon = dlat / math.cos(math.radians(abs(p.lat) + dlat))
+        cell = self.cell_size
+        first, last = self._col_range
+        r0 = max(math.floor((p.lat - dlat) / cell), self._row_range[0])
+        r1 = min(math.floor((p.lat + dlat) / cell), self._row_range[1])
+        lo, hi = p.lon - dlon, p.lon + dlon
+        if hi - lo >= 360.0:
+            lo, hi = -180.0, 180.0
+        # column ranges of the query window, the second one wrapped across the
+        # antimeridian; either may be empty
+        spans = [(max(math.floor(max(lo, -180.0) / cell), first),
+                  min(math.floor(min(hi, 180.0) / cell), last))]
+        if lo < -180.0:
+            spans.append((max(math.floor((lo + 360.0) / cell), first), last))
+        elif hi > 180.0:
+            spans.append((first, min(math.floor((hi - 360.0) / cell), last)))
+        width = 0
+        for c0, c1 in spans:
+            width += max(0, c1 - c0 + 1)
+        if r0 > r1 or not width:
+            return []
+        if (r1 - r0 + 1) * width > len(self._cells):
             # scanning occupied cells beats enumerating a huge window
+            (a0, a1), (b0, b1) = spans[0], spans[-1]
             candidates = (ids for (r, c), ids in self._cells.items()
-                          if r0 <= r <= r1 and c0 <= c <= c1)
+                          if r0 <= r <= r1 and (a0 <= c <= a1 or b0 <= c <= b1))
         else:
+            # a set: the two ranges of a wrapped query can end in one column
+            cols = {c for c0, c1 in spans for c in range(c0, c1 + 1)}
             candidates = (self._cells.get((r, c), ())
-                          for r in range(r0, r1 + 1) for c in range(c0, c1 + 1))
+                          for r in range(r0, r1 + 1) for c in cols)
+        # haversine_distance(p, points[i]) inlined, operand for operand
+        lat1 = math.radians(p.lat)
+        cos1 = math.cos(lat1)
+        lon1 = p.lon
+        rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
+        sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
+        out = []
         for ids in candidates:
             for i in ids:
-                if haversine_distance(p, self.points[i]) <= radius_m:
+                s = (sin((rad_lat[i] - lat1) / 2.0) ** 2
+                     + cos1 * cos_lat[i] * sin(radians(lon[i] - lon1) / 2.0) ** 2)
+                if _DIAMETER_M * asin(min(1.0, sqrt(s))) <= radius_m:
                     out.append(i)
         out.sort()
         return out

@@ -190,20 +190,20 @@ def _read_trip_geojson(path: Path):
     doc = _read_feature_collection(path)
     rows, bad = [], []
     for idx, feat in enumerate(doc["features"]):
+        where = f"{path}: feature {idx}"
         try:
             props = feat.get("properties") or {}
             trip_id = str(props["trip_id"])
             timestamps = props["timestamps"]
-            geom = feat["geometry"]
-            if geom["type"] != "LineString":
-                raise ValueError(f"expected LineString, got {geom['type']}")
-            coords = geom["coordinates"]
+            _, coords = _feature_geometry(feat, where, "LineString")
             if len(coords) != len(timestamps):
                 raise ValueError("timestamps length != coordinate count")
             for ts, (lon, lat) in zip(timestamps, coords):
                 rows.append((trip_id, int(ts), GeoPoint(float(lat), float(lon))))
+        except IngestError as e:
+            bad.append(str(e))
         except (KeyError, ValueError, TypeError, GeoError) as e:
-            bad.append(f"{path}: feature {idx}: {e}")
+            bad.append(f"{where}: {e}")
     return rows, bad
 
 
@@ -279,19 +279,31 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
 def _read_feature_collection(path) -> dict:
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("type") != "FeatureCollection" or "features" not in doc:
+    if (not isinstance(doc, dict) or doc.get("type") != "FeatureCollection"
+            or not isinstance(doc.get("features"), list)):
         raise IngestError(f"{path}: not a GeoJSON FeatureCollection")
+    for idx, feat in enumerate(doc["features"]):
+        if not isinstance(feat, dict):
+            raise IngestError(f"{path}: feature {idx}: not a GeoJSON Feature")
     return doc
 
 
+def _feature_geometry(feat: dict, where: str, *types: str) -> tuple[str, object]:
+    """(type, coordinates) of a feature whose geometry must be one of types."""
+    geom = feat.get("geometry")
+    if not isinstance(geom, dict) or geom.get("type") not in types:
+        raise IngestError(f"{where}: geometry must be {' or '.join(types)}")
+    if "coordinates" not in geom:
+        raise IngestError(f"{where}: {geom['type']} geometry has no coordinates")
+    return geom["type"], geom["coordinates"]
+
+
 def _feature_point(feat, where: str) -> GeoPoint:
-    geom = feat.get("geometry") or {}
-    if geom.get("type") != "Point":
-        raise IngestError(f"{where}: geometry must be Point")
-    lon, lat = geom["coordinates"][:2]
+    _, coords = _feature_geometry(feat, where, "Point")
     try:
+        lon, lat = coords[:2]
         return GeoPoint(float(lat), float(lon))
-    except GeoError as e:
+    except (GeoError, ValueError, TypeError) as e:
         raise IngestError(f"{where}: {e}") from e
 
 
@@ -311,8 +323,8 @@ def _ring_from_coords(coords, where: str) -> tuple[GeoPoint, ...]:
 
 
 def _polygon_from_coords(coords, where: str) -> Polygon:
-    if not coords:
-        raise IngestError(f"{where}: empty polygon")
+    if not isinstance(coords, list) or not coords:
+        raise IngestError(f"{where}: polygon needs a list of rings")
     try:
         return Polygon(_ring_from_coords(coords[0], where),
                        tuple(_ring_from_coords(r, where) for r in coords[1:]))
@@ -330,13 +342,13 @@ def load_lgas(path) -> list[LgaRecord]:
         if name in seen:
             raise IngestError(f"{where}: duplicate lga_name {name!r}")
         seen.add(name)
-        geom = feat.get("geometry") or {}
-        if geom.get("type") == "Polygon":
-            polys = (_polygon_from_coords(geom["coordinates"], where),)
-        elif geom.get("type") == "MultiPolygon":
-            polys = tuple(_polygon_from_coords(c, where) for c in geom["coordinates"])
+        kind, coords = _feature_geometry(feat, where, "Polygon", "MultiPolygon")
+        if kind == "Polygon":
+            polys = (_polygon_from_coords(coords, where),)
+        elif isinstance(coords, list):
+            polys = tuple(_polygon_from_coords(c, where) for c in coords)
         else:
-            raise IngestError(f"{where}: geometry must be Polygon or MultiPolygon")
+            raise IngestError(f"{where}: MultiPolygon needs a list of polygons")
         records.append(LgaRecord(name, MultiPolygon(polys)))
     return records
 
@@ -376,12 +388,9 @@ def load_routes(path) -> list[RouteRecord]:
     records = []
     for idx, feat in enumerate(doc["features"]):
         where = f"{path}: feature {idx}"
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "LineString":
-            raise IngestError(f"{where}: geometry must be LineString")
+        _, coords = _feature_geometry(feat, where, "LineString")
         try:
-            polyline = tuple(GeoPoint(float(lat), float(lon))
-                             for lon, lat in geom["coordinates"])
+            polyline = tuple(GeoPoint(float(lat), float(lon)) for lon, lat in coords)
         except (GeoError, ValueError, TypeError) as e:
             raise IngestError(f"{where}: {e}") from e
         altitudes = _prop(feat, "altitudes", where)

@@ -75,7 +75,7 @@ def snap(location: GeoPoint, pois: list[PoiRecord], routes: list[RouteRecord],
         return poi.location, f"poi:{poi.poi_id}", d
     if locator is None:
         locator = RouteLocator(routes)
-    pt, d, route_id = locator.locate(location)
+    pt, d, route_id, _ = locator.locate(location)
     if d <= route_snap_m:
         return pt, f"route:{route_id}", d
     return location, UNSNAPPED, math.inf
@@ -143,13 +143,3 @@ def propose_all(cluster_results: list[LgaClusterResult],
             recs.append(rec)
     return sorted(recs, key=lambda r: r.rec_id)
 
-
-def recommend_all(cluster_results: list[LgaClusterResult],
-                  buckets: dict[str, list[DemandPoint]],
-                  pois: list[PoiRecord], routes: list[RouteRecord],
-                  grid: FireRiskGrid | None, stations: list[StationRecord],
-                  cfg: ConstraintConfig, poi_snap_m: float, route_snap_m: float,
-                  corridor_span_m: float, min_sep_m: float) -> list[Recommendation]:
-    recs = propose_all(cluster_results, buckets, pois, routes, grid, cfg,
-                       poi_snap_m, route_snap_m, corridor_span_m)
-    return dedup(recs, [s for s in stations], min_sep_m)

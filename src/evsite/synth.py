@@ -116,10 +116,13 @@ def _lga_tiles(spec: ScenarioSpec) -> list[tuple[str, BoundingBox]]:
     min_lat, min_lon, max_lat, max_lon = spec.bbox
     dlat = (max_lat - min_lat) / spec.lga_rows
     dlon = (max_lon - min_lon) / spec.lga_cols
+    # zero-padded so that names stay distinct past 10 rows or columns; grids
+    # up to 10x10 keep their single-digit names
+    width = len(str(max(spec.lga_rows, spec.lga_cols) - 1))
     tiles = []
     for r in range(spec.lga_rows):
         for c in range(spec.lga_cols):
-            name = f"LGA-{r}{c}"
+            name = f"LGA-{r:0{width}d}{c:0{width}d}"
             tiles.append((name, BoundingBox(min_lat + r * dlat, min_lon + c * dlon,
                                             min_lat + (r + 1) * dlat,
                                             min_lon + (c + 1) * dlon)))

@@ -138,7 +138,7 @@ def test_criterion_4_on_road_poi_property(standard_runs):
     for manifest, cfg, result in standard_runs:
         locator = RouteLocator(result.layers.routes)
         for h in manifest.hotspots:
-            _, d = locator.distance_to(h.center)
+            d = locator.locate(h.center)[1]
             assert d <= cfg.route_snap_m, "scenario violates the precondition"
         for r in result.recs_final:
             assert r.snap_target != "unsnapped", r.rec_id

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from evsite.cli import main
 from evsite.config import ConfigError, default_config_dict, load_config
 from evsite.export import export_map
-from evsite.ingest import load_stations
+from evsite.ingest import load_lgas, load_stations
 
 
 @pytest.fixture
@@ -72,6 +72,25 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
         assert result.exit_code == 1
         assert "feature 0" in result.output
+
+    @pytest.mark.parametrize("layer,edit", [
+        ("stations.geojson", lambda g: g.pop("coordinates")),
+        ("stations.geojson", lambda g: g.update(coordinates=[150.0])),
+        ("pois.geojson", lambda g: g.pop("type")),
+        ("lgas.geojson", lambda g: g.pop("coordinates")),
+        ("lgas.geojson", lambda g: g.update(coordinates=7)),
+        ("routes.geojson", lambda g: g.pop("coordinates")),
+    ], ids=["station-no-coordinates", "station-one-coordinate", "poi-no-type",
+            "lga-no-coordinates", "lga-scalar-coordinates", "route-no-coordinates"])
+    def test_malformed_geometry_exits_1(self, runner, scenario, layer, edit):
+        _, _, dirs = scenario
+        path = dirs["scenario"] / layer
+        doc = json.loads(path.read_text())
+        edit(doc["features"][1]["geometry"])
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert f"{layer}: feature 1:" in result.output
 
 
 class TestRecommend:
@@ -173,6 +192,23 @@ class TestSynthCmd:
         assert result.exit_code == 0, result.output
         assert (out / "manifest.json").exists()
         assert (out / "trips.csv").exists()
+
+    def test_grid_past_ten_rows_validates(self, runner, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "seed": 1, "lga_rows": 12, "lga_cols": 12, "n_hotspots_per_lga": 0,
+            "background_noise_points": 10, "n_stations_per_lga": 0}))
+        out = tmp_path / "scen"
+        result = runner.invoke(main, ["synth", "--spec", str(spec_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(default_config_dict(str(out))))
+        result = runner.invoke(main, ["validate", "--config", str(config_path)])
+        assert result.exit_code == 0, result.output
+        names = {l.lga_name for l in load_lgas(out / "lgas.geojson")}
+        assert len(names) == 144
+        assert {"LGA-0110", "LGA-1100"} <= names
 
     def test_unknown_spec_key_exits_1(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -228,6 +228,55 @@ class TestRouteLocator:
         from evsite.geo import project_to_polyline
         for _ in range(100):
             p = GeoPoint(rng.uniform(-34.1, -32.9), rng.uniform(149.9, 151.1))
-            _, got = locator.distance_to(p)
+            got = locator.locate(p)[1]
             want = min(project_to_polyline(p, r.polyline)[1] for r in routes)
             assert got == pytest.approx(want, abs=1e-9)
+
+    def _full_scan(self, p, routes):
+        """locate's answer from every segment of every route, unpruned: the
+        nearest vertex first, then each segment in route-id order, replacing
+        on a shorter distance or an equal one from a smaller route id."""
+        from evsite.geo import haversine_distance, project_to_polyline
+        vertices = [(v, r.route_id) for r in sorted(routes, key=lambda r: r.route_id)
+                    for v in r.polyline]
+        _, vid = min((haversine_distance(p, v), i) for i, (v, _) in enumerate(vertices))
+        best_pt, best_id = vertices[vid]
+        best_d = haversine_distance(p, best_pt)
+        for (a, rid), (b, next_rid) in zip(vertices, vertices[1:]):
+            if rid != next_rid:
+                continue
+            pt, d = project_to_polyline(p, (a, b))
+            if d < best_d or (d == best_d and rid < best_id):
+                best_pt, best_d, best_id = pt, d, rid
+        return best_pt, best_d, best_id
+
+    def test_long_spur_and_tied_routes_match_full_scan(self):
+        step = 0.001
+        street = [(i * step, 10.0) for i in range(21)]
+        routes = [make_route(f"h{k}", [(-33.5 + 0.002 * k, 150.0 + dlon, alt)
+                                       for dlon, alt in street])
+                  for k in range(6)]
+        # one 5 km segment stretches every vertex query to its length
+        routes.append(make_route("spur", [(-33.495, 150.01, 20.0),
+                                          (-33.45, 150.01, 30.0)]))
+        # identical geometry under two ids: every point nearest them ties
+        twin = [(-33.48, 150.0 + dlon, alt) for dlon, alt in street]
+        routes += [make_route("t-b", twin), make_route("t-a", twin)]
+        locator = RouteLocator(routes)
+        coords = [(v.lat, v.lon) for r in sorted(routes, key=lambda r: r.route_id)
+                  for v in r.polyline]
+        alts = [a for r in sorted(routes, key=lambda r: r.route_id) for a in r.altitudes]
+        rng = random.Random(17)
+        queries = [GeoPoint(rng.uniform(-33.505, -33.44), rng.uniform(149.995, 150.025))
+                   for _ in range(150)]
+        # on the extension of a dead end, and on the twins
+        queries += [GeoPoint(-33.5, 150.0215), GeoPoint(-33.44, 150.01),
+                    GeoPoint(-33.4801, 150.0105), GeoPoint(-33.48, 150.005)]
+        tied = 0
+        for q in queries:
+            pt, d, route_id, altitude = locator.locate(q)
+            assert (pt, d, route_id) == self._full_scan(q, routes)
+            assert altitude == alts[oracles.linear_nearest(coords, q.lat, q.lon)[0]]
+            assert route_id != "t-b"
+            tied += route_id == "t-a"
+        assert tied >= 5

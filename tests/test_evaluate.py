@@ -11,7 +11,7 @@ from evsite.evaluate import (
     build_report,
     coverage,
 )
-from evsite.geo import GeoPoint
+from evsite.geo import GeoPoint, haversine_distance
 from evsite.ingest import DemandPoint, StationRecord
 from test_ingest import square_lga
 from test_recommend import rec_at
@@ -93,6 +93,30 @@ class TestCoverage:
                                                    s.lat, s.lon) <= 8000.0
                           for s in sites)) / len(pts)
         assert coverage(pts, sites, 8000.0) == want
+
+    def test_points_at_exactly_the_radius(self):
+        rng = random.Random(28)
+        pts = self._points([(rng.uniform(-34, -33), rng.uniform(150, 151))
+                            for _ in range(100)])
+        sites = [GeoPoint(rng.uniform(-34, -33), rng.uniform(150, 151))
+                 for _ in range(5)]
+        for k in range(0, 100, 7):
+            radius = haversine_distance(pts[k].location, sites[k % 5])
+            want = sum(1 for p in pts
+                       if any(haversine_distance(p.location, s) <= radius
+                              for s in sites)) / len(pts)
+            assert coverage(pts, sites, radius) == want
+            assert coverage(pts[k:k + 1], sites, radius) == 1.0
+
+    def test_across_the_antimeridian(self):
+        pts = self._points([(0.0, -179.9995), (0.5, 179.9995), (-0.2, 179.0)])
+        sites = [GeoPoint(0.0, 179.9995), GeoPoint(0.5, -179.9995)]
+        want = sum(1 for p in pts
+                   if any(oracles.haversine_oracle(p.location.lat, p.location.lon,
+                                                   s.lat, s.lon) <= 200.0
+                          for s in sites)) / len(pts)
+        assert want == 2 / 3
+        assert coverage(pts, sites, 200.0) == want
 
 
 class TestBuildReport:

@@ -167,6 +167,37 @@ class TestSpatialIndex:
             assert all(got_d <= oracles.haversine_oracle(q.lat, q.lon, *c) + 1e-9
                        for c in coords)
 
+    @pytest.mark.parametrize("indexed,query,radius", [
+        ((0, 179.9995), (0, -179.9995), 200.0),      # across the antimeridian
+        ((89.9999, 180.0), (89.9999, 0.0), 50.0),    # across the north pole
+        ((-89.9999, 90.0), (-89.9999, -90.0), 50.0),  # across the south pole
+    ])
+    def test_neighbour_on_the_far_side_of_a_wrap(self, indexed, query, radius):
+        idx = build_index([GeoPoint(*indexed)], 0.01)
+        assert idx.neighbors_within(GeoPoint(*query), radius) == [0]
+        assert idx.nearest(GeoPoint(*query))[0] == 0
+
+    @pytest.mark.parametrize("lat,cell", [(0.0, 0.01), (-33.0, 0.05), (70.0, 0.02),
+                                          (10.0, 400.0), (89.4, 0.05)])
+    def test_queries_near_a_wrap_vs_linear_scan(self, lat, cell):
+        rng = random.Random(int(lat) + 100)
+        pts = [GeoPoint(lat + rng.uniform(-0.5, 0.5),
+                        rng.choice((-1, 1)) * rng.uniform(179.6, 180.0))
+               for _ in range(300)]
+        pts += [GeoPoint(lat, 180.0), GeoPoint(lat, -180.0)]
+        coords = [(p.lat, p.lon) for p in pts]
+        idx = build_index(pts, cell)
+        for k in range(60):
+            q = GeoPoint(lat + rng.uniform(-0.6, 0.6),
+                         rng.choice((-1, 1)) * rng.uniform(179.5, 180.0))
+            r = rng.uniform(0, 40000) if k < 50 else rng.uniform(1e6, 8e6)
+            assert idx.neighbors_within(q, r) == oracles.linear_neighbors(
+                coords, q.lat, q.lon, r)
+            got_id, got_d = idx.nearest(q)
+            want_id, want_d = oracles.linear_nearest(coords, q.lat, q.lon)
+            assert got_id == want_id
+            assert got_d == pytest.approx(want_d)
+
     def test_nearest_empty_errors(self):
         with pytest.raises(GeoError, match="empty index"):
             build_index([], 0.01).nearest(GeoPoint(0, 0))
