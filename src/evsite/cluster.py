@@ -1,18 +1,19 @@
 """Per-LGA DBSCAN with per-point adjusted radius and density threshold.
 
 Per-point semantics: N(p) = {q : haversine(p, q) <= eps(p)}, p included;
-p is core iff |N(p)| >= minpts(p). Expansion is breadth-first over a queue
-seeded with N(p) sorted by id, so labels are fully deterministic.
+p is core iff |N(p)| >= minpts(p). Points are visited in point-id order, and
+each unclustered core point starts a cluster: every unclustered point it
+reaches through chains of unclustered core points. Labels are therefore fully
+deterministic.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .constraints import AdjustedParams, ConstraintConfig, PointContext, adjust_params
-from .geo import METERS_PER_DEG, build_index
+from .geo import METERS_PER_DEG, SpatialIndex
 from .ingest import DemandPoint
 
 NOISE = -1
@@ -39,38 +40,53 @@ def dbscan_lga(points: list[DemandPoint], contexts: list[PointContext],
                cfg: ConstraintConfig, lga_name: str = "") -> LgaClusterResult:
     if len(points) != len(contexts):
         raise ClusterError("points and contexts must be parallel")
-    order = sorted(range(len(points)), key=lambda i: points[i].point_id)
     params = [adjust_params(ctx, cfg) for ctx in contexts]
-    index = build_index([dp.location for dp in points],
-                        max(cfg.base_eps_m, cfg.eps_max_m) / METERS_PER_DEG / 4
-                        if points else 1.0)
-
-    def neighborhood(i: int) -> list[int]:
-        return index.neighbors_within(points[i].location, params[i].eps_m)
+    # work in point-id order, so that index ids, visiting order and the
+    # ascending neighbour lists all follow point ids
+    order = sorted(range(len(points)), key=lambda i: points[i].point_id)
+    eps = [params[i].eps_m for i in order]
+    minpts = [params[i].minpts for i in order]
+    # cells of half the smallest eps, but no finer than an eighth of the
+    # largest, so that a query window stays within about 17 x 17 cells
+    cell_m = max(min(eps) / 2, max(eps) / 8) if points else METERS_PER_DEG
+    index = SpatialIndex([points[i].location for i in order], cell_m / METERS_PER_DEG)
+    locations = index.points
 
     labels = [NOISE] * len(points)
+    unclustered = set(range(len(points)))
     visited = [False] * len(points)
     n_clusters = 0
-    for i in order:
+    for i in range(len(points)):
         if visited[i]:
             continue
         visited[i] = True
-        seeds = neighborhood(i)
-        if len(seeds) < params[i].minpts:
+        reach = index.neighbors_within(locations[i], eps[i])
+        if len(reach) < minpts[i]:
             continue
         cluster = n_clusters
         n_clusters += 1
-        queue = deque(sorted(seeds, key=lambda j: points[j].point_id))
-        while queue:
-            q = queue.popleft()
-            if not visited[q]:
-                visited[q] = True
-                reach = neighborhood(q)
-                if len(reach) >= params[q].minpts:
-                    queue.extend(sorted(reach, key=lambda j: points[j].point_id))
-            if labels[q] == NOISE:
-                labels[q] = cluster
-    return LgaClusterResult(lga_name, ClusterAssignment(tuple(labels), n_clusters),
+        # A point joins the cluster when first reached, and only unvisited
+        # points wait to be expanded. The reached set does not depend on the
+        # order of expansion, so an unordered set and a stack suffice.
+        stack = []
+        while True:
+            joined = unclustered.intersection(reach)
+            unclustered -= joined
+            for j in joined:
+                labels[j] = cluster
+                if not visited[j]:
+                    visited[j] = True
+                    stack.append(j)
+            if not stack:
+                break
+            q = stack.pop()
+            reach = index.neighbors_within(locations[q], eps[q])
+            if len(reach) < minpts[q]:
+                reach = ()
+    by_input = [NOISE] * len(points)
+    for k, i in enumerate(order):
+        by_input[i] = labels[k]
+    return LgaClusterResult(lga_name, ClusterAssignment(tuple(by_input), n_clusters),
                             tuple(params))
 
 

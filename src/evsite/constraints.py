@@ -59,19 +59,6 @@ class AdjustedParams:
     minpts: int
 
 
-def estimate_altitude(p: GeoPoint, routes: list[RouteRecord]) -> float:
-    """Altitude of the nearest route vertex; ties by smallest (route_id, index)."""
-    best = None
-    for route in sorted(routes, key=lambda r: r.route_id):
-        for i, v in enumerate(route.polyline):
-            d = haversine_distance(p, v)
-            if best is None or d < best[0]:
-                best = (d, route.altitudes[i])
-    if best is None:
-        raise ConstraintError("no altitude source")
-    return best[1]
-
-
 def lookup_ffdi(p: GeoPoint, grid: FireRiskGrid) -> float | None:
     """Value of the grid cell containing p; None outside the bbox or for null cells.
 
@@ -150,7 +137,15 @@ def annotate_context(points: list[DemandPoint], pois: list[PoiRecord],
                      routes: list[RouteRecord],
                      grid: FireRiskGrid | None) -> list[PointContext]:
     """Context for every demand point, parallel to the input list."""
-    poi_index = build_index([p.location for p in pois], 0.01) if pois else None
+    poi_index = None
+    if pois:
+        # cells holding about one POI each, so that nearest finds one within
+        # a ring or two instead of walking rings of empty cells
+        lats = [p.location.lat for p in pois]
+        lons = [p.location.lon for p in pois]
+        extent = max(max(lats) - min(lats), max(lons) - min(lons))
+        poi_index = build_index([p.location for p in pois],
+                                max(extent / math.sqrt(len(pois)), 0.01))
     locator = RouteLocator(routes)
     out = []
     for dp in points:

@@ -10,6 +10,11 @@ EARTH_RADIUS_M = 6371008.8
 _DIAMETER_M = 2.0 * EARTH_RADIUS_M
 # great-circle meters per degree of latitude (constant on the sphere)
 METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
+# Slack added to a cell's reach. Each computed haversine lies within about
+# 0.2 m of the true great-circle distance (the worst case, near the antipode,
+# where asin is steepest); whole-cell decisions compare three of them, so 1 m
+# keeps every decision on the side a per-point check would take.
+_REACH_MARGIN_M = 1.0
 
 
 class GeoError(ValueError):
@@ -148,9 +153,28 @@ class SpatialIndex:
         self._rad_lat = array("d", [math.radians(p.lat) for p in self.points])
         self._cos_lat = array("d", [math.cos(r) for r in self._rad_lat])
         self._lon = array("d", [p.lon for p in self.points])
+        # cell key -> (radians(lat), cos(lat), lon, reach) of the cell's
+        # centre, filled on first use: see _disc
+        self._discs: dict[tuple[int, int], tuple[float, float, float, float]] = {}
 
     def _key(self, p: GeoPoint) -> tuple[int, int]:
         return (math.floor(p.lat / self.cell_size), math.floor(p.lon / self.cell_size))
+
+    def _disc(self, key: tuple[int, int]) -> tuple[float, float, float, float]:
+        """A disc around the cell's centre that holds all of its points.
+
+        The centre is the cell's middle with latitude clipped to +-90; the
+        reach is the largest haversine from it to a point of the cell plus
+        _REACH_MARGIN_M.
+        """
+        lat_c = math.radians(min(90.0, max(-90.0, (key[0] + 0.5) * self.cell_size)))
+        cos_c = math.cos(lat_c)
+        lon_c = (key[1] + 0.5) * self.cell_size
+        rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
+        reach = max(_haversine_terms(lat_c, cos_c, lon_c, rad_lat[i], cos_lat[i], lon[i])
+                    for i in self._cells[key])
+        disc = self._discs[key] = (lat_c, cos_c, lon_c, reach + _REACH_MARGIN_M)
+        return disc
 
     def __len__(self) -> int:
         return len(self.points)
@@ -187,24 +211,36 @@ class SpatialIndex:
             width += max(0, c1 - c0 + 1)
         if r0 > r1 or not width:
             return []
-        if (r1 - r0 + 1) * width > len(self._cells):
+        cells = self._cells
+        if (r1 - r0 + 1) * width > len(cells):
             # scanning occupied cells beats enumerating a huge window
             (a0, a1), (b0, b1) = spans[0], spans[-1]
-            candidates = (ids for (r, c), ids in self._cells.items()
-                          if r0 <= r <= r1 and (a0 <= c <= a1 or b0 <= c <= b1))
+            keys = [k for k in cells
+                    if r0 <= k[0] <= r1 and (a0 <= k[1] <= a1 or b0 <= k[1] <= b1)]
         else:
             # a set: the two ranges of a wrapped query can end in one column
             cols = {c for c0, c1 in spans for c in range(c0, c1 + 1)}
-            candidates = (self._cells.get((r, c), ())
-                          for r in range(r0, r1 + 1) for c in cols)
-        # haversine_distance(p, points[i]) inlined, operand for operand
+            keys = [k for k in ((r, c) for r in range(r0, r1 + 1) for c in cols)
+                    if k in cells]
         lat1 = math.radians(p.lat)
         cos1 = math.cos(lat1)
         lon1 = p.lon
         rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
+        discs = self._discs
         sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
         out = []
-        for ids in candidates:
+        for key in keys:
+            # by the triangle inequality a cell whose disc lies within the
+            # query disc is taken whole, and one whose disc misses it skipped
+            lat_c, cos_c, lon_c, reach = discs.get(key) or self._disc(key)
+            d = _haversine_terms(lat1, cos1, lon1, lat_c, cos_c, lon_c)
+            if d - reach > radius_m:
+                continue
+            ids = cells[key]
+            if d + reach <= radius_m:
+                out += ids
+                continue
+            # haversine_distance(p, points[i]) inlined, operand for operand
             for i in ids:
                 s = (sin((rad_lat[i] - lat1) / 2.0) ** 2
                      + cos1 * cos_lat[i] * sin(radians(lon[i] - lon1) / 2.0) ** 2)
@@ -241,6 +277,14 @@ class SpatialIndex:
         ids = self.neighbors_within(p, best)
         best_id = min(ids, key=lambda i: (haversine_distance(p, self.points[i]), i))
         return best_id, haversine_distance(p, self.points[best_id])
+
+
+def _haversine_terms(lat1: float, cos1: float, lon1: float,
+                     lat2: float, cos2: float, lon2: float) -> float:
+    """haversine_distance from radians(lat), cos(lat) and lon of both ends."""
+    s = (math.sin((lat2 - lat1) / 2.0) ** 2
+         + cos1 * cos2 * math.sin(math.radians(lon2 - lon1) / 2.0) ** 2)
+    return _DIAMETER_M * math.asin(min(1.0, math.sqrt(s)))
 
 
 def _ring_cells(center: tuple[int, int], ring: int):

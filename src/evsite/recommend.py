@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 from .cluster import NOISE, LgaClusterResult
 from .constraints import ConstraintConfig, PointContext, RouteLocator, lookup_ffdi
-from .geo import GeoPoint, haversine_distance
+from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance
 from .ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord, StationRecord
 
 UNSNAPPED = "unsnapped"
@@ -86,9 +86,10 @@ def dedup(recs: list[Recommendation], stations: list[StationRecord],
     """Drop recommendations within min_sep_m (inclusive) of any station."""
     if min_sep_m < 0:
         raise RecommendError("min_sep_m must be >= 0")
-    kept = [r for r in recs
-            if all(haversine_distance(r.location, s.location) > min_sep_m
-                   for s in stations)]
+    # cells no narrower than a metre, so that min_sep_m = 0 works too
+    index = SpatialIndex([s.location for s in stations],
+                         max(min_sep_m, 1.0) / METERS_PER_DEG)
+    kept = [r for r in recs if not index.neighbors_within(r.location, min_sep_m)]
     return sorted(kept, key=lambda r: r.rec_id)
 
 

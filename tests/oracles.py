@@ -58,6 +58,22 @@ def linear_nearest(coords, qlat, qlon):
     return best, haversine_oracle(qlat, qlon, *coords[best])
 
 
+def nearest_vertex_altitude(lat, lon, routes):
+    """Altitude of the route vertex nearest (lat, lon), by a scan of every
+    vertex; ties go to the smallest (route_id, vertex index).
+
+    ``routes`` are records with ``route_id``, ``polyline`` (points with
+    ``lat``/``lon``) and a parallel ``altitudes`` sequence.
+    """
+    best = None
+    for route in sorted(routes, key=lambda r: r.route_id):
+        for v, alt in zip(route.polyline, route.altitudes):
+            d = haversine_oracle(lat, lon, v.lat, v.lon)
+            if best is None or d < best[0]:
+                best = (d, alt)
+    return best[1]
+
+
 def dense_projection(qlat, qlon, polyline, samples_per_segment=100_000):
     """Argmin over dense samples along every polyline segment."""
     best = (math.inf, None)

@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from evsite.cluster import NOISE, ClusterError, cluster_all, dbscan_lga
-from evsite.constraints import ConstraintConfig, PointContext
-from evsite.geo import GeoPoint
+from evsite.constraints import ConstraintConfig, PointContext, adjust_params
+from evsite.geo import METERS_PER_DEG, GeoPoint
 from evsite.ingest import DemandPoint
 
 NEUTRAL = ConstraintConfig(eps_factor_poi=1.0, minpts_factor_poi=1.0,
@@ -116,6 +116,40 @@ class TestDbscanLga:
                 assert lab != NOISE
             if lab == NOISE:
                 assert not core[i]
+
+    @pytest.mark.parametrize("cfg", [
+        # eps 90 or 120 m: a dense core, a fringe of border points and noise
+        ConstraintConfig(base_eps_m=120.0, eps_min_m=50.0, base_minpts=12),
+        # eps 100 m near a POI and 2000 m elsewhere, so that cells come from
+        # the floor of an eighth of the largest eps; 2000-m points never core
+        ConstraintConfig(base_eps_m=2000.0, eps_factor_poi=0.05, eps_min_m=100.0,
+                         base_minpts=400, minpts_factor_poi=0.05),
+    ])
+    def test_dense_hotspot_matches_brute_oracle(self, cfg):
+        rng = random.Random(int(cfg.base_eps_m))
+        lat0, lon0 = -33.5, 150.5
+        m_lon = METERS_PER_DEG * math.cos(math.radians(lat0))
+        coords = [(lat0 + rng.gauss(0, 150) / METERS_PER_DEG,
+                   lon0 + rng.gauss(0, 150) / m_lon) for _ in range(300)]
+        ids = rng.sample(range(100_000), len(coords))
+        pts = [DemandPoint(pid, GeoPoint(lat, lon), "t", "origin")
+               for pid, (lat, lon) in zip(ids, coords)]
+        contexts = [PointContext(rng.uniform(0, 20),
+                                 rng.uniform(0, 300) if rng.random() < 0.8 else math.inf,
+                                 rng.choice([rng.uniform(0, 400), math.inf]),
+                                 rng.choice([None, rng.uniform(0, 5)]))
+                    for _ in pts]
+        result = dbscan_lga(pts, contexts, cfg)
+        params = [adjust_params(ctx, cfg) for ctx in contexts]
+        assert result.per_point_params == tuple(params)
+        # the oracle visits in index order: hand it the points by id
+        by_id = sorted(range(len(pts)), key=lambda k: pts[k].point_id)
+        want, want_c = oracles.brute_dbscan_per_point(
+            [coords[k] for k in by_id], [params[k].eps_m for k in by_id],
+            [params[k].minpts for k in by_id])
+        assert [result.assignment.labels[k] for k in by_id] == want
+        assert result.assignment.cluster_count == want_c
+        assert want_c >= 1 and NOISE in want
 
 
 class TestClusterAll:

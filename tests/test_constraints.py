@@ -12,10 +12,9 @@ from evsite.constraints import (
     RouteLocator,
     adjust_params,
     annotate_context,
-    estimate_altitude,
     lookup_ffdi,
 )
-from evsite.geo import BoundingBox, GeoPoint
+from evsite.geo import BoundingBox, GeoPoint, haversine_distance
 from evsite.ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord
 
 NEUTRAL = ConstraintConfig(eps_factor_poi=1.0, minpts_factor_poi=1.0,
@@ -30,17 +29,30 @@ def make_route(route_id, latlon_alts):
 
 
 class TestEstimateAltitude:
+    """Altitude of the nearest route vertex, as altitude_at and as the fourth
+    value of locate, against a scan of every vertex."""
+
+    @staticmethod
+    def altitudes(p, routes):
+        locator = RouteLocator(routes)
+        return locator.altitude_at(p), locator.locate(p)[3]
+
     def test_at_vertex(self):
         route = make_route("r1", [(-33.5, 150.0, 12.0), (-33.5, 150.1, 30.0)])
-        assert estimate_altitude(GeoPoint(-33.5, 150.1), [route]) == 30.0
+        p = GeoPoint(-33.5, 150.1)
+        assert oracles.nearest_vertex_altitude(p.lat, p.lon, [route]) == 30.0
+        assert self.altitudes(p, [route]) == (30.0, 30.0)
 
     def test_single_vertex_universe(self):
         route = make_route("r1", [(-33.5, 150.0, 12.0), (-33.5, 150.0001, 12.5)])
-        assert estimate_altitude(GeoPoint(0.0, 0.0), [route]) in (12.0, 12.5)
+        want = oracles.nearest_vertex_altitude(0.0, 0.0, [route])
+        assert want in (12.0, 12.5)
+        assert self.altitudes(GeoPoint(0.0, 0.0), [route]) == (want, want)
 
     def test_no_routes_errors(self):
         with pytest.raises(ConstraintError, match="no altitude source"):
-            estimate_altitude(GeoPoint(0, 0), [])
+            RouteLocator([]).altitude_at(GeoPoint(0, 0))
+        assert math.isnan(RouteLocator([]).locate(GeoPoint(0, 0))[3])
 
     def test_random_vs_linear_scan(self):
         rng = random.Random(11)
@@ -56,7 +68,8 @@ class TestEstimateAltitude:
         for _ in range(100):
             p = GeoPoint(rng.uniform(-34.2, -32.8), rng.uniform(149.8, 151.2))
             want_id, _ = oracles.linear_nearest(coords, p.lat, p.lon)
-            assert estimate_altitude(p, routes) == alts[want_id]
+            assert oracles.nearest_vertex_altitude(p.lat, p.lon, routes) == alts[want_id]
+            assert self.altitudes(p, routes) == (alts[want_id], alts[want_id])
 
 
 class TestLookupFfdi:
@@ -144,6 +157,22 @@ class TestAnnotateContext:
             want_alt = alt_values[oracles.linear_nearest(alt_coords, lat, lon)[0]]
             assert ctx.altitude_m == want_alt
             assert ctx.ffdi_delta == lookup_ffdi(dp.location, grid)
+
+    @pytest.mark.parametrize("n_pois,span_deg", [(64, 2.0), (1, 0.0)])
+    def test_poi_distance_is_the_exact_minimum(self, n_pois, span_deg):
+        rng = random.Random(16 + n_pois)
+        pois = [PoiRecord(f"p{i}", "fuel",
+                          GeoPoint(-34.0 + rng.uniform(0, span_deg),
+                                   150.0 + rng.uniform(0, span_deg)))
+                for i in range(n_pois)]
+        locations = [GeoPoint(rng.uniform(-36.0, -30.0), rng.uniform(148.0, 154.0))
+                     for _ in range(200)]
+        locations += [poi.location for poi in pois[:3]]
+        points = [DemandPoint(i, loc, "t", "origin") for i, loc in enumerate(locations)]
+        contexts = annotate_context(points, pois, [], None)
+        for dp, ctx in zip(points, contexts):
+            assert ctx.dist_poi_m == min(haversine_distance(dp.location, poi.location)
+                                         for poi in pois)
 
 
 class TestAdjustParams:

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from evsite.geo import (
     EARTH_RADIUS_M,
+    METERS_PER_DEG,
     GeoError,
     GeoPoint,
     MultiPolygon,
@@ -197,6 +198,42 @@ class TestSpatialIndex:
             want_id, want_d = oracles.linear_nearest(coords, q.lat, q.lon)
             assert got_id == want_id
             assert got_d == pytest.approx(want_d)
+
+    @pytest.mark.parametrize("cell_m", [50.0, 120.0, 300.0])
+    def test_dense_cloud_matches_a_haversine_scan_exactly(self, cell_m):
+        # 400 points within 500 m, so that queries take some cells whole and
+        # skip others; the scan uses the very same distance function
+        rng = random.Random(int(cell_m))
+        lat0, lon0 = -33.87, 151.21
+        m_lon = METERS_PER_DEG * math.cos(math.radians(lat0))
+        pts = []
+        while len(pts) < 400:
+            dn, de = rng.uniform(-500, 500), rng.uniform(-500, 500)
+            if math.hypot(dn, de) <= 500:
+                pts.append(GeoPoint(lat0 + dn / METERS_PER_DEG, lon0 + de / m_lon))
+        pts += pts[:5]  # coincident points
+        idx = build_index(pts, cell_m / METERS_PER_DEG)
+
+        def scan(q, r):
+            return [i for i, p in enumerate(pts) if haversine_distance(q, p) <= r]
+
+        for k in range(120):
+            if k % 2:
+                q = pts[rng.randrange(len(pts))]
+            else:
+                q = GeoPoint(lat0 + rng.uniform(-700, 700) / METERS_PER_DEG,
+                             lon0 + rng.uniform(-700, 700) / m_lon)
+            if k % 3 == 0:
+                # some point lies exactly at the radius
+                r = haversine_distance(q, pts[rng.randrange(len(pts))])
+            else:
+                r = rng.uniform(0, 1200)
+            assert idx.neighbors_within(q, r) == scan(q, r)
+        # near the antipode, where the formula rounds worst
+        q = GeoPoint(-lat0 + 1e-5, lon0 - 180.0)
+        d = haversine_distance(q, pts[17])
+        for r in (d, d - 0.4, d + 0.4, math.nextafter(d, 0.0)):
+            assert idx.neighbors_within(q, r) == scan(q, r)
 
     def test_nearest_empty_errors(self):
         with pytest.raises(GeoError, match="empty index"):

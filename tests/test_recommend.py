@@ -119,6 +119,13 @@ class TestDedup:
         recs = [rec_at(-33.5001, 150.5)]
         assert dedup(recs, [station], 0.0) == recs
 
+    def test_exactly_at_min_sep_is_dropped(self):
+        station = StationRecord("s1", "approved", GeoPoint(-33.5, 150.5))
+        rec = rec_at(-33.503, 150.504)
+        d = haversine_distance(rec.location, station.location)
+        assert dedup([rec], [station], d) == []
+        assert dedup([rec], [station], math.nextafter(d, 0.0)) == [rec]
+
     def test_random_matches_all_pairs_filter(self):
         rng = random.Random(22)
         recs = [rec_at(rng.uniform(-34, -33), rng.uniform(150, 151),
