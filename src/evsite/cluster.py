@@ -9,7 +9,6 @@ deterministic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .constraints import AdjustedParams, ConstraintConfig, PointContext, adjust_params
@@ -92,16 +91,7 @@ def dbscan_lga(points: list[DemandPoint], contexts: list[PointContext],
 
 def cluster_all(buckets: dict[str, list[DemandPoint]],
                 contexts: dict[str, list[PointContext]],
-                cfg: ConstraintConfig, workers: int = 1) -> list[LgaClusterResult]:
+                cfg: ConstraintConfig) -> list[LgaClusterResult]:
     """One independent clustering per LGA, returned sorted by name."""
-    names = sorted(buckets)
-
-    def run(name: str) -> LgaClusterResult:
-        return dbscan_lga(buckets[name], contexts[name], cfg, lga_name=name)
-
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, names))
-    else:
-        results = [run(name) for name in names]
-    return results
+    return [dbscan_lga(buckets[name], contexts[name], cfg, lga_name=name)
+            for name in sorted(buckets)]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .constraints import ConstraintConfig
@@ -40,17 +40,26 @@ class RunConfig:
     corridor_span_m: float = 10000.0
     align_m: float = 1000.0
     coverage_radius_m: float = 3000.0
-    workers: int = 1
     raw: dict = field(default_factory=dict)
 
 
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
+# the JSON kind of a config value, by its Python type
+_KINDS = {bool: "a boolean", int: "a number", float: "a number", str: "a string"}
+
+
+def _section(doc: dict, name: str, defaults: dict) -> dict:
+    """doc[name], an object whose keys are defaults' keys and whose values
+    each have the JSON kind of their default."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(section) - allowed
+    unknown = set(section) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
+    for key, value in section.items():
+        kind = _KINDS[type(defaults[key])]
+        if _KINDS.get(type(value)) != kind:
+            raise ConfigError(f"config {name}.{key} must be {kind}, got {value!r}")
     return section
 
 
@@ -63,6 +72,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
 
     top_allowed = {"layers", "constraints", "cleaning", "demand", "snap",
                    "dedup", "classify", "evaluate", "workers"}
@@ -70,7 +81,8 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    layers_doc = _section(doc, "layers", set(LAYER_KEYS) | {"trips_format"})
+    layers_doc = _section(doc, "layers",
+                          {**dict.fromkeys(LAYER_KEYS, ""), "trips_format": "csv"})
     missing = [k for k in LAYER_KEYS if k not in layers_doc]
     if missing:
         raise ConfigError(f"config missing layer paths: {missing}")
@@ -82,16 +94,17 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"layer {k!r}: file not found: {p}")
 
     constraints_doc = _section(doc, "constraints",
-                               set(ConstraintConfig.__dataclass_fields__))
+                               {f.name: f.default for f in fields(ConstraintConfig)})
     try:
         constraints = ConstraintConfig(**constraints_doc)
     except ValueError as e:
         raise ConfigError(f"invalid constraints: {e}") from e
 
-    sections = {name: {**DEFAULTS[name], **_section(doc, name, set(DEFAULTS[name]))}
+    sections = {name: {**DEFAULTS[name], **_section(doc, name, DEFAULTS[name])}
                 for name in DEFAULTS}
+    # accepted for older configs; clustering runs on one thread whatever it says
     workers = doc.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ConfigError("workers must be a positive integer")
 
     return RunConfig(
@@ -103,12 +116,11 @@ def load_config(path) -> RunConfig:
         dwell_min_s=float(sections["demand"]["dwell_min_s"]),
         poi_snap_m=float(sections["snap"]["poi_snap_m"]),
         route_snap_m=float(sections["snap"]["route_snap_m"]),
-        dedup_enabled=bool(sections["dedup"]["enabled"]),
+        dedup_enabled=sections["dedup"]["enabled"],
         min_sep_m=float(sections["dedup"]["min_sep_m"]),
         corridor_span_m=float(sections["classify"]["corridor_span_m"]),
         align_m=float(sections["evaluate"]["align_m"]),
         coverage_radius_m=float(sections["evaluate"]["coverage_radius_m"]),
-        workers=workers,
         raw=doc,
     )
 

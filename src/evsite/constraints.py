@@ -7,7 +7,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .geo import GeoPoint, build_index, haversine_distance, project_to_polyline, METERS_PER_DEG
+from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance, project_to_polyline
 from .ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord
 
 
@@ -101,7 +101,7 @@ class RouteLocator:
                                    if i + 1 < len(line) else -1.0)
         self.max_seg_m = max(self._seg_m, default=0.0)
         cell = max(self.max_seg_m, 500.0) / METERS_PER_DEG
-        self._index = build_index(self._vertices, cell) if self._vertices else None
+        self._index = SpatialIndex(self._vertices, cell) if self._vertices else None
 
     def __bool__(self) -> bool:
         return self._index is not None
@@ -133,26 +133,42 @@ class RouteLocator:
         return best_pt, best_d, best_id, self._altitudes[vid]
 
 
+class PoiIndex:
+    """Exact nearest-POI queries over a grid of about one POI per cell.
+
+    POIs are indexed in poi_id order, so a distance tie goes to the smallest
+    poi_id. Cells are the POIs' extent over the square root of their count,
+    at least 0.01 degrees, so that nearest finds a POI within a ring or two
+    instead of walking rings of empty cells.
+    """
+
+    def __init__(self, pois: list[PoiRecord]):
+        self.pois = sorted(pois, key=lambda p: p.poi_id)
+        self._index = None
+        if pois:
+            lats = [p.location.lat for p in pois]
+            lons = [p.location.lon for p in pois]
+            extent = max(max(lats) - min(lats), max(lons) - min(lons))
+            self._index = SpatialIndex([p.location for p in self.pois],
+                                       max(extent / math.sqrt(len(pois)), 0.01))
+
+    def nearest(self, p: GeoPoint) -> tuple[PoiRecord | None, float]:
+        """(closest POI, distance); None and inf when there are no POIs."""
+        if self._index is None:
+            return None, math.inf
+        i, d = self._index.nearest(p)
+        return self.pois[i], d
+
+
 def annotate_context(points: list[DemandPoint], pois: list[PoiRecord],
                      routes: list[RouteRecord],
                      grid: FireRiskGrid | None) -> list[PointContext]:
     """Context for every demand point, parallel to the input list."""
-    poi_index = None
-    if pois:
-        # cells holding about one POI each, so that nearest finds one within
-        # a ring or two instead of walking rings of empty cells
-        lats = [p.location.lat for p in pois]
-        lons = [p.location.lon for p in pois]
-        extent = max(max(lats) - min(lats), max(lons) - min(lons))
-        poi_index = build_index([p.location for p in pois],
-                                max(extent / math.sqrt(len(pois)), 0.01))
+    poi_index = PoiIndex(pois)
     locator = RouteLocator(routes)
     out = []
     for dp in points:
-        if poi_index is not None:
-            _, dist_poi = poi_index.nearest(dp.location)
-        else:
-            dist_poi = math.inf
+        _, dist_poi = poi_index.nearest(dp.location)
         _, dist_route, _, altitude = locator.locate(dp.location)
         ffdi = lookup_ffdi(dp.location, grid) if grid is not None else None
         out.append(PointContext(altitude, dist_poi, dist_route, ffdi))

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex, point_in_polygon
-from .geo import haversine_distance  # noqa: F401  (tracing patches it here by name)
-from .ingest import DemandPoint, LgaRecord, StationRecord
+from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex
+# tracing patches these here by name
+from .geo import haversine_distance, point_in_polygon  # noqa: F401
+from .ingest import DemandPoint, LgaRecord, StationRecord, locate_lga
 from .recommend import Recommendation
-
-UNASSIGNED_LGA = "(unassigned)"
 
 _COUNT_KEYS = ("existing_fast", "existing_destination", "approved",
                "recommended_fast", "recommended_destination")
@@ -100,13 +99,6 @@ def coverage(points: list[DemandPoint], sites: list[GeoPoint],
     index = _site_index(sites, radius_m)
     covered = sum(1 for dp in points if index.neighbors_within(dp.location, radius_m))
     return covered / len(points)
-
-
-def locate_lga(p: GeoPoint, lgas: list[LgaRecord]) -> str:
-    for lga in sorted(lgas, key=lambda l: l.lga_name):
-        if lga.bbox().contains(p) and point_in_polygon(p, lga.boundary):
-            return lga.lga_name
-    return UNASSIGNED_LGA
 
 
 def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],

@@ -300,10 +300,6 @@ def _ring_cells(center: tuple[int, int], ring: int):
         yield (r, c0 + ring)
 
 
-def build_index(points: list[GeoPoint], cell_size: float) -> SpatialIndex:
-    return SpatialIndex(list(points), cell_size)
-
-
 def project_to_polyline(p: GeoPoint, polyline) -> tuple[GeoPoint, float]:
     """Closest point on the polyline and its distance from p.
 

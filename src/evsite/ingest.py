@@ -6,6 +6,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .geo import (
@@ -23,6 +24,7 @@ STATION_KINDS = ("existing_fast", "existing_destination", "approved")
 POI_CATEGORIES = ("fast_food", "fuel", "tourism")
 
 TRIPS_CSV_HEADER = ["trip_id", "timestamp", "lat", "lon"]
+UNASSIGNED_LGA = "(unassigned)"
 
 
 class IngestError(ValueError):
@@ -88,6 +90,7 @@ class LgaRecord:
     lga_name: str
     boundary: MultiPolygon
 
+    @cached_property
     def bbox(self) -> BoundingBox:
         return bbox_of_rings([r for p in self.boundary.polygons for r in p.rings()])
 
@@ -309,6 +312,8 @@ def _feature_point(feat, where: str) -> GeoPoint:
 
 def _prop(feat, key: str, where: str):
     props = feat.get("properties") or {}
+    if not isinstance(props, dict):
+        raise IngestError(f"{where}: properties must be an object")
     if key not in props:
         raise IngestError(f"{where}: missing property {key!r}")
     return props[key]
@@ -425,11 +430,15 @@ def _point_feature(location: GeoPoint, properties: dict) -> dict:
             "properties": properties}
 
 
-def write_feature_collection(path, features: list[dict]) -> None:
-    doc = {"type": "FeatureCollection", "features": features}
+def write_json(path, doc) -> None:
+    """Compact, key-sorted, newline-terminated JSON: identical docs, identical bytes."""
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True, separators=(",", ":"))
         f.write("\n")
+
+
+def write_feature_collection(path, features: list[dict]) -> None:
+    write_json(path, {"type": "FeatureCollection", "features": features})
 
 
 def save_pois(path, pois: list[PoiRecord]) -> None:
@@ -469,30 +478,34 @@ def save_fire_grid(path, grid: FireRiskGrid) -> None:
                     grid.bbox.max_lon, grid.bbox.max_lat],
            "n_rows": grid.n_rows, "n_cols": grid.n_cols,
            "cells": list(grid.cells)}
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
 # LGA assignment
 
+def locate_lga(p: GeoPoint, lgas: list[LgaRecord],
+               default: str | None = UNASSIGNED_LGA) -> str | None:
+    """Name of the first LGA by name whose bbox and polygon contain p, else default."""
+    best = None
+    for lga in lgas:
+        # an LGA named after the best so far cannot come first, so its
+        # polygon is never tested
+        if ((best is None or lga.lga_name < best) and lga.bbox.contains(p)
+                and point_in_polygon(p, lga.boundary)):
+            best = lga.lga_name
+    return default if best is None else best
+
+
 def assign_lga(points: list[DemandPoint],
                lgas: list[LgaRecord]) -> tuple[dict[str, list[int]], list[int]]:
-    """Bucket point ids by the first containing LGA (ascending name).
+    """Bucket point ids by locate_lga.
 
-    Returns (name -> point ids, unassigned ids); together they partition the
-    input exactly.
+    Returns (name -> point ids in ascending name order, unassigned ids);
+    together they partition the input exactly.
     """
-    ordered = sorted(lgas, key=lambda l: l.lga_name)
-    boxes = [l.bbox() for l in ordered]
-    buckets: dict[str, list[int]] = {l.lga_name: [] for l in ordered}
-    unassigned = []
+    buckets: dict[str, list[int]] = {name: [] for name in sorted(l.lga_name for l in lgas)}
+    unassigned: list[int] = []
     for dp in points:
-        for lga, box in zip(ordered, boxes):
-            if box.contains(dp.location) and point_in_polygon(dp.location, lga.boundary):
-                buckets[lga.lga_name].append(dp.point_id)
-                break
-        else:
-            unassigned.append(dp.point_id)
+        buckets.get(locate_lga(dp.location, lgas, None), unassigned).append(dp.point_id)
     return buckets, unassigned

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import cluster, constraints, evaluate, ingest, recommend
 from .config import RunConfig
 from .constraints import RouteLocator
-from .geo import GeoPoint
+from .ingest import write_json
 
 KIND_COLORS = {
     "existing_fast": "#00008B",
@@ -21,8 +20,8 @@ KIND_COLORS = {
 }
 
 
-class PipelineError(RuntimeError):
-    pass
+class PipelineError(ValueError):
+    """Inputs that load but cannot run together."""
 
 
 @dataclass
@@ -65,8 +64,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     layers = load_layers(cfg)
     c = cfg.constraints
     if not layers.routes and (c.minpts_factor_flood != 1.0):
-        raise PipelineError("no altitude source: routes layer is empty but a "
-                            "flood (altitude) adjustment is enabled")
+        raise PipelineError(f"routes layer {cfg.layers['routes']} is empty, so the "
+                            "flood (altitude) adjustment has no altitude source")
 
     trips, cleaning = ingest.clean_trips(layers.trips, cfg.max_speed_mps)
     demand = ingest.extract_demand_points(trips, cfg.dwell_radius_m, cfg.dwell_min_s)
@@ -80,7 +79,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     bucket_ctx = {name: [contexts_all[by_id[i]] for i in ids]
                   for name, ids in bucket_ids.items()}
 
-    results = cluster.cluster_all(buckets, bucket_ctx, c, workers=cfg.workers)
+    results = cluster.cluster_all(buckets, bucket_ctx, c)
     recs_pre = recommend.propose_all(
         results, buckets, layers.pois, layers.routes, layers.fire_grid, c,
         cfg.poi_snap_m, cfg.route_snap_m, cfg.corridor_span_m)
@@ -154,12 +153,6 @@ def station_features(result: PipelineResult, cfg: RunConfig) -> list[dict]:
     return features
 
 
-def write_json(path, doc) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
-
-
 def write_outputs(result: PipelineResult, cfg: RunConfig, out_dir) -> dict:
     """Write recommendations.geojson, stations.geojson, run_summary.json.
 
@@ -167,12 +160,9 @@ def write_outputs(result: PipelineResult, cfg: RunConfig, out_dir) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "recommendations.geojson",
-               {"type": "FeatureCollection",
-                "features": recommendations_features(result.recs_final)})
-    write_json(out / "stations.geojson",
-               {"type": "FeatureCollection",
-                "features": station_features(result, cfg)})
+    ingest.write_feature_collection(out / "recommendations.geojson",
+                                    recommendations_features(result.recs_final))
+    ingest.write_feature_collection(out / "stations.geojson", station_features(result, cfg))
     summary = {
         "config": cfg.raw,
         "cleaning": result.cleaning.as_dict(),

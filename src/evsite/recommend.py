@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .cluster import NOISE, LgaClusterResult
-from .constraints import ConstraintConfig, PointContext, RouteLocator, lookup_ffdi
+from .constraints import ConstraintConfig, PoiIndex, RouteLocator, lookup_ffdi
 from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance
 from .ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord, StationRecord
 
@@ -58,23 +58,15 @@ def cluster_location(member_points: list[GeoPoint]) -> GeoPoint:
                     math.degrees(math.atan2(y, x)))
 
 
-def snap(location: GeoPoint, pois: list[PoiRecord], routes: list[RouteRecord],
-         poi_snap_m: float, route_snap_m: float,
-         locator: RouteLocator | None = None) -> tuple[GeoPoint, str, float]:
+def snap(location: GeoPoint, pois: PoiIndex, locator: RouteLocator,
+         poi_snap_m: float, route_snap_m: float) -> tuple[GeoPoint, str, float]:
     """Nearest POI within poi_snap_m, else nearest route projection within
     route_snap_m, else unsnapped at the original location."""
     if poi_snap_m <= 0 or route_snap_m <= 0:
         raise RecommendError("snap radii must be > 0")
-    best_poi = None
-    for poi in sorted(pois, key=lambda p: p.poi_id):
-        d = haversine_distance(location, poi.location)
-        if d <= poi_snap_m and (best_poi is None or d < best_poi[0]):
-            best_poi = (d, poi)
-    if best_poi is not None:
-        d, poi = best_poi
+    poi, d = pois.nearest(location)
+    if poi is not None and d <= poi_snap_m:
         return poi.location, f"poi:{poi.poi_id}", d
-    if locator is None:
-        locator = RouteLocator(routes)
     pt, d, route_id, _ = locator.locate(location)
     if d <= route_snap_m:
         return pt, f"route:{route_id}", d
@@ -93,13 +85,11 @@ def dedup(recs: list[Recommendation], stations: list[StationRecord],
     return sorted(kept, key=lambda r: r.rec_id)
 
 
-def classify_charger(rec: Recommendation, pois: list[PoiRecord],
+def classify_charger(rec: Recommendation, poi_categories: dict[str, str],
                      corridor_span_m: float) -> str:
     """Fast for fuel-POI anchors and long corridor clusters, destination otherwise."""
     if rec.snap_target.startswith("poi:"):
-        poi_id = rec.snap_target[4:]
-        categories = {p.poi_id: p.category for p in pois}
-        if categories.get(poi_id) == "fuel":
+        if poi_categories.get(rec.snap_target[4:]) == "fuel":
             return "fast"
         return "destination"
     if rec.snap_target.startswith("route:") and rec.cluster_span_m >= corridor_span_m:
@@ -120,6 +110,8 @@ def propose_all(cluster_results: list[LgaClusterResult],
                 poi_snap_m: float, route_snap_m: float,
                 corridor_span_m: float) -> list[Recommendation]:
     """One annotated, classified recommendation per cluster, before dedup."""
+    poi_index = PoiIndex(pois)
+    categories = {p.poi_id: p.category for p in pois}
     locator = RouteLocator(routes)
     recs = []
     for result in cluster_results:
@@ -128,8 +120,7 @@ def propose_all(cluster_results: list[LgaClusterResult],
             members = [points[i].location
                        for i, lab in enumerate(result.assignment.labels) if lab == c]
             center = cluster_location(members)
-            loc, target, dist = snap(center, pois, routes, poi_snap_m,
-                                     route_snap_m, locator=locator)
+            loc, target, dist = snap(center, poi_index, locator, poi_snap_m, route_snap_m)
             span = max(haversine_distance(center, m) for m in members)
             altitude = locator.altitude_at(loc) if locator else math.nan
             ffdi = lookup_ffdi(loc, grid) if grid is not None else None
@@ -140,7 +131,7 @@ def propose_all(cluster_results: list[LgaClusterResult],
                 altitude_m=altitude, ffdi_delta=ffdi,
                 flood_flag=False, fire_flag=None, cluster_span_m=span)
             rec = annotate_risk(rec, cfg.flood_alt_m, cfg.ffdi_threshold)
-            rec = replace(rec, charger_kind=classify_charger(rec, pois, corridor_span_m))
+            rec = replace(rec, charger_kind=classify_charger(rec, categories, corridor_span_m))
             recs.append(rec)
     return sorted(recs, key=lambda r: r.rec_id)
 

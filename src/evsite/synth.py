@@ -7,7 +7,6 @@ their true centers so recovery is checkable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +27,7 @@ from .ingest import (
     save_routes,
     save_stations,
     save_trips,
+    write_json,
 )
 from .rng import Rng
 
@@ -225,9 +225,7 @@ def generate(spec: ScenarioSpec, out_dir) -> ScenarioManifest:
         layer_counts={"trips": len(trips), "lgas": len(lgas), "pois": len(pois),
                       "stations": len(stations), "routes": len(routes),
                       "fire_grid_cells": len(grid.cells)})
-    with open(out / "manifest.json", "w") as f:
-        json.dump(manifest.as_dict(), f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(out / "manifest.json", manifest.as_dict())
     return manifest
 
 

@@ -38,6 +38,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="poi_snap_km"):
             load_config(p)
 
+    @pytest.mark.parametrize("edit,names", [
+        (lambda doc: 5, "config.json"),
+        (lambda doc: None, "config.json"),
+        (lambda doc: doc["snap"].update(poi_snap_m=[1]) or doc, "snap.poi_snap_m"),
+        (lambda doc: doc.update(constraints={"base_eps_m": "800"}) or doc,
+         "constraints.base_eps_m"),
+        (lambda doc: doc["dedup"].update(enabled="no") or doc, "dedup.enabled"),
+        (lambda doc: doc["layers"].update(trips=7) or doc, "layers.trips"),
+        (lambda doc: doc.update(workers=True) or doc, "workers"),
+    ], ids=["root-number", "root-null", "snap-list", "constraints-string",
+            "dedup-string", "layer-number", "workers-boolean"])
+    def test_malformed_config_exits_1(self, runner, scenario, edit, names):
+        _, _, dirs = scenario
+        doc = edit(default_config_dict(str(dirs["scenario"])))
+        dirs["config"].write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert names in result.output
+
     def test_missing_layer_file(self, scenario, tmp_path):
         _, _, dirs = scenario
         doc = default_config_dict(str(dirs["scenario"]))
@@ -87,6 +106,22 @@ class TestValidate:
         path = dirs["scenario"] / layer
         doc = json.loads(path.read_text())
         edit(doc["features"][1]["geometry"])
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert f"{layer}: feature 1:" in result.output
+
+
+    @pytest.mark.parametrize("layer,properties", [
+        ("pois.geojson", ["poi_id", "category"]),
+        ("lgas.geojson", "lga_name"),
+        ("stations.geojson", 7),
+    ], ids=["poi-list", "lga-string", "station-number"])
+    def test_non_object_properties_exits_1(self, runner, scenario, layer, properties):
+        _, _, dirs = scenario
+        path = dirs["scenario"] / layer
+        doc = json.loads(path.read_text())
+        doc["features"][1]["properties"] = properties
         path.write_text(json.dumps(doc))
         result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
         assert result.exit_code == 1, result.output
@@ -155,6 +190,15 @@ class TestRecommend:
             files = read_dir(out, ("recommendations.geojson", "stations.geojson"))
             outs.append(files)
         assert outs[0] == outs[1] == outs[2]
+
+    def test_empty_routes_layer_exits_1(self, runner, scenario, tmp_path):
+        _, _, dirs = scenario
+        (dirs["scenario"] / "routes.geojson").write_text(
+            '{"type":"FeatureCollection","features":[]}')
+        result = runner.invoke(main, ["recommend", "--config", str(dirs["config"]),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "routes.geojson" in result.output
 
     def test_broken_layer_exits_1(self, runner, scenario, tmp_path):
         _, _, dirs = scenario

@@ -187,16 +187,3 @@ class TestClusterAll:
         ids_a = {dp.point_id for dp in in_a}
         for (name, _), members in seen.items():
             assert members <= ids_a if name == "A" else not (members & ids_a)
-
-    def test_workers_do_not_change_output(self):
-        rng = random.Random(20)
-        buckets, ctx = {}, {}
-        start = 0
-        for name in ("A", "B", "C", "D"):
-            coords = random_cloud(rng, 50)
-            buckets[name] = demand(coords, start_id=start)
-            ctx[name] = [FAR_CTX] * 50
-            start += 50
-        serial = cluster_all(buckets, ctx, NEUTRAL, workers=1)
-        parallel = cluster_all(buckets, ctx, NEUTRAL, workers=4)
-        assert serial == parallel

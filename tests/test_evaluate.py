@@ -1,18 +1,20 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
 from evsite.evaluate import (
     EvaluateError,
-    UNASSIGNED_LGA,
     alignment_rate,
     build_report,
     coverage,
 )
-from evsite.geo import GeoPoint, haversine_distance
-from evsite.ingest import DemandPoint, StationRecord
+from evsite.constraints import ConstraintConfig
+from evsite.geo import BoundingBox, GeoPoint, haversine_distance
+from evsite.ingest import UNASSIGNED_LGA, DemandPoint, FireRiskGrid, StationRecord, assign_lga
+from evsite.pipeline import station_features
 from test_ingest import square_lga
 from test_recommend import rec_at
 
@@ -143,6 +145,22 @@ class TestBuildReport:
                               1000.0, 3000.0)
         assert report.per_lga_counts["B"]["recommended_fast"] == 1
         assert report.new_area_count == 1
+
+    def test_station_on_shared_edge_counts_under_smaller_name(self):
+        # B is listed first; the edge lon = 151 belongs to both LGAs
+        lgas = [square_lga("B", -34.0, 151.0), square_lga("A", -34.0, 150.0)]
+        edge = GeoPoint(-33.5, 151.0)
+        s = station(edge.lat, edge.lon, kind="approved")
+        report = build_report(self._points(), lgas, [s], [], [], 1000.0, 3000.0)
+        assert report.per_lga_counts["A"]["approved"] == 1
+        assert report.per_lga_counts["B"]["approved"] == 0
+        grid = FireRiskGrid(BoundingBox(0.0, 0.0, 1.0, 1.0), 1, 1, (None,))
+        layers = SimpleNamespace(routes=[], stations=[s], lgas=lgas, fire_grid=grid)
+        [feature] = station_features(SimpleNamespace(layers=layers),
+                                     SimpleNamespace(constraints=ConstraintConfig()))
+        assert feature["properties"]["lga_name"] == "A"
+        buckets, _ = assign_lga([DemandPoint(0, edge, "t", "origin")], lgas)
+        assert buckets == {"A": [0], "B": []}
 
     def test_counts_partition_and_fields_match_recomputation(self):
         rng = random.Random(28)

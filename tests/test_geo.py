@@ -11,7 +11,7 @@ from evsite.geo import (
     GeoPoint,
     MultiPolygon,
     Polygon,
-    build_index,
+    SpatialIndex,
     haversine_distance,
     point_in_polygon,
     project_to_polyline,
@@ -118,18 +118,18 @@ class TestPointInPolygon:
 
 class TestSpatialIndex:
     def test_empty(self):
-        idx = build_index([], 0.01)
+        idx = SpatialIndex([], 0.01)
         assert idx.neighbors_within(GeoPoint(0, 0), 1e7) == []
 
     def test_identical_points(self):
         p = GeoPoint(10, 10)
-        idx = build_index([p, p, p], 0.01)
+        idx = SpatialIndex([p, p, p], 0.01)
         assert idx.neighbors_within(p, 0.0) == [0, 1, 2]
 
     def test_radius_zero_and_huge(self):
         rng = random.Random(4)
         pts = [GeoPoint(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(50)]
-        idx = build_index(pts, 0.05)
+        idx = SpatialIndex(pts, 0.05)
         assert idx.neighbors_within(pts[7], 0.0) == [7]
         assert idx.neighbors_within(GeoPoint(0, 0), 2e7) == list(range(50))
 
@@ -138,7 +138,7 @@ class TestSpatialIndex:
         pts = [GeoPoint(rng.uniform(-34, -33), rng.uniform(150, 151))
                for _ in range(500)]
         coords = [(p.lat, p.lon) for p in pts]
-        idx = build_index(pts, 0.01)
+        idx = SpatialIndex(pts, 0.01)
         for _ in range(50):
             q = GeoPoint(rng.uniform(-34.2, -32.8), rng.uniform(149.8, 151.2))
             r = rng.uniform(0, 30000)
@@ -147,7 +147,7 @@ class TestSpatialIndex:
 
     def test_nearest_single_and_exact(self):
         p = GeoPoint(-33.5, 150.5)
-        idx = build_index([p], 0.01)
+        idx = SpatialIndex([p], 0.01)
         assert idx.nearest(GeoPoint(-34, 151)) == (0, pytest.approx(
             oracles.haversine_oracle(-34, 151, -33.5, 150.5)))
         assert idx.nearest(p) == (0, 0.0)
@@ -157,7 +157,7 @@ class TestSpatialIndex:
         pts = [GeoPoint(rng.uniform(-34, -33), rng.uniform(150, 151))
                for _ in range(300)]
         coords = [(p.lat, p.lon) for p in pts]
-        idx = build_index(pts, 0.02)
+        idx = SpatialIndex(pts, 0.02)
         for _ in range(100):
             q = GeoPoint(rng.uniform(-35, -32), rng.uniform(149, 152))
             got_id, got_d = idx.nearest(q)
@@ -174,7 +174,7 @@ class TestSpatialIndex:
         ((-89.9999, 90.0), (-89.9999, -90.0), 50.0),  # across the south pole
     ])
     def test_neighbour_on_the_far_side_of_a_wrap(self, indexed, query, radius):
-        idx = build_index([GeoPoint(*indexed)], 0.01)
+        idx = SpatialIndex([GeoPoint(*indexed)], 0.01)
         assert idx.neighbors_within(GeoPoint(*query), radius) == [0]
         assert idx.nearest(GeoPoint(*query))[0] == 0
 
@@ -187,7 +187,7 @@ class TestSpatialIndex:
                for _ in range(300)]
         pts += [GeoPoint(lat, 180.0), GeoPoint(lat, -180.0)]
         coords = [(p.lat, p.lon) for p in pts]
-        idx = build_index(pts, cell)
+        idx = SpatialIndex(pts, cell)
         for k in range(60):
             q = GeoPoint(lat + rng.uniform(-0.6, 0.6),
                          rng.choice((-1, 1)) * rng.uniform(179.5, 180.0))
@@ -212,7 +212,7 @@ class TestSpatialIndex:
             if math.hypot(dn, de) <= 500:
                 pts.append(GeoPoint(lat0 + dn / METERS_PER_DEG, lon0 + de / m_lon))
         pts += pts[:5]  # coincident points
-        idx = build_index(pts, cell_m / METERS_PER_DEG)
+        idx = SpatialIndex(pts, cell_m / METERS_PER_DEG)
 
         def scan(q, r):
             return [i for i, p in enumerate(pts) if haversine_distance(q, p) <= r]
@@ -237,7 +237,7 @@ class TestSpatialIndex:
 
     def test_nearest_empty_errors(self):
         with pytest.raises(GeoError, match="empty index"):
-            build_index([], 0.01).nearest(GeoPoint(0, 0))
+            SpatialIndex([], 0.01).nearest(GeoPoint(0, 0))
 
 
 class TestProjectToPolyline:

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from evsite.cluster import dbscan_lga
-from evsite.constraints import ConstraintConfig, PointContext
+from evsite.constraints import ConstraintConfig, PoiIndex, PointContext, RouteLocator
 from evsite.geo import GeoPoint, haversine_distance
 from evsite.ingest import DemandPoint, PoiRecord, RouteRecord, StationRecord
 from evsite.recommend import (
@@ -83,12 +83,22 @@ class TestSnap:
 
     def test_poi_at_location(self):
         loc = GeoPoint(-33.5, 150.5)
-        got_loc, target, d = snap(loc, self.POIS, self.ROUTES, 300.0, 1000.0)
+        got_loc, target, d = snap(loc, PoiIndex(self.POIS), RouteLocator(self.ROUTES),
+                                  300.0, 1000.0)
         assert (got_loc, target, d) == (loc, "poi:p1", 0.0)
+
+    def test_equidistant_pois_snap_to_smaller_id(self):
+        loc = GeoPoint(-33.5, 0.0)
+        pois = [PoiRecord("p2", "fuel", GeoPoint(-33.5, 0.001)),
+                PoiRecord("p1", "tourism", GeoPoint(-33.5, -0.001))]
+        d2, d1 = (haversine_distance(loc, p.location) for p in pois)
+        assert d1 == d2
+        got_loc, target, d = snap(loc, PoiIndex(pois), RouteLocator([]), 300.0, 1000.0)
+        assert (got_loc, target, d) == (pois[1].location, "poi:p1", d1)
 
     def test_nothing_to_snap(self):
         loc = GeoPoint(-30.0, 145.0)
-        got_loc, target, d = snap(loc, [], [], 300.0, 1000.0)
+        got_loc, target, d = snap(loc, PoiIndex([]), RouteLocator([]), 300.0, 1000.0)
         assert (got_loc, target) == (loc, UNSNAPPED)
         assert d == math.inf
 
@@ -97,7 +107,8 @@ class TestSnap:
         loc = GeoPoint(-33.60045, 150.5045)
         pois = [PoiRecord("p1", "fuel", GeoPoint(-33.596, 150.5))]
         assert haversine_distance(loc, pois[0].location) > 300.0
-        got_loc, target, d = snap(loc, pois, self.ROUTES, 300.0, 1000.0)
+        got_loc, target, d = snap(loc, PoiIndex(pois), RouteLocator(self.ROUTES),
+                                  300.0, 1000.0)
         assert target == "route:r1"
         _, want_d = oracles.dense_projection(loc.lat, loc.lon,
                                              [(-33.6, 150.0), (-33.6, 151.0)])
@@ -106,7 +117,7 @@ class TestSnap:
 
     def test_bad_radii(self):
         with pytest.raises(RecommendError):
-            snap(GeoPoint(0, 0), [], [], 0.0, 100.0)
+            snap(GeoPoint(0, 0), PoiIndex([]), RouteLocator([]), 0.0, 100.0)
 
 
 class TestDedup:
@@ -148,8 +159,7 @@ class TestDedup:
 
 
 class TestClassifyCharger:
-    POIS = [PoiRecord("fuel1", "fuel", GeoPoint(-33.5, 150.5)),
-            PoiRecord("food1", "fast_food", GeoPoint(-33.6, 150.6))]
+    POIS = {"fuel1": "fuel", "food1": "fast_food"}
 
     def test_fuel_poi_is_fast(self):
         rec = rec_at(-33.5, 150.5, snap_target="poi:fuel1", snap_dist_m=0.0)
