@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -60,7 +61,18 @@ def _section(doc: dict, name: str, defaults: dict) -> dict:
         kind = _KINDS[type(defaults[key])]
         if _KINDS.get(type(value)) != kind:
             raise ConfigError(f"config {name}.{key} must be {kind}, got {value!r}")
+        if kind == "a number" and not _finite(value):
+            raise ConfigError(f"config {name}.{key} must be a finite number, got {value!r}")
     return section
+
+
+def _finite(x: int | float) -> bool:
+    """Whether x is a finite float; json reads NaN and Infinity as floats, and an
+    integer too long for a float has no finite float value either."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def load_config(path) -> RunConfig:

@@ -7,8 +7,12 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance, project_to_polyline
+from .geo import (_REACH_MARGIN_M, METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance,
+                  project_to_polyline)
 from .ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord
+
+# side of the grid cells by which context queries are grouped, in degrees
+_GROUP_CELL_DEG = 0.005
 
 
 class ConstraintError(ValueError):
@@ -82,6 +86,14 @@ class RouteLocator:
     A segment can only beat a candidate distance d if its start vertex lies
     within d plus the segment's length, which bounds both the vertex search
     radius (by the longest segment) and which candidates need projecting.
+
+    Queries are answered a group of nearby points at a time (see
+    _cell_groups). For a group with centre c and reach rho, and D the distance
+    from c to its nearest vertex, every member's nearest vertex lies within
+    D + 2 rho of c, and a segment that a member would project starts within
+    D + 2 rho of c plus the segment's length. One radius query around c,
+    pruned by those two bounds, gives a short list that holds every vertex a
+    member's own query would have used; each member scans only that list.
     """
 
     def __init__(self, routes: list[RouteRecord]):
@@ -115,22 +127,39 @@ class RouteLocator:
     def locate(self, p: GeoPoint) -> tuple[GeoPoint, float, str, float]:
         """(closest on-route point, distance, route id, altitude of the nearest
         vertex); inf, "" and nan when no routes."""
-        if self._index is None:
-            return p, math.inf, "", math.nan
-        vid, d_vertex = self._index.nearest(p)
-        best_pt, best_d, best_id = self._vertices[vid], d_vertex, self._route_ids[vid]
+        return self.locate_all([p])[0]
+
+    def locate_all(self, points: list[GeoPoint]) -> list[tuple[GeoPoint, float, str, float]]:
+        """locate for every point, parallel to the input list."""
+        index = self._index
+        if index is None:
+            return [(p, math.inf, "", math.nan) for p in points]
         vertices, seg_m, route_ids = self._vertices, self._seg_m, self._route_ids
-        for cand in self._index.neighbors_within(p, d_vertex + self.max_seg_m):
-            start = vertices[cand]
-            # the slack keeps rounding from pruning a segment whose projection
-            # ties best_d, as when p lies on the segment's extension
-            if (seg_m[cand] < 0
-                    or haversine_distance(p, start) - seg_m[cand] > best_d + 1e-6):
-                continue
-            pt, d = project_to_polyline(p, (start, vertices[cand + 1]))
-            if d < best_d or (d == best_d and route_ids[cand] < best_id):
-                best_pt, best_d, best_id = pt, d, route_ids[cand]
-        return best_pt, best_d, best_id, self._altitudes[vid]
+        max_seg_m = self.max_seg_m
+        out: list = [None] * len(points)
+        for c, rho, members in _cell_groups(points):
+            bound = index.nearest(c)[1] + 2.0 * rho
+            near = index.neighbors_within(c, bound + max_seg_m)
+            cands = [v for v, h in zip(near, index.distances(c, near))
+                     if h <= bound or (seg_m[v] >= 0 and h - seg_m[v] <= bound)]
+            for i in members:
+                p = points[i]
+                dists = index.distances(p, cands)
+                d_vertex, vid = min(zip(dists, cands))
+                best_pt, best_d, best_id = vertices[vid], d_vertex, route_ids[vid]
+                # the candidates p's own radius query would return, ascending
+                reach = d_vertex + max_seg_m
+                for cand, h in zip(cands, dists):
+                    # the slack keeps rounding from pruning a segment whose
+                    # projection ties best_d, as when p lies on the segment's
+                    # extension
+                    if h > reach or seg_m[cand] < 0 or h - seg_m[cand] > best_d + 1e-6:
+                        continue
+                    pt, d = project_to_polyline(p, (vertices[cand], vertices[cand + 1]))
+                    if d < best_d or (d == best_d and route_ids[cand] < best_id):
+                        best_pt, best_d, best_id = pt, d, route_ids[cand]
+                out[i] = (best_pt, best_d, best_id, self._altitudes[vid])
+        return out
 
 
 class PoiIndex:
@@ -139,7 +168,9 @@ class PoiIndex:
     POIs are indexed in poi_id order, so a distance tie goes to the smallest
     poi_id. Cells are the POIs' extent over the square root of their count,
     at least 0.01 degrees, so that nearest finds a POI within a ring or two
-    instead of walking rings of empty cells.
+    instead of walking rings of empty cells. Queries are answered a group of
+    nearby points at a time, as in RouteLocator: every member's nearest POI
+    lies within D + 2 rho of the group's centre.
     """
 
     def __init__(self, pois: list[PoiRecord]):
@@ -154,23 +185,52 @@ class PoiIndex:
 
     def nearest(self, p: GeoPoint) -> tuple[PoiRecord | None, float]:
         """(closest POI, distance); None and inf when there are no POIs."""
-        if self._index is None:
-            return None, math.inf
-        i, d = self._index.nearest(p)
-        return self.pois[i], d
+        return self.nearest_all([p])[0]
+
+    def nearest_all(self, points: list[GeoPoint]) -> list[tuple[PoiRecord | None, float]]:
+        """nearest for every point, parallel to the input list."""
+        index = self._index
+        if index is None:
+            return [(None, math.inf)] * len(points)
+        out: list = [None] * len(points)
+        for c, rho, members in _cell_groups(points):
+            cands = index.neighbors_within(c, index.nearest(c)[1] + 2.0 * rho)
+            for i in members:
+                d, j = min(zip(index.distances(points[i], cands), cands))
+                out[i] = (self.pois[j], d)
+        return out
+
+
+def _cell_groups(points: list[GeoPoint]):
+    """(centre, reach, member ids) for the points of each occupied cell of a
+    fixed _GROUP_CELL_DEG grid.
+
+    The centre is the cell's first point and the reach the largest distance
+    from it to a member plus _REACH_MARGIN_M, which keeps bounds built from a
+    few rounded haversines on the safe side. Any grouping gives exact
+    answers; this one keeps groups small enough that their shared candidate
+    lists stay short.
+    """
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(points):
+        cells.setdefault((math.floor(p.lat / _GROUP_CELL_DEG),
+                          math.floor(p.lon / _GROUP_CELL_DEG)), []).append(i)
+    for members in cells.values():
+        c = points[members[0]]
+        reach = max(haversine_distance(c, points[i]) for i in members)
+        yield c, reach + _REACH_MARGIN_M, members
 
 
 def annotate_context(points: list[DemandPoint], pois: list[PoiRecord],
                      routes: list[RouteRecord],
                      grid: FireRiskGrid | None) -> list[PointContext]:
     """Context for every demand point, parallel to the input list."""
-    poi_index = PoiIndex(pois)
-    locator = RouteLocator(routes)
+    locations = [dp.location for dp in points]
+    nearest_pois = PoiIndex(pois).nearest_all(locations)
+    located = RouteLocator(routes).locate_all(locations)
     out = []
-    for dp in points:
-        _, dist_poi = poi_index.nearest(dp.location)
-        _, dist_route, _, altitude = locator.locate(dp.location)
-        ffdi = lookup_ffdi(dp.location, grid) if grid is not None else None
+    for p, (_, dist_poi), (_, dist_route, _, altitude) in zip(locations, nearest_pois, located):
+        ffdi = lookup_ffdi(p, grid) if grid is not None else None
         out.append(PointContext(altitude, dist_poi, dist_route, ffdi))
     return out
 

@@ -66,9 +66,9 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def alignment_rate(recs: list[Recommendation], stations: list[StationRecord],
+def alignment_rate(recs: list[Recommendation], station_index: SpatialIndex,
                    align_m: float) -> tuple[float, int]:
-    """(fraction of recs within align_m of any station, rec count).
+    """(fraction of recs within align_m of any indexed station, rec count).
 
     Meant to run on pre-dedup recommendations; an empty rec list reports 0.0
     with count 0.
@@ -77,13 +77,14 @@ def alignment_rate(recs: list[Recommendation], stations: list[StationRecord],
         raise EvaluateError("align_m must be > 0")
     if not recs:
         return 0.0, 0
-    index = _site_index([s.location for s in stations], align_m)
-    aligned = sum(1 for r in recs if index.neighbors_within(r.location, align_m))
+    aligned = sum(1 for r in recs if station_index.neighbors_within(r.location, align_m))
     return aligned / len(recs), len(recs)
 
 
-def _site_index(sites: list[GeoPoint], radius_m: float) -> SpatialIndex:
+def site_index(sites: list[GeoPoint], radius_m: float) -> SpatialIndex:
     """Index whose cells are about as wide as the radius it is queried with."""
+    if radius_m <= 0:
+        raise EvaluateError("radius must be > 0")
     return SpatialIndex(list(sites), radius_m / METERS_PER_DEG)
 
 
@@ -96,7 +97,7 @@ def coverage(points: list[DemandPoint], sites: list[GeoPoint],
         raise EvaluateError("no demand points")
     if not sites:
         return 0.0
-    index = _site_index(sites, radius_m)
+    index = site_index(sites, radius_m)
     covered = sum(1 for dp in points if index.neighbors_within(dp.location, radius_m))
     return covered / len(points)
 
@@ -118,8 +119,8 @@ def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],
         row(r.lga_name if r.lga_name in counts else locate_lga(r.location, lgas))[
             f"recommended_{r.charger_kind}"] += 1
 
-    rate, n_recs = alignment_rate(recs_pre_dedup, stations, align_m)
-    station_index = _site_index([s.location for s in stations], align_m)
+    station_index = site_index([s.location for s in stations], align_m)
+    rate, n_recs = alignment_rate(recs_pre_dedup, station_index, align_m)
     new_area = sum(1 for r in recs_final
                    if not station_index.neighbors_within(r.location, align_m))
 

@@ -249,6 +249,19 @@ class SpatialIndex:
         out.sort()
         return out
 
+    def distances(self, p: GeoPoint, ids: list[int]) -> list[float]:
+        """haversine_distance(p, points[i]) for each id, the very same doubles,
+        computed over the index's columns as neighbors_within does."""
+        lat1 = math.radians(p.lat)
+        cos1 = math.cos(lat1)
+        lon1 = p.lon
+        rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
+        sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
+        return [_DIAMETER_M * asin(min(1.0, sqrt(
+                    sin((rad_lat[i] - lat1) / 2.0) ** 2
+                    + cos1 * cos_lat[i] * sin(radians(lon[i] - lon1) / 2.0) ** 2)))
+                for i in ids]
+
     def nearest(self, p: GeoPoint) -> tuple[int, float]:
         """(id, distance) of the closest indexed point; ties broken by smallest id."""
         if not self.points:
@@ -304,14 +317,16 @@ def project_to_polyline(p: GeoPoint, polyline) -> tuple[GeoPoint, float]:
     """Closest point on the polyline and its distance from p.
 
     Projection runs in a local equirectangular plane centered on p, which is
-    accurate at the sub-kilometer snap distances this is used for.
+    accurate at the sub-kilometer snap distances this is used for. Longitude
+    differences take the short way round, so a segment across the
+    antimeridian is the short one.
     """
     if len(polyline) < 2:
         raise GeoError("degenerate polyline")
     cos_lat = math.cos(math.radians(p.lat))
 
     def to_plane(v: GeoPoint) -> tuple[float, float]:
-        return ((v.lon - p.lon) * cos_lat * METERS_PER_DEG,
+        return (_wrap_lon(v.lon - p.lon) * cos_lat * METERS_PER_DEG,
                 (v.lat - p.lat) * METERS_PER_DEG)
 
     best_pt = polyline[0]
@@ -326,8 +341,19 @@ def project_to_polyline(p: GeoPoint, polyline) -> tuple[GeoPoint, float]:
             t = 0.0
         else:
             t = max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_len2))
-        cand = GeoPoint(a.lat + t * (b.lat - a.lat), a.lon + t * (b.lon - a.lon))
+        cand = GeoPoint(a.lat + t * (b.lat - a.lat),
+                        _wrap_lon(a.lon + t * _wrap_lon(b.lon - a.lon)))
         d = haversine_distance(p, cand)
         if d < best_d:
             best_d, best_pt = d, cand
     return best_pt, best_d
+
+
+def _wrap_lon(x: float) -> float:
+    """x moved by 360 into [-180, 180] when it lies outside; otherwise x itself,
+    so that every longitude already in range keeps its exact double."""
+    if x > 180.0:
+        return x - 360.0
+    if x < -180.0:
+        return x + 360.0
+    return x

@@ -1,11 +1,16 @@
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evsite.cli import main
-from evsite.config import ConfigError, default_config_dict, load_config
+from evsite.config import DEFAULTS, ConfigError, default_config_dict, load_config
+from evsite.constraints import ConstraintConfig
 from evsite.export import export_map
 from evsite.ingest import load_lgas, load_stations
 
@@ -17,6 +22,12 @@ def runner():
 
 def read_dir(d: Path, names) -> dict[str, bytes]:
     return {n: (d / n).read_bytes() for n in names}
+
+
+# every number a config can set: (section, key)
+NUMERIC_KEYS = ([(name, key) for name, section in DEFAULTS.items()
+                 for key, value in section.items() if type(value) in (int, float)]
+                + [("constraints", f.name) for f in fields(ConstraintConfig)])
 
 
 class TestConfig:
@@ -47,8 +58,13 @@ class TestConfig:
         (lambda doc: doc["dedup"].update(enabled="no") or doc, "dedup.enabled"),
         (lambda doc: doc["layers"].update(trips=7) or doc, "layers.trips"),
         (lambda doc: doc.update(workers=True) or doc, "workers"),
+        (lambda doc: doc["snap"].update(poi_snap_m=math.nan) or doc, "snap.poi_snap_m"),
+        (lambda doc: doc["dedup"].update(min_sep_m=math.nan) or doc, "dedup.min_sep_m"),
+        (lambda doc: doc["evaluate"].update(coverage_radius_m=math.inf) or doc,
+         "evaluate.coverage_radius_m"),
     ], ids=["root-number", "root-null", "snap-list", "constraints-string",
-            "dedup-string", "layer-number", "workers-boolean"])
+            "dedup-string", "layer-number", "workers-boolean", "snap-nan",
+            "dedup-nan", "evaluate-infinity"])
     def test_malformed_config_exits_1(self, runner, scenario, edit, names):
         _, _, dirs = scenario
         doc = edit(default_config_dict(str(dirs["scenario"])))
@@ -56,6 +72,21 @@ class TestConfig:
         result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
         assert result.exit_code == 1, result.output
         assert names in result.output
+
+    @pytest.mark.parametrize("section,key", NUMERIC_KEYS)
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=st.sampled_from([math.nan, math.inf, -math.inf])
+           | st.integers(min_value=2 ** 1024, max_value=10 ** 400).map(
+               lambda n: n * (-1) ** (n % 2)))
+    def test_non_finite_number_rejected(self, scenario, section, key, value):
+        _, _, dirs = scenario
+        doc = default_config_dict(str(dirs["scenario"]))
+        doc[section][key] = value
+        p = dirs["tmp"] / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"config {section}\.{key} must be a finite"):
+            load_config(p)
 
     def test_missing_layer_file(self, scenario, tmp_path):
         _, _, dirs = scenario

@@ -5,16 +5,24 @@ import pytest
 
 import oracles
 from evsite.constraints import (
+    _GROUP_CELL_DEG,
     AdjustedParams,
     ConstraintConfig,
     ConstraintError,
+    PoiIndex,
     PointContext,
     RouteLocator,
     adjust_params,
     annotate_context,
     lookup_ffdi,
 )
-from evsite.geo import BoundingBox, GeoPoint, haversine_distance
+from evsite.geo import (
+    METERS_PER_DEG,
+    BoundingBox,
+    GeoPoint,
+    haversine_distance,
+    project_to_polyline,
+)
 from evsite.ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord
 
 NEUTRAL = ConstraintConfig(eps_factor_poi=1.0, minpts_factor_poi=1.0,
@@ -309,3 +317,124 @@ class TestRouteLocator:
             assert route_id != "t-b"
             tied += route_id == "t-a"
         assert tied >= 5
+
+    # -- answers for a whole batch of points at once --------------------------
+
+    @staticmethod
+    def _same_cell(points):
+        """Whether all points share one cell of the grid that groups queries."""
+        return len({(math.floor(p.lat / _GROUP_CELL_DEG), math.floor(p.lon / _GROUP_CELL_DEG))
+                    for p in points}) == 1
+
+    def test_batched_context_equals_per_point_lookups(self):
+        # a 300-point hotspot (sigma 150 m) in random order, so that the
+        # members of a cell are scattered through the input, over a street
+        # grid with a 5 km spur and twin routes, with POIs among the points
+        step = 0.001
+        routes = [make_route(f"h{k}", [(-33.5 + 0.002 * k, 150.0 + i * step, 10.0 + i)
+                                       for i in range(21)])
+                  for k in range(6)]
+        routes.append(make_route("spur", [(-33.495, 150.01, 20.0),
+                                          (-33.45, 150.01, 30.0)]))
+        twin = [(-33.48, 150.0 + i * step, 5.0) for i in range(21)]
+        routes += [make_route("t-b", twin), make_route("t-a", twin)]
+        rng = random.Random(18)
+        lat0, lon0 = -33.49, 150.012
+        m_lon = METERS_PER_DEG * math.cos(math.radians(lat0))
+        locations = [GeoPoint(lat0 + rng.gauss(0, 150) / METERS_PER_DEG,
+                              lon0 + rng.gauss(0, 150) / m_lon) for _ in range(300)]
+        pois = [PoiRecord(f"p{i:02d}", "fuel", locations[rng.randrange(300)])
+                for i in range(12)]
+        locator = RouteLocator(routes)
+        coords = [(v.lat, v.lon) for r in sorted(routes, key=lambda r: r.route_id)
+                  for v in r.polyline]
+        alts = [a for r in sorted(routes, key=lambda r: r.route_id) for a in r.altitudes]
+        located = locator.locate_all(locations)
+        assert located == [locator.locate(p) for p in locations]
+        for p, (pt, d, route_id, altitude) in zip(locations, located):
+            assert (pt, d, route_id) == self._full_scan(p, routes)
+            assert altitude == alts[oracles.linear_nearest(coords, p.lat, p.lon)[0]]
+        poi_index = PoiIndex(pois)
+        nearest = poi_index.nearest_all(locations)
+        assert nearest == [poi_index.nearest(p) for p in locations]
+        for p, (poi, d) in zip(locations, nearest):
+            assert (d, poi.poi_id) == min((haversine_distance(p, q.location), q.poi_id)
+                                          for q in pois)
+        points = [DemandPoint(i, p, "t", "origin") for i, p in enumerate(locations)]
+        contexts = annotate_context(points, pois, routes, None)
+        assert [(c.dist_route_m, c.altitude_m, c.dist_poi_m) for c in contexts] == [
+            (d, altitude, dist_poi)
+            for (_, d, _, altitude), (_, dist_poi) in zip(located, nearest)]
+
+    def test_cell_straddling_a_spur_end_matches_full_scan(self):
+        # a 5 km spur from the south ends inside one grouping cell, 432 m from
+        # the cell's first point, which sits on the end of another route;
+        # one member lies just past the spur's end and one just before it,
+        # both within 377 m of the first point, so their nearest vertex, the
+        # spur's end, lies farther from the centre than any member does
+        routes = [make_route("spur", [(-33.55, 150.0045, 30.0), (-33.4985, 150.0045, 40.0)]),
+                  make_route("north", [(-33.4965, 150.0005, 10.0), (-33.45, 150.0005, 20.0)])]
+        members = [GeoPoint(-33.4965, 150.0005), GeoPoint(-33.4970, 150.0015),
+                   GeoPoint(-33.4982, 150.0040), GeoPoint(-33.4975, 150.0025),
+                   GeoPoint(-33.4988, 150.0033), GeoPoint(-33.4980, 150.0030)]
+        assert self._same_cell(members)
+        coords = [(v.lat, v.lon) for r in sorted(routes, key=lambda r: r.route_id)
+                  for v in r.polyline]
+        alts = [a for r in sorted(routes, key=lambda r: r.route_id) for a in r.altitudes]
+        got = RouteLocator(routes).locate_all(members)
+        for p, (pt, d, route_id, altitude) in zip(members, got):
+            assert (pt, d, route_id) == self._full_scan(p, routes)
+            assert altitude == alts[oracles.linear_nearest(coords, p.lat, p.lon)[0]]
+        past, before = got[2], got[4]
+        assert (past[2], past[3]) == ("spur", 40.0)
+        assert before[2] == "spur" and before[0].lat < -33.4985 and before[3] == 40.0
+        # the same holds for POIs at the first point and at the spur's end
+        pois = [PoiRecord("q0", "fuel", members[0]),
+                PoiRecord("q1", "fuel", GeoPoint(-33.4985, 150.0045))]
+        nearest = PoiIndex(pois).nearest_all(members)
+        assert [(poi.poi_id, d) for poi, d in nearest] == [
+            min(((q.poi_id, haversine_distance(p, q.location)) for q in pois),
+                key=lambda x: (x[1], x[0])) for p in members]
+        assert nearest[2][0].poi_id == "q1"
+
+    def test_tied_routes_go_to_the_smaller_id_across_a_cell(self):
+        # two north-south routes 2**-7 degrees either side of the members'
+        # meridian: every member is at exactly the same distance from both
+        lats = [-33.6 + 0.01 * i for i in range(21)]
+        routes = [make_route("tie-b", [(lat, 150.0 - 2 ** -7, 1.0) for lat in lats]),
+                  make_route("tie-a", [(lat, 150.0 + 2 ** -7, 2.0) for lat in lats])]
+        members = [GeoPoint(-33.4999 + 0.0005 * k, 150.0) for k in range(9)]
+        assert self._same_cell(members)
+        got = RouteLocator(routes).locate_all(members)
+        for p, (pt, d, route_id, _) in zip(members, got):
+            assert project_to_polyline(p, routes[0].polyline)[1] == d
+            assert route_id == "tie-a"
+            assert (pt, d, route_id) == self._full_scan(p, routes)
+
+    def test_tied_pois_go_to_the_smaller_id_across_a_cell(self):
+        pois = [PoiRecord("p-b", "fuel", GeoPoint(-33.497, 150.0 - 2 ** -7)),
+                PoiRecord("p-a", "fuel", GeoPoint(-33.497, 150.0 + 2 ** -7)),
+                PoiRecord("p-c", "fuel", GeoPoint(-33.3, 150.0))]
+        members = [GeoPoint(-33.4999 + 0.0005 * k, 150.0) for k in range(9)]
+        assert self._same_cell(members)
+        for p, (poi, d) in zip(members, PoiIndex(pois).nearest_all(members)):
+            assert d == haversine_distance(p, pois[0].location)
+            assert poi.poi_id == "p-a"
+
+    def test_locate_across_the_antimeridian_matches_full_scan(self):
+        routes = [make_route("am", [(0.001, lon, 1.0) for lon in
+                                    (179.997, 179.998, 179.999, -179.999, -179.998)]),
+                  make_route("am2", [(-0.002, 179.9985, 2.0), (-0.002, -179.9985, 3.0)])]
+        rng = random.Random(19)
+        queries = [GeoPoint(rng.uniform(-0.004, 0.004),
+                            (180.0 + rng.uniform(-0.004, 0.004) + 180.0) % 360.0 - 180.0)
+                   for _ in range(60)]
+        queries.append(GeoPoint(0.0, 179.9995))
+        locator = RouteLocator(routes)
+        got = locator.locate_all(queries)
+        for q, (pt, d, route_id, _) in zip(queries, got):
+            assert (pt, d, route_id) == self._full_scan(q, routes)
+            assert d < 450.0
+        pt, d, route_id, _ = got[-1]
+        assert route_id == "am"
+        assert d == pytest.approx(0.001 * METERS_PER_DEG, abs=0.01)

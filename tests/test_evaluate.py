@@ -10,6 +10,7 @@ from evsite.evaluate import (
     alignment_rate,
     build_report,
     coverage,
+    site_index,
 )
 from evsite.constraints import ConstraintConfig
 from evsite.geo import BoundingBox, GeoPoint, haversine_distance
@@ -23,21 +24,27 @@ def station(lat, lon, sid="s0", kind="existing_fast"):
     return StationRecord(sid, kind, GeoPoint(lat, lon))
 
 
+def aligned(recs, stations, align_m):
+    """alignment_rate over an index of the stations, as build_report builds it."""
+    return alignment_rate(recs, site_index([s.location for s in stations], align_m),
+                          align_m)
+
+
 class TestAlignmentRate:
     def test_all_aligned(self):
         recs = [rec_at(-33.5, 150.5), rec_at(-33.6, 150.6, rec_id="A-1")]
         stations = [station(-33.5, 150.5), station(-33.6, 150.6, sid="s1")]
-        assert alignment_rate(recs, stations, 1000.0) == (1.0, 2)
+        assert aligned(recs, stations, 1000.0) == (1.0, 2)
 
     def test_no_stations(self):
-        assert alignment_rate([rec_at(-33.5, 150.5)], [], 1000.0) == (0.0, 1)
+        assert aligned([rec_at(-33.5, 150.5)], [], 1000.0) == (0.0, 1)
 
     def test_empty_recs_reports_zero_count(self):
-        assert alignment_rate([], [station(-33.5, 150.5)], 1000.0) == (0.0, 0)
+        assert aligned([], [station(-33.5, 150.5)], 1000.0) == (0.0, 0)
 
     def test_huge_radius_tends_to_one(self):
         recs = [rec_at(-33.5, 150.5), rec_at(-20.0, 140.0, rec_id="A-1")]
-        rate, _ = alignment_rate(recs, [station(10.0, 10.0)], 2.1e7)
+        rate, _ = aligned(recs, [station(10.0, 10.0)], 2.1e7)
         assert rate == 1.0
 
     def test_random_matches_all_pairs(self):
@@ -46,7 +53,7 @@ class TestAlignmentRate:
                        rec_id=f"A-{i}") for i in range(30)]
         stations = [station(rng.uniform(-34, -33), rng.uniform(150, 151),
                             sid=f"s{i}") for i in range(10)]
-        rate, n = alignment_rate(recs, stations, 15000.0)
+        rate, n = aligned(recs, stations, 15000.0)
         want = sum(
             1 for r in recs
             if any(oracles.haversine_oracle(r.location.lat, r.location.lon,
@@ -185,7 +192,7 @@ class TestBuildReport:
                     == sum(1 for s in stations if s.kind == kind))
         assert (sum(row["recommended_fast"] + row["recommended_destination"]
                     for row in counts.values()) == len(recs))
-        want_rate, _ = alignment_rate(recs, stations, 1000.0)
+        want_rate, _ = aligned(recs, stations, 1000.0)
         assert report.alignment_rate == want_rate
         assert report.coverage_after >= report.coverage_before
         dists = sorted(

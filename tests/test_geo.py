@@ -272,3 +272,20 @@ class TestProjectToPolyline:
                 q.lat, q.lon, [(v.lat, v.lon) for v in line],
                 samples_per_segment=20000)
             assert abs(got_d - want_d) < 1.0
+
+    @pytest.mark.parametrize("q", [(0.0, 179.9995), (0.0, -179.9995), (0.0012, 180.0),
+                                   (-0.0004, -179.9999)])
+    def test_segment_across_the_antimeridian(self, q):
+        # the same problem turned 180 degrees about the pole axis lies far
+        # from the antimeridian, where dense sampling gives the distance
+        def turn(lon):
+            return lon - 180.0 if lon > 0 else lon + 180.0
+
+        line = [GeoPoint(0.001, 179.999), GeoPoint(0.001, -179.999)]
+        pt, got_d = project_to_polyline(GeoPoint(*q), line)
+        (want_lat, want_lon), want_d = oracles.dense_projection(
+            q[0], turn(q[1]), [(v.lat, turn(v.lon)) for v in line],
+            samples_per_segment=20000)
+        assert abs(got_d - want_d) < 1.0
+        assert haversine_distance(pt, GeoPoint(want_lat, turn(want_lon))) < 1.0
+        assert -180.0 <= pt.lon <= 180.0
