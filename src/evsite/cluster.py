@@ -5,6 +5,15 @@ p is core iff |N(p)| >= minpts(p). Points are visited in point-id order, and
 each unclustered core point starts a cluster: every unclustered point it
 reaches through chains of unclustered core points. Labels are therefore fully
 deterministic.
+
+The expansion asks the index only what it needs (SpatialIndex.claim_within):
+whether |N(q)| >= minpts(q), and which points of N(q) are not yet clustered.
+Unclustered ids are kept as one set per index cell. A step walks its window
+once: cells taken whole count with their size, and points are tested one by
+one only in partial cells that still hold unclustered ids, or while the count
+is short of minpts. Clustered points still count toward minpts; a step with
+nothing left to join ends without counting, since q's core status could not
+change a label.
 """
 
 from __future__ import annotations
@@ -40,8 +49,8 @@ def dbscan_lga(points: list[DemandPoint], contexts: list[PointContext],
     if len(points) != len(contexts):
         raise ClusterError("points and contexts must be parallel")
     params = [adjust_params(ctx, cfg) for ctx in contexts]
-    # work in point-id order, so that index ids, visiting order and the
-    # ascending neighbour lists all follow point ids
+    # work in point-id order, so that index ids and visiting order follow
+    # point ids
     order = sorted(range(len(points)), key=lambda i: points[i].point_id)
     eps = [params[i].eps_m for i in order]
     minpts = [params[i].minpts for i in order]
@@ -52,25 +61,26 @@ def dbscan_lga(points: list[DemandPoint], contexts: list[PointContext],
     locations = index.points
 
     labels = [NOISE] * len(points)
-    unclustered = set(range(len(points)))
+    # ids not yet clustered, one set per index cell: a walk counts what it
+    # reaches, but collects only from these
+    free = index.free_cells()
     visited = [False] * len(points)
     n_clusters = 0
     for i in range(len(points)):
         if visited[i]:
             continue
         visited[i] = True
-        reach = index.neighbors_within(locations[i], eps[i])
-        if len(reach) < minpts[i]:
+        # i is unclustered and within its own eps, so [] means i is not core
+        joined = index.claim_within(locations[i], eps[i], minpts[i], free)
+        if not joined:
             continue
         cluster = n_clusters
         n_clusters += 1
         # A point joins the cluster when first reached, and only unvisited
         # points wait to be expanded. The reached set does not depend on the
-        # order of expansion, so an unordered set and a stack suffice.
+        # order of expansion, so unordered sets and a stack suffice.
         stack = []
         while True:
-            joined = unclustered.intersection(reach)
-            unclustered -= joined
             for j in joined:
                 labels[j] = cluster
                 if not visited[j]:
@@ -79,9 +89,7 @@ def dbscan_lga(points: list[DemandPoint], contexts: list[PointContext],
             if not stack:
                 break
             q = stack.pop()
-            reach = index.neighbors_within(locations[q], eps[q])
-            if len(reach) < minpts[q]:
-                reach = ()
+            joined = index.claim_within(locations[q], eps[q], minpts[q], free)
     by_input = [NOISE] * len(points)
     for k, i in enumerate(order):
         by_input[i] = labels[k]

@@ -77,7 +77,7 @@ def alignment_rate(recs: list[Recommendation], station_index: SpatialIndex,
         raise EvaluateError("align_m must be > 0")
     if not recs:
         return 0.0, 0
-    aligned = sum(1 for r in recs if station_index.neighbors_within(r.location, align_m))
+    aligned = sum(1 for r in recs if station_index.any_within(r.location, align_m))
     return aligned / len(recs), len(recs)
 
 
@@ -98,7 +98,7 @@ def coverage(points: list[DemandPoint], sites: list[GeoPoint],
     if not sites:
         return 0.0
     index = site_index(sites, radius_m)
-    covered = sum(1 for dp in points if index.neighbors_within(dp.location, radius_m))
+    covered = sum(1 for dp in points if index.any_within(dp.location, radius_m))
     return covered / len(points)
 
 
@@ -122,7 +122,7 @@ def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],
     station_index = site_index([s.location for s in stations], align_m)
     rate, n_recs = alignment_rate(recs_pre_dedup, station_index, align_m)
     new_area = sum(1 for r in recs_final
-                   if not station_index.neighbors_within(r.location, align_m))
+                   if not station_index.any_within(r.location, align_m))
 
     station_sites = [s.location for s in stations]
     cov_before = coverage(demand_points, station_sites, coverage_radius_m)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import product
 
 EARTH_RADIUS_M = 6371008.8
 _DIAMETER_M = 2.0 * EARTH_RADIUS_M
@@ -179,8 +180,8 @@ class SpatialIndex:
     def __len__(self) -> int:
         return len(self.points)
 
-    def neighbors_within(self, p: GeoPoint, radius_m: float) -> list[int]:
-        """Ids of all indexed points at haversine distance <= radius_m, ascending."""
+    def _window(self, p: GeoPoint, radius_m: float) -> list[tuple[int, int]]:
+        """Keys of the occupied cells in the lat/lon window of a radius query."""
         if radius_m < 0:
             raise GeoError("radius must be >= 0")
         if not self.points:
@@ -215,46 +216,140 @@ class SpatialIndex:
         if (r1 - r0 + 1) * width > len(cells):
             # scanning occupied cells beats enumerating a huge window
             (a0, a1), (b0, b1) = spans[0], spans[-1]
-            keys = [k for k in cells
+            return [k for k in cells
                     if r0 <= k[0] <= r1 and (a0 <= k[1] <= a1 or b0 <= k[1] <= b1)]
-        else:
-            # a set: the two ranges of a wrapped query can end in one column
-            cols = {c for c0, c1 in spans for c in range(c0, c1 + 1)}
-            keys = [k for k in ((r, c) for r in range(r0, r1 + 1) for c in cols)
-                    if k in cells]
-        lat1 = math.radians(p.lat)
-        cos1 = math.cos(lat1)
-        lon1 = p.lon
-        rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
+        # a set: the two ranges of a wrapped query can end in one column
+        cols = {c for c0, c1 in spans for c in range(c0, c1 + 1)}
+        return list(filter(cells.__contains__, product(range(r0, r1 + 1), cols)))
+
+    def _split(self, keys, q: tuple[float, float, float],
+               radius_m: float) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Of the cells keys, those whose points all lie within radius_m of the
+        query point q (its radians(lat), cos(lat) and lon), and those whose
+        points must be tested one by one; the rest hold no point in range."""
         discs = self._discs
-        sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
-        out = []
+        lat1, cos1, lon1 = q
+        whole, part = [], []
         for key in keys:
             # by the triangle inequality a cell whose disc lies within the
             # query disc is taken whole, and one whose disc misses it skipped
             lat_c, cos_c, lon_c, reach = discs.get(key) or self._disc(key)
             d = _haversine_terms(lat1, cos1, lon1, lat_c, cos_c, lon_c)
-            if d - reach > radius_m:
-                continue
-            ids = cells[key]
             if d + reach <= radius_m:
-                out += ids
-                continue
-            # haversine_distance(p, points[i]) inlined, operand for operand
-            for i in ids:
-                s = (sin((rad_lat[i] - lat1) / 2.0) ** 2
-                     + cos1 * cos_lat[i] * sin(radians(lon[i] - lon1) / 2.0) ** 2)
-                if _DIAMETER_M * asin(min(1.0, sqrt(s))) <= radius_m:
-                    out.append(i)
+                whole.append(key)
+            elif d - reach <= radius_m:
+                part.append(key)
+        return whole, part
+
+    def _hits(self, ids, q: tuple[float, float, float], radius_m: float) -> list[int]:
+        """The ids whose points lie within radius_m of q, in the order given."""
+        lat1, cos1, lon1 = q
+        rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
+        sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
+        # haversine_distance(p, points[i]) inlined, operand for operand
+        return [i for i in ids
+                if _DIAMETER_M * asin(min(1.0, sqrt(
+                    sin((rad_lat[i] - lat1) / 2.0) ** 2
+                    + cos1 * cos_lat[i] * sin(radians(lon[i] - lon1) / 2.0) ** 2)))
+                <= radius_m]
+
+    def neighbors_within(self, p: GeoPoint, radius_m: float) -> list[int]:
+        """Ids of all indexed points at haversine distance <= radius_m, ascending."""
+        q = _query_terms(p)
+        cells = self._cells
+        whole, part = self._split(self._window(p, radius_m), q, radius_m)
+        maybe = []
+        for key in part:
+            maybe += cells[key]
+        out = self._hits(maybe, q, radius_m) if maybe else []
+        for key in whole:
+            out += cells[key]
         out.sort()
+        return out
+
+    def count_within(self, p: GeoPoint, radius_m: float) -> int:
+        """len(neighbors_within(p, radius_m)), without building the list."""
+        return self._count(self._window(p, radius_m), _query_terms(p), radius_m)
+
+    def any_within(self, p: GeoPoint, radius_m: float) -> bool:
+        """Whether any indexed point lies at haversine distance <= radius_m."""
+        return self._count(self._window(p, radius_m), _query_terms(p), radius_m, 1) > 0
+
+    def _count(self, keys, q: tuple[float, float, float], radius_m: float,
+               enough: float = math.inf) -> int:
+        """Points of the cells keys within radius_m of q, counted until enough.
+        Cells taken whole add len(cell) without testing their points; partial
+        cells are tested one at a time, only while the count is short."""
+        cells = self._cells
+        whole, part = self._split(keys, q, radius_m)
+        n = 0
+        for key in whole:
+            n += len(cells[key])
+        for key in part:
+            if n >= enough:
+                break
+            n += len(self._hits(cells[key], q, radius_m))
+        return n
+
+    def free_cells(self) -> dict[tuple[int, int], set[int]]:
+        """A fresh set of ids per occupied cell, for claim_within to draw from."""
+        return {key: set(ids) for key, ids in self._cells.items()}
+
+    def claim_within(self, p: GeoPoint, radius_m: float, minpts: int,
+                     free: dict[tuple[int, int], set[int]]) -> list[int]:
+        """One DBSCAN expansion step: the ids within radius_m of p that free
+        still holds, removed from it, if at least minpts indexed points lie
+        within radius_m (whether free holds them or not); otherwise [] and free
+        is left as it was.
+
+        free maps each cell key to a subset of the cell's ids (see free_cells).
+        The window is walked once, over the cells where free holds ids: a cell
+        taken whole counts with len(cell), a partial one tests only its free
+        ids. The other points are tested only while the count is below
+        minpts, and not at all when no id in range is free, since then the
+        answer is [] either way.
+        """
+        q = _query_terms(p)
+        cells = self._cells
+        keys = self._window(p, radius_m)
+        count = 0
+        taken = []    # (a cell's free set, its ids in range)
+        mixed = []    # (ids, free set) of partial cells that hold clustered ids too
+        whole, part = self._split([k for k in keys if free[k]], q, radius_m)
+        for key in whole:
+            f = free[key]
+            count += len(cells[key])
+            taken.append((f, list(f)))
+        for key in part:
+            f = free[key]
+            ids = cells[key]
+            hits = self._hits(f, q, radius_m)
+            count += len(hits)
+            if hits:
+                taken.append((f, hits))
+            if len(f) < len(ids):
+                mixed.append((ids, f))
+        if not taken:
+            return []
+        if count < minpts:
+            count += self._count([k for k in keys if not free[k]], q, radius_m,
+                                 minpts - count)
+        for ids, f in mixed:
+            if count >= minpts:
+                break
+            count += len(self._hits([i for i in ids if i not in f], q, radius_m))
+        if count < minpts:
+            return []
+        out = []
+        for f, ids in taken:
+            f.difference_update(ids)
+            out += ids
         return out
 
     def distances(self, p: GeoPoint, ids: list[int]) -> list[float]:
         """haversine_distance(p, points[i]) for each id, the very same doubles,
         computed over the index's columns as neighbors_within does."""
-        lat1 = math.radians(p.lat)
-        cos1 = math.cos(lat1)
-        lon1 = p.lon
+        lat1, cos1, lon1 = _query_terms(p)
         rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
         sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
         return [_DIAMETER_M * asin(min(1.0, sqrt(
@@ -290,6 +385,12 @@ class SpatialIndex:
         ids = self.neighbors_within(p, best)
         best_id = min(ids, key=lambda i: (haversine_distance(p, self.points[i]), i))
         return best_id, haversine_distance(p, self.points[best_id])
+
+
+def _query_terms(p: GeoPoint) -> tuple[float, float, float]:
+    """radians(lat), cos(lat) and lon of a query point, as _haversine_terms takes them."""
+    lat1 = math.radians(p.lat)
+    return lat1, math.cos(lat1), p.lon
 
 
 def _haversine_terms(lat1: float, cos1: float, lon1: float,

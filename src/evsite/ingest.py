@@ -201,8 +201,9 @@ def _read_trip_geojson(path: Path):
             _, coords = _feature_geometry(feat, where, "LineString")
             if len(coords) != len(timestamps):
                 raise ValueError("timestamps length != coordinate count")
-            for ts, (lon, lat) in zip(timestamps, coords):
-                rows.append((trip_id, int(ts), GeoPoint(float(lat), float(lon))))
+            # a malformed feature is dropped whole, none of its fixes kept
+            rows += [(trip_id, _integer(ts, "timestamp"), GeoPoint(float(lat), float(lon)))
+                     for ts, (lon, lat) in zip(timestamps, coords)]
         except IngestError as e:
             bad.append(str(e))
         except (KeyError, ValueError, TypeError, GeoError) as e:
@@ -412,13 +413,39 @@ def load_fire_grid(path) -> FireRiskGrid:
     with open(path) as f:
         doc = json.load(f)
     try:
-        min_lon, min_lat, max_lon, max_lat = doc["bbox"]
-        cells = tuple(None if c is None else float(c) for c in doc["cells"])
-        return FireRiskGrid(BoundingBox(float(min_lat), float(min_lon),
-                                        float(max_lat), float(max_lon)),
-                            int(doc["n_rows"]), int(doc["n_cols"]), cells)
+        min_lon, min_lat, max_lon, max_lat = (
+            _number(v, f"bbox[{k}]") for k, v in enumerate(doc["bbox"]))
+        cells = tuple(None if c is None else _number(c, f"cells[{k}]")
+                      for k, c in enumerate(doc["cells"]))
+        return FireRiskGrid(BoundingBox(min_lat, min_lon, max_lat, max_lon),
+                            _integer(doc["n_rows"], "n_rows"),
+                            _integer(doc["n_cols"], "n_cols"), cells)
     except (KeyError, ValueError, TypeError, GeoError) as e:
         raise IngestError(f"{path}: {e}") from e
+
+
+def _number(value, key: str) -> float:
+    """value as a finite float, else ValueError naming key (json reads NaN and
+    Infinity, and an integer too long for a float has no float value)."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
+def _integer(value, key: str) -> int:
+    """value as an int when it is an integer or a finite integral float, else
+    ValueError naming key."""
+    if isinstance(value, bool) or (isinstance(value, float) and not (
+            math.isfinite(value) and value.is_integer())):
+        raise ValueError(f"{key} must be a finite integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{key} must be a finite integer, got {value!r}") from e
 
 
 # writers (synth and round-trip tests share these)
@@ -431,9 +458,10 @@ def _point_feature(location: GeoPoint, properties: dict) -> dict:
 
 
 def write_json(path, doc) -> None:
-    """Compact, key-sorted, newline-terminated JSON: identical docs, identical bytes."""
+    """Compact, key-sorted, newline-terminated JSON: identical docs, identical
+    bytes. NaN and Infinity, which JSON does not have, raise ValueError."""
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        json.dump(doc, f, sort_keys=True, separators=(",", ":"), allow_nan=False)
         f.write("\n")
 
 

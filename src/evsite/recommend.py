@@ -81,7 +81,7 @@ def dedup(recs: list[Recommendation], stations: list[StationRecord],
     # cells no narrower than a metre, so that min_sep_m = 0 works too
     index = SpatialIndex([s.location for s in stations],
                          max(min_sep_m, 1.0) / METERS_PER_DEG)
-    kept = [r for r in recs if not index.neighbors_within(r.location, min_sep_m)]
+    kept = [r for r in recs if not index.any_within(r.location, min_sep_m)]
     return sorted(kept, key=lambda r: r.rec_id)
 
 

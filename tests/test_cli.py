@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,11 +11,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import evsite
 from evsite.cli import main
 from evsite.config import DEFAULTS, ConfigError, default_config_dict, load_config
 from evsite.constraints import ConstraintConfig
 from evsite.export import export_map
-from evsite.ingest import load_lgas, load_stations
+from evsite.ingest import load_lgas, load_stations, load_trips
 
 
 @pytest.fixture
@@ -159,6 +163,46 @@ class TestValidate:
         assert f"{layer}: feature 1:" in result.output
 
 
+    @pytest.mark.parametrize("key,index,literal", [
+        ("cells", 0, "NaN"), ("bbox", 0, "NaN"), ("bbox", 3, "Infinity"),
+        ("n_rows", None, "1e400"),
+    ], ids=["cells-nan", "bbox-nan", "bbox-infinity", "n-rows-huge"])
+    def test_non_finite_fire_grid_exits_1(self, runner, scenario, key, index, literal):
+        _, _, dirs = scenario
+        path = dirs["scenario"] / "fire_grid.json"
+        doc = json.loads(path.read_text())
+        if index is None:
+            doc[key] = "__BAD__"
+        else:
+            doc[key][index] = "__BAD__"
+        path.write_text(json.dumps(doc).replace('"__BAD__"', literal))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        name = key if index is None else f"{key}[{index}]"
+        assert f"fire_grid.json: {name} must be a finite" in result.output
+
+    def test_huge_geojson_timestamp_is_a_malformed_row(self, runner, scenario):
+        _, _, dirs = scenario
+        trips, _ = load_trips(dirs["scenario"] / "trips.csv")
+        doc = {"type": "FeatureCollection", "features": [
+            {"type": "Feature",
+             "geometry": {"type": "LineString",
+                          "coordinates": [[p.lon, p.lat] for _, p in t.points]},
+             "properties": {"trip_id": t.trip_id,
+                            "timestamps": [ts for ts, _ in t.points]}}
+            for t in trips]}
+        doc["features"][1]["properties"]["timestamps"][-1] = "__HUGE__"
+        path = dirs["tmp"] / "trips.geojson"
+        path.write_text(json.dumps(doc).replace('"__HUGE__"', "1e400"))
+        cfg = json.loads(dirs["config"].read_text())
+        cfg["layers"].update(trips=str(path), trips_format="geojson")
+        dirs["config"].write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 0, result.output
+        assert f"trips: {len(trips) - 1} (malformed rows: 1)" in result.output
+        assert "feature 1: timestamp must be a finite integer, got inf" in result.output
+
+
 class TestRecommend:
     OUT_FILES = ("recommendations.geojson", "stations.geojson", "run_summary.json")
 
@@ -221,6 +265,23 @@ class TestRecommend:
             files = read_dir(out, ("recommendations.geojson", "stations.geojson"))
             outs.append(files)
         assert outs[0] == outs[1] == outs[2]
+
+    def test_byte_identical_across_hash_seeds(self, scenario):
+        # string hashing differs between the two processes, and with it the
+        # order of every set and dict keyed by strings
+        _, _, dirs = scenario
+        src = str(Path(evsite.__file__).resolve().parents[1])
+        outs = []
+        for seed in ("1", "2"):
+            out = dirs["tmp"] / f"hash{seed}"
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "evsite.cli", "recommend",
+                            "--config", str(dirs["config"]), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outs.append(read_dir(out, self.OUT_FILES))
+        assert outs[0] == outs[1]
 
     def test_empty_routes_layer_exits_1(self, runner, scenario, tmp_path):
         _, _, dirs = scenario

@@ -124,6 +124,11 @@ class TestDbscanLga:
         # the floor of an eighth of the largest eps; 2000-m points never core
         ConstraintConfig(base_eps_m=2000.0, eps_factor_poi=0.05, eps_min_m=100.0,
                          base_minpts=400, minpts_factor_poi=0.05),
+        # eps 100 m near a POI and 200 m elsewhere with one MinPts for both:
+        # far points reach near ones that cannot reach back, and both are core
+        ConstraintConfig(base_eps_m=200.0, eps_factor_poi=0.5, base_minpts=40,
+                         minpts_factor_poi=1.0, minpts_factor_route=1.0,
+                         minpts_factor_flood=1.0, minpts_factor_fire=1.0),
     ])
     def test_dense_hotspot_matches_brute_oracle(self, cfg):
         rng = random.Random(int(cfg.base_eps_m))
@@ -150,6 +155,26 @@ class TestDbscanLga:
         assert [result.assignment.labels[k] for k in by_id] == want
         assert result.assignment.cluster_count == want_c
         assert want_c >= 1 and NOISE in want
+
+
+    def test_core_by_clustered_neighbours(self):
+        # 0-3 form a cluster within their 100-m eps; 4 reaches them and 5 with
+        # its 400-m eps but none of them reaches 4. So 4 is core only when the
+        # clustered 0-3 count toward its MinPts, and then it takes 5 along.
+        cfg = ConstraintConfig(base_eps_m=400.0, eps_factor_poi=0.25, base_minpts=4,
+                               minpts_factor_poi=1.0, minpts_factor_route=1.0,
+                               minpts_factor_flood=1.0, minpts_factor_fire=1.0)
+        near_poi = PointContext(100.0, 0.0, math.inf, None)
+        north_m = [0.0, 10.0, 20.0, 30.0, 250.0, 600.0]
+        coords = [(-33.5 + m / METERS_PER_DEG, 150.5) for m in north_m]
+        contexts = [near_poi] * 4 + [FAR_CTX, near_poi]
+        result = dbscan_lga(demand(coords), contexts, cfg)
+        params = [adjust_params(ctx, cfg) for ctx in contexts]
+        want, want_c = oracles.brute_dbscan_per_point(
+            coords, [p.eps_m for p in params], [p.minpts for p in params])
+        assert want == [0, 0, 0, 0, 1, 1]
+        assert list(result.assignment.labels) == want
+        assert result.assignment.cluster_count == want_c == 2
 
 
 class TestClusterAll:

@@ -116,10 +116,17 @@ class TestPointInPolygon:
         assert agree >= 999
 
 
+def assert_radius_queries(idx, q, r, want):
+    """neighbors_within, count_within and any_within all agree with want."""
+    assert idx.neighbors_within(q, r) == want
+    assert idx.count_within(q, r) == len(want)
+    assert idx.any_within(q, r) == bool(want)
+
+
 class TestSpatialIndex:
     def test_empty(self):
         idx = SpatialIndex([], 0.01)
-        assert idx.neighbors_within(GeoPoint(0, 0), 1e7) == []
+        assert_radius_queries(idx, GeoPoint(0, 0), 1e7, [])
 
     def test_identical_points(self):
         p = GeoPoint(10, 10)
@@ -175,7 +182,7 @@ class TestSpatialIndex:
     ])
     def test_neighbour_on_the_far_side_of_a_wrap(self, indexed, query, radius):
         idx = SpatialIndex([GeoPoint(*indexed)], 0.01)
-        assert idx.neighbors_within(GeoPoint(*query), radius) == [0]
+        assert_radius_queries(idx, GeoPoint(*query), radius, [0])
         assert idx.nearest(GeoPoint(*query))[0] == 0
 
     @pytest.mark.parametrize("lat,cell", [(0.0, 0.01), (-33.0, 0.05), (70.0, 0.02),
@@ -228,12 +235,72 @@ class TestSpatialIndex:
                 r = haversine_distance(q, pts[rng.randrange(len(pts))])
             else:
                 r = rng.uniform(0, 1200)
-            assert idx.neighbors_within(q, r) == scan(q, r)
+            assert_radius_queries(idx, q, r, scan(q, r))
         # near the antipode, where the formula rounds worst
         q = GeoPoint(-lat0 + 1e-5, lon0 - 180.0)
         d = haversine_distance(q, pts[17])
         for r in (d, d - 0.4, d + 0.4, math.nextafter(d, 0.0)):
-            assert idx.neighbors_within(q, r) == scan(q, r)
+            assert_radius_queries(idx, q, r, scan(q, r))
+
+    @pytest.mark.parametrize("lat0,lon0,spread,cell", [
+        (0.0, 179.99, 0.03, 0.002),   # across the antimeridian
+        (-45.0, -180.0, 0.03, 0.01),  # on it
+        (89.97, 0.0, 180.0, 0.002),   # all round the north pole
+        (-89.98, 120.0, 180.0, 0.05),  # all round the south pole
+    ])
+    def test_count_and_any_vs_linear_scan_at_ties(self, lat0, lon0, spread, cell):
+        # radii are distances to indexed points, so that points lie exactly
+        # at r, and one step below them, so that they just miss
+        rng = random.Random(int(lat0 * 10 + lon0))
+
+        def near(lat_spread):
+            lat = max(-90.0, min(90.0, lat0 + rng.uniform(-lat_spread, lat_spread)))
+            lon = lon0 + rng.uniform(-spread, spread)
+            return GeoPoint(lat, lon - 360.0 if lon > 180.0 else
+                            lon + 360.0 if lon < -180.0 else lon)
+
+        pts = [near(0.03) for _ in range(250)]
+        pts += pts[:3]
+        idx = SpatialIndex(pts, cell)
+
+        def scan(q, r):
+            return [i for i, p in enumerate(pts) if haversine_distance(q, p) <= r]
+
+        for k in range(80):
+            q = pts[rng.randrange(len(pts))] if k % 2 else near(0.04)
+            d = haversine_distance(q, pts[rng.randrange(len(pts))])
+            for r in (d, math.nextafter(d, 0.0), rng.uniform(0.0, 500.0)):
+                assert_radius_queries(idx, q, r, scan(q, r))
+
+    def test_claim_within_vs_linear_scan(self):
+        # free holds a random part of each cell: the claim returns the free ids
+        # in range when the whole neighbourhood reaches minpts, else [] and
+        # leaves free as it was
+        rng = random.Random(11)
+        lat0, lon0 = -33.87, 151.21
+        m_lon = METERS_PER_DEG * math.cos(math.radians(lat0))
+        pts = [GeoPoint(lat0 + rng.gauss(0, 150) / METERS_PER_DEG,
+                        lon0 + rng.gauss(0, 150) / m_lon) for _ in range(300)]
+        idx = SpatialIndex(pts, 60.0 / METERS_PER_DEG)
+        for k in range(200):
+            free = idx.free_cells()
+            keep = rng.random()
+            for ids in free.values():
+                ids.intersection_update({i for i in ids if rng.random() < keep})
+            before = {key: set(ids) for key, ids in free.items()}
+            q = pts[rng.randrange(len(pts))]
+            r = (haversine_distance(q, pts[rng.randrange(len(pts))]) if k % 2
+                 else rng.uniform(0.0, 300.0))
+            near = [i for i, p in enumerate(pts) if haversine_distance(q, p) <= r]
+            minpts = rng.choice([1, len(near), len(near) + 1, rng.randint(1, 60)])
+            unclaimed = {i for ids in before.values() for i in ids}
+            got = idx.claim_within(q, r, minpts, free)
+            if len(near) >= minpts:
+                assert sorted(got) == [i for i in near if i in unclaimed]
+                assert free == {key: ids - set(got) for key, ids in before.items()}
+            else:
+                assert got == []
+                assert free == before
 
     def test_nearest_empty_errors(self):
         with pytest.raises(GeoError, match="empty index"):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from evsite.ingest import (
     save_routes,
     save_stations,
     save_trips,
+    write_json,
 )
 
 
@@ -103,6 +105,22 @@ class TestLoadTrips:
         trips, bad = load_trips(f, format="geojson")
         assert bad == []
         assert trips[0].points[1] == (200, GeoPoint(-33.6, 150.6))
+
+    @pytest.mark.parametrize("stamp", ["1e400", "-1e400", "NaN", "250.5", "true"])
+    def test_geojson_non_integral_timestamp_is_a_malformed_feature(self, tmp_path, stamp):
+        f = tmp_path / "t.geojson"
+        line = {"type": "LineString", "coordinates": [[150.5, -33.5], [150.6, -33.6],
+                                                      [150.7, -33.7]]}
+        doc = {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": line,
+             "properties": {"trip_id": trip_id, "timestamps": [100, 200, 300]}}
+            for trip_id in ("a", "b", "c")]}
+        # the last timestamp of the last feature
+        f.write_text(json.dumps(doc).replace("300]}}]}", stamp + "]}}]}", 1))
+        trips, bad = load_trips(f, format="geojson")
+        assert [t.trip_id for t in trips] == ["a", "b"]
+        assert len(bad) == 1
+        assert "feature 2: timestamp must be a finite integer" in bad[0]
 
 
 class TestCleanTrips:
@@ -250,6 +268,11 @@ class TestLayerLoaders:
         assert load_routes(tmp_path / "r.geojson") == routes
         assert load_lgas(tmp_path / "l.geojson") == lgas
         assert load_fire_grid(tmp_path / "g.json") == grid
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_refuses_non_finite_numbers(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", {"ffdi_delta": value})
 
     def test_unknown_poi_category_names_feature(self, tmp_path):
         doc = {"type": "FeatureCollection", "features": [
