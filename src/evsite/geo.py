@@ -169,12 +169,9 @@ class SpatialIndex:
         _REACH_MARGIN_M.
         """
         lat_c = math.radians(min(90.0, max(-90.0, (key[0] + 0.5) * self.cell_size)))
-        cos_c = math.cos(lat_c)
-        lon_c = (key[1] + 0.5) * self.cell_size
-        rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
-        reach = max(_haversine_terms(lat_c, cos_c, lon_c, rad_lat[i], cos_lat[i], lon[i])
-                    for i in self._cells[key])
-        disc = self._discs[key] = (lat_c, cos_c, lon_c, reach + _REACH_MARGIN_M)
+        centre = (lat_c, math.cos(lat_c), (key[1] + 0.5) * self.cell_size)
+        reach = max(self._distances(centre, self._cells[key]))
+        disc = self._discs[key] = (*centre, reach + _REACH_MARGIN_M)
         return disc
 
     def __len__(self) -> int:
@@ -241,17 +238,21 @@ class SpatialIndex:
                 part.append(key)
         return whole, part
 
-    def _hits(self, ids, q: tuple[float, float, float], radius_m: float) -> list[int]:
-        """The ids whose points lie within radius_m of q, in the order given."""
+    def _distances(self, q: tuple[float, float, float], ids) -> list[float]:
+        """haversine_distance from q (its radians(lat), cos(lat) and lon) to
+        each id's point, the very same doubles: the formula inlined operand
+        for operand over the index's columns, without a call per id."""
         lat1, cos1, lon1 = q
         rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
         sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
-        # haversine_distance(p, points[i]) inlined, operand for operand
-        return [i for i in ids
-                if _DIAMETER_M * asin(min(1.0, sqrt(
+        return [_DIAMETER_M * asin(min(1.0, sqrt(
                     sin((rad_lat[i] - lat1) / 2.0) ** 2
                     + cos1 * cos_lat[i] * sin(radians(lon[i] - lon1) / 2.0) ** 2)))
-                <= radius_m]
+                for i in ids]
+
+    def _hits(self, ids, q: tuple[float, float, float], radius_m: float) -> list[int]:
+        """The ids whose points lie within radius_m of q, in the order given."""
+        return [i for i, d in zip(ids, self._distances(q, ids)) if d <= radius_m]
 
     def neighbors_within(self, p: GeoPoint, radius_m: float) -> list[int]:
         """Ids of all indexed points at haversine distance <= radius_m, ascending."""
@@ -266,10 +267,6 @@ class SpatialIndex:
             out += cells[key]
         out.sort()
         return out
-
-    def count_within(self, p: GeoPoint, radius_m: float) -> int:
-        """len(neighbors_within(p, radius_m)), without building the list."""
-        return self._count(self._window(p, radius_m), _query_terms(p), radius_m)
 
     def any_within(self, p: GeoPoint, radius_m: float) -> bool:
         """Whether any indexed point lies at haversine distance <= radius_m."""
@@ -347,15 +344,8 @@ class SpatialIndex:
         return out
 
     def distances(self, p: GeoPoint, ids: list[int]) -> list[float]:
-        """haversine_distance(p, points[i]) for each id, the very same doubles,
-        computed over the index's columns as neighbors_within does."""
-        lat1, cos1, lon1 = _query_terms(p)
-        rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
-        sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
-        return [_DIAMETER_M * asin(min(1.0, sqrt(
-                    sin((rad_lat[i] - lat1) / 2.0) ** 2
-                    + cos1 * cos_lat[i] * sin(radians(lon[i] - lon1) / 2.0) ** 2)))
-                for i in ids]
+        """haversine_distance(p, points[i]) for each id, the very same doubles."""
+        return self._distances(_query_terms(p), ids)
 
     def nearest(self, p: GeoPoint) -> tuple[int, float]:
         """(id, distance) of the closest indexed point; ties broken by smallest id."""
@@ -363,28 +353,22 @@ class SpatialIndex:
             raise GeoError("empty index")
         # expand rings of cells until any candidate is found, then an exact
         # radius query at that distance settles the argmin and tie-break
+        q = _query_terms(p)
+        cells = self._cells
         key = self._key(p)
         max_ring = max(abs(self._row_range[0] - key[0]), abs(self._row_range[1] - key[0]),
                        abs(self._col_range[0] - key[1]), abs(self._col_range[1] - key[1]))
-        best = math.inf
         for ring in range(max_ring + 1):
-            if ring and 8 * ring > len(self._cells):
+            if ring and 8 * ring > len(cells):
                 # sparse index: scanning occupied cells beats walking empty rings
-                for ids in self._cells.values():
-                    for i in ids:
-                        best = min(best, haversine_distance(p, self.points[i]))
+                ids = [i for cell in cells.values() for i in cell]
+            else:
+                ids = [i for k in _ring_cells(key, ring) for i in cells.get(k, ())]
+            if ids:
                 break
-            found = False
-            for r, c in _ring_cells(key, ring):
-                for i in self._cells.get((r, c), ()):
-                    found = True
-                    d = haversine_distance(p, self.points[i])
-                    best = min(best, d)
-            if found:
-                break
-        ids = self.neighbors_within(p, best)
-        best_id = min(ids, key=lambda i: (haversine_distance(p, self.points[i]), i))
-        return best_id, haversine_distance(p, self.points[best_id])
+        ids = self.neighbors_within(p, min(self._distances(q, ids)))
+        d, best_id = min(zip(self._distances(q, ids), ids))
+        return best_id, d
 
 
 def _query_terms(p: GeoPoint) -> tuple[float, float, float]:

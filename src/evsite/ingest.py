@@ -11,7 +11,6 @@ from pathlib import Path
 
 from .geo import (
     BoundingBox,
-    GeoError,
     GeoPoint,
     MultiPolygon,
     Polygon,
@@ -106,7 +105,7 @@ class FireRiskGrid:
         if self.n_rows < 1 or self.n_cols < 1:
             raise IngestError("fire grid needs n_rows, n_cols >= 1")
         if self.n_rows * self.n_cols != len(self.cells):
-            raise IngestError("fire grid cell count != n_rows * n_cols")
+            raise IngestError("fire grid len(cells) != n_rows * n_cols")
 
 
 @dataclass(frozen=True)
@@ -183,32 +182,26 @@ def _read_trip_csv(path: Path):
                 if len(row) != 4:
                     raise ValueError(f"expected 4 columns, got {len(row)}")
                 trip_id, ts, lat, lon = row
-                rows.append((trip_id, int(ts), GeoPoint(float(lat), float(lon))))
-            except (ValueError, GeoError) as e:
+                rows.append((trip_id, _integer(ts, "timestamp"),
+                             GeoPoint(float(lat), float(lon))))
+            except ValueError as e:
                 bad.append(f"{path}:{lineno}: {e}")
     return rows, bad
 
 
 def _read_trip_geojson(path: Path):
-    doc = _read_feature_collection(path)
-    rows, bad = [], []
-    for idx, feat in enumerate(doc["features"]):
-        where = f"{path}: feature {idx}"
-        try:
-            props = feat.get("properties") or {}
-            trip_id = str(props["trip_id"])
-            timestamps = props["timestamps"]
-            _, coords = _feature_geometry(feat, where, "LineString")
-            if len(coords) != len(timestamps):
-                raise ValueError("timestamps length != coordinate count")
-            # a malformed feature is dropped whole, none of its fixes kept
-            rows += [(trip_id, _integer(ts, "timestamp"), GeoPoint(float(lat), float(lon)))
-                     for ts, (lon, lat) in zip(timestamps, coords)]
-        except IngestError as e:
-            bad.append(str(e))
-        except (KeyError, ValueError, TypeError, GeoError) as e:
-            bad.append(f"{where}: {e}")
-    return rows, bad
+    def fixes(feat: dict) -> list[tuple[str, int, GeoPoint]]:
+        trip_id = str(_prop(feat, "trip_id"))
+        timestamps = _prop(feat, "timestamps")
+        line = _positions(_geometry(feat, "LineString"))
+        if len(line) != len(timestamps):
+            raise ValueError("timestamps length != coordinate count")
+        # a malformed feature is dropped whole, none of its fixes kept
+        return [(trip_id, _integer(ts, "timestamp"), pt)
+                for ts, pt in zip(timestamps, line)]
+
+    bad = []
+    return [row for rows in _read_features(path, fixes, bad) for row in rows], bad
 
 
 def save_trips(path, trips: list[TripRecord]) -> None:
@@ -280,147 +273,118 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
 # ---------------------------------------------------------------------------
 # GeoJSON layers
 
-def _read_feature_collection(path) -> dict:
+# what reading a feature may raise: a missing key or index, a value of the
+# wrong type, a bad value (GeoError and IngestError among them) and an
+# integer too large for a float
+_FEATURE_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError)
+
+
+def _read_features(path, make, bad: list[str] | None = None) -> list:
+    """make(feature) for each feature of the FeatureCollection at path.
+
+    A feature that make cannot read raises IngestError naming path and
+    feature, or, given a list bad, is dropped with that message appended to it.
+    """
     with open(path) as f:
         doc = json.load(f)
     if (not isinstance(doc, dict) or doc.get("type") != "FeatureCollection"
             or not isinstance(doc.get("features"), list)):
         raise IngestError(f"{path}: not a GeoJSON FeatureCollection")
+    records = []
     for idx, feat in enumerate(doc["features"]):
-        if not isinstance(feat, dict):
-            raise IngestError(f"{path}: feature {idx}: not a GeoJSON Feature")
-    return doc
+        try:
+            if not isinstance(feat, dict):
+                raise ValueError("not a GeoJSON Feature")
+            records.append(make(feat))
+        except _FEATURE_ERRORS as e:
+            if bad is None:
+                raise IngestError(f"{path}: feature {idx}: {e}") from e
+            bad.append(f"{path}: feature {idx}: {e}")
+    return records
 
 
-def _feature_geometry(feat: dict, where: str, *types: str) -> tuple[str, object]:
-    """(type, coordinates) of a feature whose geometry must be one of types."""
+def _geometry(feat: dict, *types: str):
+    """The coordinates of a feature whose geometry must be one of types."""
     geom = feat.get("geometry")
     if not isinstance(geom, dict) or geom.get("type") not in types:
-        raise IngestError(f"{where}: geometry must be {' or '.join(types)}")
+        raise ValueError(f"geometry must be {' or '.join(types)}")
     if "coordinates" not in geom:
-        raise IngestError(f"{where}: {geom['type']} geometry has no coordinates")
-    return geom["type"], geom["coordinates"]
+        raise ValueError(f"{geom['type']} geometry has no coordinates")
+    return geom["coordinates"]
 
 
-def _feature_point(feat, where: str) -> GeoPoint:
-    _, coords = _feature_geometry(feat, where, "Point")
-    try:
-        lon, lat = coords[:2]
-        return GeoPoint(float(lat), float(lon))
-    except (GeoError, ValueError, TypeError) as e:
-        raise IngestError(f"{where}: {e}") from e
-
-
-def _prop(feat, key: str, where: str):
+def _prop(feat: dict, key: str):
     props = feat.get("properties") or {}
     if not isinstance(props, dict):
-        raise IngestError(f"{where}: properties must be an object")
+        raise ValueError("properties must be an object")
     if key not in props:
-        raise IngestError(f"{where}: missing property {key!r}")
+        raise ValueError(f"missing property {key!r}")
     return props[key]
 
 
-def _ring_from_coords(coords, where: str) -> tuple[GeoPoint, ...]:
-    try:
-        ring = tuple(GeoPoint(float(lat), float(lon)) for lon, lat in coords)
-    except (GeoError, ValueError, TypeError) as e:
-        raise IngestError(f"{where}: bad ring coordinate: {e}") from e
-    return ring
+def _positions(coords) -> tuple[GeoPoint, ...]:
+    """A list of GeoJSON positions as GeoPoints. A position is [lon, lat, ...]:
+    members past the second, such as an altitude, are ignored (RFC 7946 3.1.1)."""
+    return tuple([GeoPoint(float(c[1]), float(c[0])) for c in coords])
 
 
-def _polygon_from_coords(coords, where: str) -> Polygon:
-    if not isinstance(coords, list) or not coords:
-        raise IngestError(f"{where}: polygon needs a list of rings")
-    try:
-        return Polygon(_ring_from_coords(coords[0], where),
-                       tuple(_ring_from_coords(r, where) for r in coords[1:]))
-    except GeoError as e:
-        raise IngestError(f"{where}: {e}") from e
+def _point(feat: dict) -> GeoPoint:
+    return _positions([_geometry(feat, "Point")])[0]
+
+
+def _polygon(rings) -> Polygon:
+    if not isinstance(rings, list) or not rings:
+        raise ValueError("polygon needs a list of rings")
+    return Polygon(_positions(rings[0]), tuple(map(_positions, rings[1:])))
 
 
 def load_lgas(path) -> list[LgaRecord]:
-    doc = _read_feature_collection(path)
-    records = []
     seen = set()
-    for idx, feat in enumerate(doc["features"]):
-        where = f"{path}: feature {idx}"
-        name = str(_prop(feat, "lga_name", where))
+
+    def lga(feat: dict) -> LgaRecord:
+        name = str(_prop(feat, "lga_name"))
         if name in seen:
-            raise IngestError(f"{where}: duplicate lga_name {name!r}")
+            raise ValueError(f"duplicate lga_name {name!r}")
         seen.add(name)
-        kind, coords = _feature_geometry(feat, where, "Polygon", "MultiPolygon")
-        if kind == "Polygon":
-            polys = (_polygon_from_coords(coords, where),)
-        elif isinstance(coords, list):
-            polys = tuple(_polygon_from_coords(c, where) for c in coords)
-        else:
-            raise IngestError(f"{where}: MultiPolygon needs a list of polygons")
-        records.append(LgaRecord(name, MultiPolygon(polys)))
-    return records
+        coords = _geometry(feat, "Polygon", "MultiPolygon")
+        polygons = [coords] if feat["geometry"]["type"] == "Polygon" else coords
+        return LgaRecord(name, MultiPolygon(tuple(map(_polygon, polygons))))
+    return _read_features(path, lga)
 
 
 def load_pois(path) -> list[PoiRecord]:
-    doc = _read_feature_collection(path)
-    records = []
-    for idx, feat in enumerate(doc["features"]):
-        where = f"{path}: feature {idx}"
-        poi_id = str(_prop(feat, "poi_id", where))
-        category = str(_prop(feat, "category", where))
-        location = _feature_point(feat, where)
-        try:
-            records.append(PoiRecord(poi_id, category, location))
-        except IngestError as e:
-            raise IngestError(f"{where}: {e}") from e
-    return records
+    return _read_features(path, lambda feat: PoiRecord(
+        str(_prop(feat, "poi_id")), str(_prop(feat, "category")), _point(feat)))
 
 
 def load_stations(path) -> list[StationRecord]:
-    doc = _read_feature_collection(path)
-    records = []
-    for idx, feat in enumerate(doc["features"]):
-        where = f"{path}: feature {idx}"
-        station_id = str(_prop(feat, "station_id", where))
-        kind = str(_prop(feat, "kind", where))
-        location = _feature_point(feat, where)
-        try:
-            records.append(StationRecord(station_id, kind, location))
-        except IngestError as e:
-            raise IngestError(f"{where}: {e}") from e
-    return records
+    return _read_features(path, lambda feat: StationRecord(
+        str(_prop(feat, "station_id")), str(_prop(feat, "kind")), _point(feat)))
 
 
 def load_routes(path) -> list[RouteRecord]:
-    doc = _read_feature_collection(path)
-    records = []
-    for idx, feat in enumerate(doc["features"]):
-        where = f"{path}: feature {idx}"
-        _, coords = _feature_geometry(feat, where, "LineString")
-        try:
-            polyline = tuple(GeoPoint(float(lat), float(lon)) for lon, lat in coords)
-        except (GeoError, ValueError, TypeError) as e:
-            raise IngestError(f"{where}: {e}") from e
-        altitudes = _prop(feat, "altitudes", where)
-        route_id = str(_prop(feat, "route_id", where))
-        try:
-            records.append(RouteRecord(route_id, polyline,
-                                       tuple(float(a) for a in altitudes)))
-        except (IngestError, ValueError, TypeError) as e:
-            raise IngestError(f"{where}: {e}") from e
-    return records
+    return _read_features(path, lambda feat: RouteRecord(
+        str(_prop(feat, "route_id")), _positions(_geometry(feat, "LineString")),
+        tuple(map(float, _prop(feat, "altitudes")))))
 
 
 def load_fire_grid(path) -> FireRiskGrid:
     with open(path) as f:
         doc = json.load(f)
     try:
+        bbox, cells = doc["bbox"], doc["cells"]
+        if not isinstance(bbox, list) or len(bbox) != 4:
+            raise ValueError("bbox must be [min_lon, min_lat, max_lon, max_lat]")
+        if not isinstance(cells, list):
+            raise ValueError("cells must be an array")
         min_lon, min_lat, max_lon, max_lat = (
-            _number(v, f"bbox[{k}]") for k, v in enumerate(doc["bbox"]))
-        cells = tuple(None if c is None else _number(c, f"cells[{k}]")
-                      for k, c in enumerate(doc["cells"]))
+            _number(v, f"bbox[{k}]") for k, v in enumerate(bbox))
         return FireRiskGrid(BoundingBox(min_lat, min_lon, max_lat, max_lon),
                             _integer(doc["n_rows"], "n_rows"),
-                            _integer(doc["n_cols"], "n_cols"), cells)
-    except (KeyError, ValueError, TypeError, GeoError) as e:
+                            _integer(doc["n_cols"], "n_cols"),
+                            tuple(None if c is None else _number(c, f"cells[{k}]")
+                                  for k, c in enumerate(cells)))
+    except _FEATURE_ERRORS as e:
         raise IngestError(f"{path}: {e}") from e
 
 
@@ -437,15 +401,18 @@ def _number(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
-    """value as an int when it is an integer or a finite integral float, else
-    ValueError naming key."""
+    """value as an int when it is an integer, an integer numeral or a finite
+    integral float in the signed 64-bit range, else ValueError naming key."""
     if isinstance(value, bool) or (isinstance(value, float) and not (
             math.isfinite(value) and value.is_integer())):
         raise ValueError(f"{key} must be a finite integer, got {value!r}")
     try:
-        return int(value)
+        n = int(value)
     except (TypeError, ValueError) as e:
         raise ValueError(f"{key} must be a finite integer, got {value!r}") from e
+    if not -2 ** 63 <= n < 2 ** 63:
+        raise ValueError(f"{key} must fit in a signed 64-bit integer, got {value!r}")
+    return n
 
 
 # writers (synth and round-trip tests share these)

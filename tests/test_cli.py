@@ -203,6 +203,61 @@ class TestValidate:
         assert "feature 1: timestamp must be a finite integer, got inf" in result.output
 
 
+    @pytest.mark.parametrize("layer,path", [
+        ("stations.geojson", ("geometry", "coordinates", 0)),
+        ("lgas.geojson", ("geometry", "coordinates", 0, 0, 1, 0)),
+        ("routes.geojson", ("geometry", "coordinates", 1, 1)),
+        ("routes.geojson", ("properties", "altitudes", 1)),
+    ], ids=["station-coordinate", "lga-ring", "route-coordinate", "route-altitude"])
+    def test_integer_too_large_for_a_float_exits_1(self, runner, scenario, layer, path):
+        _, _, dirs = scenario
+        f = dirs["scenario"] / layer
+        doc = json.loads(f.read_text())
+        *head, last = path
+        target = doc["features"][1]
+        for key in head:
+            target = target[key]
+        target[last] = "__HUGE__"
+        f.write_text(json.dumps(doc).replace('"__HUGE__"', str(10 ** 400)))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert f"{layer}: feature 1: int too large to convert to float" in result.output
+
+    @pytest.mark.parametrize("trips_format", ["csv", "geojson"])
+    def test_timestamp_past_64_bits_is_a_malformed_row(self, runner, scenario, trips_format):
+        _, _, dirs = scenario
+        csv_path = dirs["scenario"] / "trips.csv"
+        trips, _ = load_trips(csv_path)
+        huge = str(10 ** 400)
+        if trips_format == "csv":
+            # one more fix of the first trip, on a line of its own
+            lines = csv_path.read_text().splitlines()
+            trip_id, _, lat, lon = lines[1].split(",")
+            lines.append(",".join([trip_id, huge, lat, lon]))
+            path = dirs["tmp"] / "trips.csv"
+            path.write_text("\n".join(lines) + "\n")
+            want = (len(trips), f"trips.csv:{len(lines)}: timestamp")
+        else:
+            doc = {"type": "FeatureCollection", "features": [
+                {"type": "Feature",
+                 "geometry": {"type": "LineString",
+                              "coordinates": [[p.lon, p.lat] for _, p in t.points]},
+                 "properties": {"trip_id": t.trip_id,
+                                "timestamps": [ts for ts, _ in t.points]}}
+                for t in trips]}
+            doc["features"][1]["properties"]["timestamps"][-1] = "__HUGE__"
+            path = dirs["tmp"] / "trips.geojson"
+            path.write_text(json.dumps(doc).replace('"__HUGE__"', huge))
+            want = (len(trips) - 1, "trips.geojson: feature 1: timestamp")
+        cfg = json.loads(dirs["config"].read_text())
+        cfg["layers"].update(trips=str(path), trips_format=trips_format)
+        dirs["config"].write_text(json.dumps(cfg))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 0, result.output
+        assert f"trips: {want[0]} (malformed rows: 1)" in result.output
+        assert f"{want[1]} must fit in a signed 64-bit integer" in result.output
+
+
 class TestRecommend:
     OUT_FILES = ("recommendations.geojson", "stations.geojson", "run_summary.json")
 

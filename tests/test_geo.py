@@ -117,10 +117,14 @@ class TestPointInPolygon:
 
 
 def assert_radius_queries(idx, q, r, want):
-    """neighbors_within, count_within and any_within all agree with want."""
+    """neighbors_within, any_within and claim_within all agree with want.
+
+    claim_within over a fresh free set takes every id in range when minpts is
+    their count, and none when it is one more, so it counts them exactly."""
     assert idx.neighbors_within(q, r) == want
-    assert idx.count_within(q, r) == len(want)
     assert idx.any_within(q, r) == bool(want)
+    assert sorted(idx.claim_within(q, r, len(want), idx.free_cells())) == want
+    assert idx.claim_within(q, r, len(want) + 1, idx.free_cells()) == []
 
 
 class TestSpatialIndex:

@@ -1,16 +1,23 @@
+import copy
 import json
 import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from evsite.geo import GeoPoint, MultiPolygon, Polygon
+from evsite.geo import BoundingBox, GeoPoint, MultiPolygon, Polygon
 from evsite.ingest import (
     CleaningSummary,
     DemandPoint,
+    FireRiskGrid,
     IngestError,
     LgaRecord,
+    PoiRecord,
+    RouteRecord,
+    StationRecord,
     TripRecord,
     assign_lga,
     clean_trips,
@@ -312,6 +319,152 @@ class TestLayerLoaders:
         loaded, bad = load_trips(tmp_path / "t.csv")
         assert bad == []
         assert loaded == trips
+
+
+    def test_positions_with_altitude_load_the_same_records(self, tmp_path):
+        # a GeoJSON position is [lon, lat, ...]: members past the second are ignored
+        routes = [RouteRecord("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.4, 150.2),
+                                     GeoPoint(-33.5, 151.0)), (10.0, 20.0, 30.0))]
+        hole = (GeoPoint(-33.8, 150.2), GeoPoint(-33.8, 150.4), GeoPoint(-33.6, 150.4),
+                GeoPoint(-33.8, 150.2))
+        lgas = [square_lga("A", -34.0, 150.0),
+                LgaRecord("B", MultiPolygon((Polygon(
+                    square_lga("B", -34.0, 151.0).boundary.polygons[0].exterior,
+                    (hole,)),)))]
+        for save, load, records in ((save_routes, load_routes, routes),
+                                    (save_lgas, load_lgas, lgas)):
+            f = tmp_path / "layer.geojson"
+            save(f, records)
+            assert load(f) == records
+            doc = json.loads(f.read_text())
+            for k, feat in enumerate(doc["features"]):
+                coords = feat["geometry"]["coordinates"]
+                for position in _positions_in(coords):
+                    position.append(7.0 * k)
+            f.write_text(json.dumps(doc))
+            assert load(f) == records
+
+
+def _positions_in(coords):
+    """The [lon, lat] lists nested anywhere in GeoJSON coordinates."""
+    if coords and not isinstance(coords[0], list):
+        return [coords]
+    return [p for c in coords for p in _positions_in(c)]
+
+
+# every way the loader fuzz breaks a value: replace it with one of these, or
+# remove it from its object or array
+BAD_VALUES = [None, True, "x", [], {}, math.nan, math.inf, -math.inf,
+              10 ** 400, -10 ** 400, "remove"]
+
+
+def _paths(value, path=()):
+    """The path to value and to every value nested in it."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+def _edited(doc, path, value):
+    """A copy of doc with the value at path replaced by value (or removed)."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    if value == "remove":
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def _layer_docs(tmp_path) -> dict:
+    """A small valid file of each GeoJSON layer, as loaded JSON by loader name."""
+    ring = lambda lat, lon, d: [[lon, lat], [lon + d, lat], [lon + d, lat + d],
+                                [lon, lat + d], [lon, lat]]
+    save_stations(tmp_path / "s.geojson", [
+        StationRecord(f"s{k}", kind, GeoPoint(-33.5 + k / 10, 150.5))
+        for k, kind in enumerate(("existing_fast", "approved", "existing_destination"))])
+    save_pois(tmp_path / "p.geojson", [
+        PoiRecord(f"p{k}", category, GeoPoint(-33.5, 150.5 + k / 10))
+        for k, category in enumerate(("fuel", "tourism", "fast_food"))])
+    save_routes(tmp_path / "r.geojson", [
+        RouteRecord(f"r{k}", tuple(GeoPoint(-33.5 + k / 10, 150.0 + j / 10)
+                                   for j in range(3)), (10.0, 20.0, 30.0))
+        for k in range(3)])
+    save_lgas(tmp_path / "l.geojson", [square_lga(name, -34.0, 150.0 + k)
+                                       for k, name in enumerate("ABC")])
+    docs = {loader: json.loads((tmp_path / name).read_text())
+            for loader, name in (("load_stations", "s.geojson"), ("load_pois", "p.geojson"),
+                                 ("load_routes", "r.geojson"), ("load_lgas", "l.geojson"))}
+    # one LGA as a Polygon with a hole, so both geometry types are fuzzed
+    docs["load_lgas"]["features"][1]["geometry"] = {
+        "type": "Polygon", "coordinates": [ring(-34.0, 151.0, 1.0), ring(-33.8, 151.2, 0.2)]}
+    docs["load_trips"] = {"type": "FeatureCollection", "features": [
+        {"type": "Feature",
+         "geometry": {"type": "LineString",
+                      "coordinates": [[150.5 + j / 100, -33.5 + k / 10] for j in range(3)]},
+         "properties": {"trip_id": f"t{k}", "timestamps": [100, 200, 300]}}
+        for k in range(3)]}
+    return docs
+
+
+GEOJSON_LOADERS = {
+    "load_stations": load_stations, "load_pois": load_pois,
+    "load_routes": load_routes, "load_lgas": load_lgas,
+    "load_trips": lambda path: load_trips(path, format="geojson"),
+}
+
+
+class TestLoaderFuzz:
+    """A value of one feature replaced or removed: the loader reads the file,
+    or raises IngestError naming the file and the feature. The trips reader
+    drops such a feature as a malformed row that names it."""
+
+    @pytest.mark.parametrize("loader", sorted(GEOJSON_LOADERS))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_broken_feature_names_file_and_feature(self, tmp_path, loader, data):
+        doc = _layer_docs(tmp_path)[loader]
+        path = data.draw(st.sampled_from([
+            ("features", k) + p for k, feat in enumerate(doc["features"])
+            for p in _paths(feat)]))
+        value = data.draw(st.sampled_from(BAD_VALUES))
+        f = tmp_path / "fuzzed.geojson"
+        f.write_text(json.dumps(_edited(doc, path, value)))
+        where = f"{f}: feature {path[1]}: "
+        try:
+            result = GEOJSON_LOADERS[loader](f)
+        except IngestError as e:
+            assert str(e).startswith(where), str(e)
+            return
+        if loader == "load_trips":
+            _, bad = result
+            assert len(bad) <= 1 and all(m.startswith(where) for m in bad), bad
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_broken_fire_grid_names_file_and_key(self, tmp_path, data):
+        f = tmp_path / "g.json"
+        save_fire_grid(f, FireRiskGrid(BoundingBox(-34.0, 150.0, -33.0, 151.0), 2, 2,
+                                       (1.0, None, 3.0, 4.0)))
+        doc = json.loads(f.read_text())
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+        value = data.draw(st.sampled_from(BAD_VALUES))
+        f.write_text(json.dumps(_edited(doc, path, value)))
+        try:
+            load_fire_grid(f)
+        except IngestError as e:
+            assert str(e).startswith(f"{f}: ") and path[0] in str(e), str(e)
 
 
 class TestAssignLga:
