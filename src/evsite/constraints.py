@@ -8,7 +8,9 @@ from array import array
 from dataclasses import dataclass
 
 from .geo import (_REACH_MARGIN_M, METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance,
-                  project_to_polyline)
+                  project_segment)
+# tracing patches this here by name; locate_all calls project_segment instead
+from .geo import project_to_polyline  # noqa: F401
 from .ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord
 
 # side of the grid cells by which context queries are grouped, in degrees
@@ -98,19 +100,14 @@ class RouteLocator:
 
     def __init__(self, routes: list[RouteRecord]):
         self.routes = sorted(routes, key=lambda r: r.route_id)
-        self._vertices: list[GeoPoint] = []
-        self._altitudes: list[float] = []
-        self._route_ids: list[str] = []
+        self._vertices = [v for r in self.routes for v in r.polyline]
+        self._altitudes = [a for r in self.routes for a in r.altitudes]
+        self._route_ids = [r.route_id for r in self.routes for _ in r.polyline]
         # length of the segment from each vertex to the next; -1 at a route's end
         self._seg_m = array("d")
         for route in self.routes:
-            line = route.polyline
-            for i, v in enumerate(line):
-                self._vertices.append(v)
-                self._altitudes.append(route.altitudes[i])
-                self._route_ids.append(route.route_id)
-                self._seg_m.append(haversine_distance(v, line[i + 1])
-                                   if i + 1 < len(line) else -1.0)
+            self._seg_m += route.segment_m
+            self._seg_m.append(-1.0)
         self.max_seg_m = max(self._seg_m, default=0.0)
         cell = max(self.max_seg_m, 500.0) / METERS_PER_DEG
         self._index = SpatialIndex(self._vertices, cell) if self._vertices else None
@@ -144,9 +141,13 @@ class RouteLocator:
                      if h <= bound or (seg_m[v] >= 0 and h - seg_m[v] <= bound)]
             for i in members:
                 p = points[i]
+                lat, lon = p.lat, p.lon
+                rad_lat = math.radians(lat)
+                cos_lat = math.cos(rad_lat)
                 dists = index.distances(p, cands)
                 d_vertex, vid = min(zip(dists, cands))
-                best_pt, best_d, best_id = vertices[vid], d_vertex, route_ids[vid]
+                best_vid, best_lat, best_lon = vid, None, None
+                best_d, best_id = d_vertex, route_ids[vid]
                 # the candidates p's own radius query would return, ascending
                 reach = d_vertex + max_seg_m
                 for cand, h in zip(cands, dists):
@@ -155,9 +156,18 @@ class RouteLocator:
                     # extension
                     if h > reach or seg_m[cand] < 0 or h - seg_m[cand] > best_d + 1e-6:
                         continue
-                    pt, d = project_to_polyline(p, (vertices[cand], vertices[cand + 1]))
+                    a, b = vertices[cand], vertices[cand + 1]
+                    c_lat, c_lon, d = project_segment(lat, lon, rad_lat, cos_lat,
+                                                      a.lat, a.lon, b.lat, b.lon)
+                    if d >= h:
+                        # as in project_to_polyline, the start vertex, at h,
+                        # stands unless the projection is strictly closer
+                        c_lat, d = None, h
                     if d < best_d or (d == best_d and route_ids[cand] < best_id):
-                        best_pt, best_d, best_id = pt, d, route_ids[cand]
+                        best_vid, best_lat, best_lon = cand, c_lat, c_lon
+                        best_d, best_id = d, route_ids[cand]
+                best_pt = (vertices[best_vid] if best_lat is None
+                           else GeoPoint(best_lat, best_lon))
                 out[i] = (best_pt, best_d, best_id, self._altitudes[vid])
         return out
 

@@ -142,9 +142,16 @@ class SpatialIndex:
     def __post_init__(self):
         if self.cell_size <= 0:
             raise GeoError("cell_size must be > 0")
+        # the cells as _key computes them, without a call per point
+        cell, floor, cells = self.cell_size, math.floor, self._cells
         for i, p in enumerate(self.points):
-            self._cells.setdefault(self._key(p), []).append(i)
-        keys = self._cells.keys()
+            key = (floor(p.lat / cell), floor(p.lon / cell))
+            ids = cells.get(key)
+            if ids is None:
+                cells[key] = [i]
+            else:
+                ids.append(i)
+        keys = cells.keys()
         self._row_range = ((min(k[0] for k in keys), max(k[0] for k in keys))
                            if keys else (0, -1))
         self._col_range = ((min(k[1] for k in keys), max(k[1] for k in keys))
@@ -152,7 +159,7 @@ class SpatialIndex:
         # the per-point terms of haversine_distance, so that radius queries
         # compute the very same doubles without a call per candidate
         self._rad_lat = array("d", [math.radians(p.lat) for p in self.points])
-        self._cos_lat = array("d", [math.cos(r) for r in self._rad_lat])
+        self._cos_lat = array("d", map(math.cos, self._rad_lat))
         self._lon = array("d", [p.lon for p in self.points])
         # cell key -> (radians(lat), cos(lat), lon, reach) of the cell's
         # centre, filled on first use: see _disc
@@ -398,47 +405,72 @@ def _ring_cells(center: tuple[int, int], ring: int):
         yield (r, c0 + ring)
 
 
-def project_to_polyline(p: GeoPoint, polyline) -> tuple[GeoPoint, float]:
-    """Closest point on the polyline and its distance from p.
+def segment_lengths(polyline) -> array:
+    """haversine_distance from each vertex of the polyline to the next, the
+    very same doubles: the formula inlined over columns of the vertices'
+    terms, so that each vertex's radians and cosine are taken once."""
+    rad = [math.radians(v.lat) for v in polyline]
+    cos = [math.cos(r) for r in rad]
+    lon = [v.lon for v in polyline]
+    sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
+    return array("d", [_DIAMETER_M * asin(min(1.0, sqrt(
+                           sin((lat2 - lat1) / 2.0) ** 2
+                           + cos1 * cos2 * sin(radians(lon2 - lon1) / 2.0) ** 2)))
+                       for lat1, lat2, cos1, cos2, lon1, lon2
+                       in zip(rad, rad[1:], cos, cos[1:], lon, lon[1:])])
 
-    Projection runs in a local equirectangular plane centered on p, which is
-    accurate at the sub-kilometer snap distances this is used for. Longitude
-    differences take the short way round, so a segment across the
-    antimeridian is the short one.
-    """
+
+def project_to_polyline(p: GeoPoint, polyline) -> tuple[GeoPoint, float]:
+    """Closest point on the polyline and its distance from p: the first vertex,
+    unless some segment's projection (see project_segment) is strictly closer."""
     if len(polyline) < 2:
         raise GeoError("degenerate polyline")
-    cos_lat = math.cos(math.radians(p.lat))
-
-    def to_plane(v: GeoPoint) -> tuple[float, float]:
-        return (_wrap_lon(v.lon - p.lon) * cos_lat * METERS_PER_DEG,
-                (v.lat - p.lat) * METERS_PER_DEG)
-
+    rad_lat = math.radians(p.lat)
+    cos_lat = math.cos(rad_lat)
     best_pt = polyline[0]
-    best_d = haversine_distance(p, polyline[0])
-    for i in range(len(polyline) - 1):
-        a, b = polyline[i], polyline[i + 1]
-        ax, ay = to_plane(a)
-        bx, by = to_plane(b)
-        dx, dy = bx - ax, by - ay
-        seg_len2 = dx * dx + dy * dy
-        if seg_len2 == 0.0:
-            t = 0.0
-        else:
-            t = max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_len2))
-        cand = GeoPoint(a.lat + t * (b.lat - a.lat),
-                        _wrap_lon(a.lon + t * _wrap_lon(b.lon - a.lon)))
-        d = haversine_distance(p, cand)
+    best_d = haversine_distance(p, best_pt)
+    best_ll = None
+    for a, b in zip(polyline, polyline[1:]):
+        lat, lon, d = project_segment(p.lat, p.lon, rad_lat, cos_lat, a.lat, a.lon, b.lat, b.lon)
         if d < best_d:
-            best_d, best_pt = d, cand
-    return best_pt, best_d
+            best_d, best_ll = d, (lat, lon)
+    return (best_pt if best_ll is None else GeoPoint(*best_ll)), best_d
 
 
-def _wrap_lon(x: float) -> float:
-    """x moved by 360 into [-180, 180] when it lies outside; otherwise x itself,
-    so that every longitude already in range keeps its exact double."""
-    if x > 180.0:
-        return x - 360.0
-    if x < -180.0:
-        return x + 360.0
-    return x
+def project_segment(lat: float, lon: float, rad_lat: float, cos_lat: float,
+                    a_lat: float, a_lon: float, b_lat: float,
+                    b_lon: float) -> tuple[float, float, float]:
+    """Closest point (lat, lon) of the segment from a to b to the point p at
+    lat, lon, and its haversine_distance from p, the very same double.
+    rad_lat and cos_lat are radians(lat) and its cosine.
+
+    Projection runs in a local equirectangular plane centred on p, which is
+    accurate at the sub-kilometer snap distances this is used for. Longitude
+    differences take the short way round, so a segment across the
+    antimeridian is the short one. A zero-length segment projects to a.
+    """
+    # a longitude difference outside [-180, 180] moves by 360 into it; one
+    # already in range keeps its exact double
+    ax = a_lon - lon
+    if not -180.0 <= ax <= 180.0:
+        ax -= math.copysign(360.0, ax)
+    bx = b_lon - lon
+    if not -180.0 <= bx <= 180.0:
+        bx -= math.copysign(360.0, bx)
+    dlon = b_lon - a_lon
+    if not -180.0 <= dlon <= 180.0:
+        dlon -= math.copysign(360.0, dlon)
+    ax = ax * cos_lat * METERS_PER_DEG
+    ay = (a_lat - lat) * METERS_PER_DEG
+    dx = bx * cos_lat * METERS_PER_DEG - ax
+    dy = (b_lat - lat) * METERS_PER_DEG - ay
+    seg_len2 = dx * dx + dy * dy
+    t = 0.0 if seg_len2 == 0.0 else max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_len2))
+    c_lat = a_lat + t * (b_lat - a_lat)
+    c_lon = a_lon + t * dlon
+    if not -180.0 <= c_lon <= 180.0:
+        c_lon -= math.copysign(360.0, c_lon)
+    c_rad = math.radians(c_lat)
+    s = (math.sin((c_rad - rad_lat) / 2.0) ** 2
+         + cos_lat * math.cos(c_rad) * math.sin(math.radians(c_lon - lon) / 2.0) ** 2)
+    return c_lat, c_lon, _DIAMETER_M * math.asin(min(1.0, math.sqrt(s)))

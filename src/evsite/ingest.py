@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from pathlib import Path
 
 from .geo import (
@@ -17,6 +19,7 @@ from .geo import (
     bbox_of_rings,
     haversine_distance,
     point_in_polygon,
+    segment_lengths,
 )
 
 STATION_KINDS = ("existing_fast", "existing_destination", "approved")
@@ -82,6 +85,12 @@ class RouteRecord:
         for a in self.altitudes:
             if not math.isfinite(a) or not -100.0 <= a <= 3000.0:
                 raise IngestError(f"route {self.route_id}: altitude {a} out of range")
+
+    @cached_property
+    def segment_m(self) -> array:
+        """Length of each segment, polyline[i] to polyline[i + 1], in meters:
+        haversine_distance's doubles, computed on first use."""
+        return segment_lengths(self.polyline)
 
 
 @dataclass(frozen=True)
@@ -172,10 +181,22 @@ def _read_trip_csv(path: Path):
     rows, bad = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as e:
+            raise IngestError(f"{path}: header: {e}") from e
         if header != TRIPS_CSV_HEADER:
             raise IngestError(f"{path}: expected header {TRIPS_CSV_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno in count(2):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as e:
+                # a field past the csv module's size limit, say: the reader
+                # goes on at the next line
+                bad.append(f"{path}:{lineno}: {e}")
+                continue
             if not row:
                 continue
             try:
@@ -197,7 +218,7 @@ def _read_trip_geojson(path: Path):
         if len(line) != len(timestamps):
             raise ValueError("timestamps length != coordinate count")
         # a malformed feature is dropped whole, none of its fixes kept
-        return [(trip_id, _integer(ts, "timestamp"), pt)
+        return [(trip_id, _json_integer(ts, "timestamp"), pt)
                 for ts, pt in zip(timestamps, line)]
 
     bad = []
@@ -324,8 +345,20 @@ def _prop(feat: dict, key: str):
 
 def _positions(coords) -> tuple[GeoPoint, ...]:
     """A list of GeoJSON positions as GeoPoints. A position is [lon, lat, ...]:
-    members past the second, such as an altitude, are ignored (RFC 7946 3.1.1)."""
-    return tuple([GeoPoint(float(c[1]), float(c[0])) for c in coords])
+    members past the second, such as an altitude, are ignored (RFC 7946 3.1.1).
+    Each member must be a JSON number; a float is taken without a call."""
+    return tuple([GeoPoint(lat if type(lat := c[1]) is float else _json_float(lat, "latitude"),
+                           lon if type(lon := c[0]) is float else _json_float(lon, "longitude"))
+                  for c in coords])
+
+
+def _json_float(value, key: str) -> float:
+    """A JSON number that json did not read as a float, which is an int, as a
+    float; an int too large for one raises OverflowError. Anything else, a
+    string or a boolean among them, is a ValueError naming key."""
+    if type(value) is int:
+        return float(value)
+    raise ValueError(f"{key} must be a JSON number, got {value!r}")
 
 
 def _point(feat: dict) -> GeoPoint:
@@ -363,9 +396,15 @@ def load_stations(path) -> list[StationRecord]:
 
 
 def load_routes(path) -> list[RouteRecord]:
-    return _read_features(path, lambda feat: RouteRecord(
-        str(_prop(feat, "route_id")), _positions(_geometry(feat, "LineString")),
-        tuple(map(float, _prop(feat, "altitudes")))))
+    def route(feat: dict) -> RouteRecord:
+        altitudes = _prop(feat, "altitudes")
+        if type(altitudes) is not list:
+            raise ValueError("altitudes must be an array")
+        return RouteRecord(
+            str(_prop(feat, "route_id")), _positions(_geometry(feat, "LineString")),
+            tuple([a if type(a) is float else _json_float(a, "altitude")
+                   for a in altitudes]))
+    return _read_features(path, route)
 
 
 def load_fire_grid(path) -> FireRiskGrid:
@@ -380,8 +419,8 @@ def load_fire_grid(path) -> FireRiskGrid:
         min_lon, min_lat, max_lon, max_lat = (
             _number(v, f"bbox[{k}]") for k, v in enumerate(bbox))
         return FireRiskGrid(BoundingBox(min_lat, min_lon, max_lat, max_lon),
-                            _integer(doc["n_rows"], "n_rows"),
-                            _integer(doc["n_cols"], "n_cols"),
+                            _json_integer(doc["n_rows"], "n_rows"),
+                            _json_integer(doc["n_cols"], "n_cols"),
                             tuple(None if c is None else _number(c, f"cells[{k}]")
                                   for k, c in enumerate(cells)))
     except _FEATURE_ERRORS as e:
@@ -389,10 +428,11 @@ def load_fire_grid(path) -> FireRiskGrid:
 
 
 def _number(value, key: str) -> float:
-    """value as a finite float, else ValueError naming key (json reads NaN and
-    Infinity, and an integer too long for a float has no float value)."""
+    """value as a finite float when it is a JSON number, else ValueError naming
+    key (a string or a boolean is not a number, json reads NaN and Infinity,
+    and an integer too long for a float has no float value)."""
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
+        x = math.nan if isinstance(value, (bool, str)) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not math.isfinite(x):
@@ -413,6 +453,13 @@ def _integer(value, key: str) -> int:
     if not -2 ** 63 <= n < 2 ** 63:
         raise ValueError(f"{key} must fit in a signed 64-bit integer, got {value!r}")
     return n
+
+
+def _json_integer(value, key: str) -> int:
+    """_integer for a JSON value, where a string is not a number."""
+    if isinstance(value, str):
+        raise ValueError(f"{key} must be a finite integer, got {value!r}")
+    return _integer(value, key)
 
 
 # writers (synth and round-trip tests share these)

@@ -223,6 +223,28 @@ class TestValidate:
         assert result.exit_code == 1, result.output
         assert f"{layer}: feature 1: int too large to convert to float" in result.output
 
+    @pytest.mark.parametrize("value", ["151.2", True], ids=["string", "boolean"])
+    @pytest.mark.parametrize("layer,path,key", [
+        ("stations.geojson", ("geometry", "coordinates", 0), "longitude"),
+        ("lgas.geojson", ("geometry", "coordinates", 0, 0, 1, 1), "latitude"),
+        ("routes.geojson", ("geometry", "coordinates", 1, 1), "latitude"),
+        ("routes.geojson", ("properties", "altitudes", 1), "altitude"),
+    ], ids=["station-coordinate", "lga-ring", "route-coordinate", "route-altitude"])
+    def test_json_number_as_string_or_boolean_exits_1(self, runner, scenario, layer, path,
+                                                      key, value):
+        _, _, dirs = scenario
+        f = dirs["scenario"] / layer
+        doc = json.loads(f.read_text())
+        *head, last = path
+        target = doc["features"][1]
+        for k in head:
+            target = target[k]
+        target[last] = value
+        f.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert f"{layer}: feature 1: {key} must be a JSON number, got {value!r}" in result.output
+
     @pytest.mark.parametrize("trips_format", ["csv", "geojson"])
     def test_timestamp_past_64_bits_is_a_malformed_row(self, runner, scenario, trips_format):
         _, _, dirs = scenario

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from evsite.constraints import (
@@ -317,6 +319,57 @@ class TestRouteLocator:
             assert route_id != "t-b"
             tied += route_id == "t-a"
         assert tied >= 5
+
+    @staticmethod
+    def _offset(origin, east_m, north_m):
+        """The point east_m and north_m from origin, longitude wrapped."""
+        lat = origin[0] + north_m / METERS_PER_DEG
+        lon = origin[1] + east_m / (METERS_PER_DEG * math.cos(math.radians(origin[0])))
+        return (lat, (lon + 180.0) % 360.0 - 180.0)
+
+    # a step along a route: none (a zero-length segment), a short one or one
+    # of about 4 km, like synth's spurs
+    _steps = st.one_of(
+        st.just((0.0, 0.0)),
+        st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)),
+        st.tuples(st.floats(-4000.0, 4000.0), st.sampled_from([-4000.0, 4000.0])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(origin=st.sampled_from([(-33.5, 150.0), (0.0, 179.995), (60.0, -179.999)]),
+           starts=st.lists(st.tuples(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0)),
+                           min_size=1, max_size=4),
+           steps=st.lists(st.lists(_steps, min_size=1, max_size=4), min_size=4, max_size=4),
+           twin=st.booleans(),
+           queries=st.lists(st.tuples(st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0)),
+                            min_size=1, max_size=25),
+           on_route=st.lists(st.integers(0, 100), max_size=5))
+    def test_locate_all_equals_full_scan_on_random_layers(self, origin, starts, steps, twin,
+                                                          queries, on_route):
+        # routes of short, long and zero-length segments, maybe a twin of the
+        # first under a smaller id, anywhere up to across the antimeridian;
+        # queries scattered, clustered in one grouping cell, and on vertices
+        routes = []
+        for k, (start, route_steps) in enumerate(zip(starts, steps)):
+            east, north = start
+            offsets = [(east, north)]
+            for de, dn in route_steps:
+                east, north = east + de, north + dn
+                offsets.append((east, north))
+            routes.append(make_route(f"r{k}", [(*self._offset(origin, e, n), 10.0 * k + j)
+                                               for j, (e, n) in enumerate(offsets)]))
+        if twin:
+            routes.append(make_route("r", [(v.lat, v.lon, a) for v, a in
+                                           zip(routes[0].polyline, routes[0].altitudes)]))
+        vertices = [v for r in routes for v in r.polyline]
+        points = [GeoPoint(*self._offset(origin, e, n)) for e, n in queries]
+        points += [GeoPoint(*self._offset((p.lat, p.lon), 30.0, -20.0)) for p in points[:3]]
+        points += [vertices[k % len(vertices)] for k in on_route]
+        coords = [(v.lat, v.lon) for r in sorted(routes, key=lambda r: r.route_id)
+                  for v in r.polyline]
+        alts = [a for r in sorted(routes, key=lambda r: r.route_id) for a in r.altitudes]
+        for p, (pt, d, route_id, altitude) in zip(points, RouteLocator(routes).locate_all(points)):
+            assert (pt, d, route_id) == self._full_scan(p, routes)
+            assert altitude == alts[oracles.linear_nearest(coords, p.lat, p.lon)[0]]
 
     # -- answers for a whole batch of points at once --------------------------
 

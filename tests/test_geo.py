@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+from evsite.ingest import RouteRecord
 from evsite.geo import (
     EARTH_RADIUS_M,
     METERS_PER_DEG,
@@ -14,6 +15,7 @@ from evsite.geo import (
     SpatialIndex,
     haversine_distance,
     point_in_polygon,
+    project_segment,
     project_to_polyline,
 )
 
@@ -360,3 +362,78 @@ class TestProjectToPolyline:
         assert abs(got_d - want_d) < 1.0
         assert haversine_distance(pt, GeoPoint(want_lat, turn(want_lon))) < 1.0
         assert -180.0 <= pt.lon <= 180.0
+
+
+def _plane_projection(p, a, b):
+    """The closest point of segment a-b to p and its distance, computed the
+    readable way: both ends in a local equirectangular plane centred on p,
+    the clamped parameter, a GeoPoint and haversine_distance."""
+    cos_lat = math.cos(math.radians(p.lat))
+
+    def wrap(x):
+        return x - 360.0 if x > 180.0 else x + 360.0 if x < -180.0 else x
+
+    ax, ay = wrap(a.lon - p.lon) * cos_lat * METERS_PER_DEG, (a.lat - p.lat) * METERS_PER_DEG
+    bx, by = wrap(b.lon - p.lon) * cos_lat * METERS_PER_DEG, (b.lat - p.lat) * METERS_PER_DEG
+    dx, dy = bx - ax, by - ay
+    seg_len2 = dx * dx + dy * dy
+    t = 0.0 if seg_len2 == 0.0 else max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_len2))
+    c = GeoPoint(a.lat + t * (b.lat - a.lat), wrap(a.lon + t * wrap(b.lon - a.lon)))
+    return c, haversine_distance(p, c)
+
+
+def _random_segments(rng, n):
+    """(p, a, b) triples: short and 4 km segments, zero-length ones, points
+    on a segment's end, and segments across the antimeridian."""
+    out = []
+    for k in range(n):
+        lat0 = rng.uniform(-60.0, 60.0)
+        lon0 = rng.choice([rng.uniform(-179.0, 179.0), 179.99, -179.99])
+        span = rng.choice([0.0005, 0.04])
+
+        def near(lat, lon, r):
+            return GeoPoint(lat + rng.uniform(-r, r),
+                            (lon + rng.uniform(-r, r) + 180.0) % 360.0 - 180.0)
+        a = near(lat0, lon0, span)
+        b = a if k % 5 == 0 else near(lat0, lon0, span)
+        p = a if k % 7 == 0 else near(lat0, lon0, 2 * span)
+        out.append((p, a, b))
+    return out
+
+
+class TestProjectSegment:
+    def test_equals_the_plane_projection_bit_for_bit(self):
+        for p, a, b in _random_segments(random.Random(31), 600):
+            lat, lon, d = project_segment(p.lat, p.lon, math.radians(p.lat),
+                                          math.cos(math.radians(p.lat)),
+                                          a.lat, a.lon, b.lat, b.lon)
+            c, want_d = _plane_projection(p, a, b)
+            assert (lat, lon, d) == (c.lat, c.lon, want_d)
+
+    def test_distance_equals_project_to_polyline(self):
+        # project_to_polyline keeps the start vertex unless the projection is
+        # strictly closer; a zero-length segment (seg_len2 == 0) projects to it
+        degenerate = 0
+        for p, a, b in _random_segments(random.Random(32), 600):
+            lat, lon, d = project_segment(p.lat, p.lon, math.radians(p.lat),
+                                          math.cos(math.radians(p.lat)),
+                                          a.lat, a.lon, b.lat, b.lon)
+            pt, want_d = project_to_polyline(p, (a, b))
+            h = haversine_distance(p, a)
+            assert want_d == min(d, h)
+            assert pt == (GeoPoint(lat, lon) if d < h else a)
+            if a == b:
+                degenerate += 1
+                assert (lat, lon, d) == (a.lat, a.lon, h)
+        assert degenerate >= 100
+
+
+class TestSegmentLengths:
+    def test_route_segment_m_equals_haversine_bit_for_bit(self):
+        rng = random.Random(33)
+        for p, a, b in _random_segments(rng, 200):
+            line = (p, a, b, b, GeoPoint(rng.uniform(-89.0, 89.0), rng.uniform(-180.0, 180.0)))
+            route = RouteRecord("r", line, (0.0,) * len(line))
+            assert list(route.segment_m) == [haversine_distance(u, v)
+                                             for u, v in zip(line, line[1:])]
+            assert route.segment_m is route.segment_m  # computed once

@@ -113,7 +113,7 @@ class TestLoadTrips:
         assert bad == []
         assert trips[0].points[1] == (200, GeoPoint(-33.6, 150.6))
 
-    @pytest.mark.parametrize("stamp", ["1e400", "-1e400", "NaN", "250.5", "true"])
+    @pytest.mark.parametrize("stamp", ["1e400", "-1e400", "NaN", "250.5", "true", '"300"'])
     def test_geojson_non_integral_timestamp_is_a_malformed_feature(self, tmp_path, stamp):
         f = tmp_path / "t.geojson"
         line = {"type": "LineString", "coordinates": [[150.5, -33.5], [150.6, -33.6],
@@ -312,6 +312,43 @@ class TestLayerLoaders:
         with pytest.raises(IngestError, match="feature 0"):
             load_routes(f)
 
+    @pytest.mark.parametrize("coordinates,altitudes,message", [
+        ([["12", "34"], [12.5, 34.0]], [56.0, 57.0], "latitude must be a JSON number"),
+        ([[12.0, 34.0], [12.5, 34.0]], "56", "altitudes must be an array"),
+        ([[12.0, 34.0], [12.5, 34.0]], [56, False], "altitude must be a JSON number"),
+    ], ids=["string-coordinates", "string-altitudes", "boolean-altitude"])
+    def test_route_numbers_must_be_json_numbers(self, tmp_path, coordinates, altitudes,
+                                                message):
+        f = tmp_path / "r.geojson"
+        f.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": {"type": "LineString", "coordinates": coordinates},
+             "properties": {"route_id": "r1", "altitudes": altitudes}}]}))
+        with pytest.raises(IngestError, match=f"feature 0: {message}"):
+            load_routes(f)
+
+    def test_integer_json_numbers_load_as_floats(self, tmp_path):
+        f = tmp_path / "r.geojson"
+        f.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature",
+             "geometry": {"type": "LineString", "coordinates": [[150, -33], [150.5, -33.5]]},
+             "properties": {"route_id": "r1", "altitudes": [56, 57.0]}}]}))
+        route, = load_routes(f)
+        assert route.polyline == (GeoPoint(-33.0, 150.0), GeoPoint(-33.5, 150.5))
+        assert route.altitudes == (56.0, 57.0)
+        assert {type(x) for v in route.polyline for x in (v.lat, v.lon)} == {float}
+        assert {type(a) for a in route.altitudes} == {float}
+
+    @pytest.mark.parametrize("key,value", [("n_rows", "2"), ("n_cols", "1"),
+                                           ("bbox", [150, "-34", 151, -33]),
+                                           ("cells", [1.0, "4"])])
+    def test_fire_grid_numbers_must_be_json_numbers(self, tmp_path, key, value):
+        doc = {"bbox": [150, -34, 151, -33], "n_rows": 2, "n_cols": 1, "cells": [1.0, 4.0]}
+        doc[key] = value
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match=rf"{key}(\[1\])? must be a finite"):
+            load_fire_grid(f)
+
     def test_trips_csv_roundtrip(self, tmp_path):
         trips = [TripRecord("a", ((100, GeoPoint(-33.5, 150.5)),
                                   (200, GeoPoint(-33.6, 150.6))))]
@@ -465,6 +502,45 @@ class TestLoaderFuzz:
             load_fire_grid(f)
         except IngestError as e:
             assert str(e).startswith(f"{f}: ") and path[0] in str(e), str(e)
+
+
+# every way the trips CSV fuzz breaks a numeric field of a row; the last is
+# longer than the csv module reads in one field
+CSV_BAD_FIELDS = ["", "x", "nan", "inf", "-inf", "1e400", "9" * 400, "-" + "9" * 400,
+                  "9" * 200_000]
+
+
+class TestTripsCsvFuzz:
+    """One numeric field of one row replaced, or a column dropped or added: the
+    row is dropped and counted among the malformed rows (trip_load_errors)
+    under its line number, the other rows load as before, and no other
+    exception escapes. trip_id is free text, so any value there is an id."""
+
+    ROWS = [[f"t{k}", str(100 * (j + 1)), repr(-33.5 + k / 10), repr(150.5 + j / 100)]
+            for k in range(3) for j in range(4)]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_broken_row_is_dropped_and_counted(self, tmp_path, data):
+        line = data.draw(st.integers(0, len(self.ROWS) - 1))
+        edit = data.draw(st.one_of(
+            st.tuples(st.sampled_from(["drop", "add"]), st.integers(0, 4)),
+            st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from(CSV_BAD_FIELDS))))
+        rows = [list(r) for r in self.ROWS]
+        row = rows[line]
+        if edit[0] == "drop":
+            del row[edit[1] % len(row)]
+        elif edit[0] == "add":
+            row.insert(edit[1], "150.5")
+        else:
+            row[edit[0]] = edit[1]
+        f = tmp_path / "t.csv"
+        write_csv(f, [",".join(r) for r in rows])
+        trips, bad = load_trips(f)
+        assert len(bad) == 1 and bad[0].startswith(f"{f}:{line + 2}: "), bad
+        write_csv(f, [",".join(r) for r in self.ROWS[:line] + self.ROWS[line + 1:]])
+        assert trips == load_trips(f)[0]
 
 
 class TestAssignLga:
