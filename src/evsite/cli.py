@@ -105,7 +105,7 @@ def evaluate(config_path, out_dir):
 def synth_cmd(spec_path, out_dir):
     """Generate a seeded synthetic scenario bundle (all layers + manifest)."""
     def run():
-        with open(spec_path) as f:
+        with open(spec_path, encoding="utf-8") as f:
             doc = json.load(f)
         spec = synth.ScenarioSpec.from_dict(doc)
         manifest = synth.generate(spec, out_dir)

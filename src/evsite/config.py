@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .constraints import ConstraintConfig
@@ -28,20 +28,23 @@ DEFAULTS = {
 
 @dataclass
 class RunConfig:
+    """A loaded config: load_config sets every field, from DEFAULTS where the
+    document is silent."""
+
     layers: dict[str, Path]
-    trips_format: str = "csv"
-    constraints: ConstraintConfig = field(default_factory=ConstraintConfig)
-    max_speed_mps: float = 60.0
-    dwell_radius_m: float = 100.0
-    dwell_min_s: float = 600.0
-    poi_snap_m: float = 300.0
-    route_snap_m: float = 1000.0
-    dedup_enabled: bool = True
-    min_sep_m: float = 500.0
-    corridor_span_m: float = 10000.0
-    align_m: float = 1000.0
-    coverage_radius_m: float = 3000.0
-    raw: dict = field(default_factory=dict)
+    trips_format: str
+    constraints: ConstraintConfig
+    max_speed_mps: float
+    dwell_radius_m: float
+    dwell_min_s: float
+    poi_snap_m: float
+    route_snap_m: float
+    dedup_enabled: bool
+    min_sep_m: float
+    corridor_span_m: float
+    align_m: float
+    coverage_radius_m: float
+    raw: dict
 
 
 # the JSON kind of a config value, by its Python type
@@ -78,10 +81,12 @@ def _finite(x: int | float) -> bool:
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):

@@ -185,6 +185,7 @@ class PoiIndex:
 
     def __init__(self, pois: list[PoiRecord]):
         self.pois = sorted(pois, key=lambda p: p.poi_id)
+        self.categories = {p.poi_id: p.category for p in self.pois}
         self._index = None
         if pois:
             lats = [p.location.lat for p in pois]
@@ -231,12 +232,12 @@ def _cell_groups(points: list[GeoPoint]):
         yield c, reach + _REACH_MARGIN_M, members
 
 
-def annotate_context(points: list[DemandPoint], pois: list[PoiRecord],
+def annotate_context(points: list[DemandPoint], pois: PoiIndex,
                      routes: list[RouteRecord],
                      grid: FireRiskGrid | None) -> list[PointContext]:
     """Context for every demand point, parallel to the input list."""
     locations = [dp.location for dp in points]
-    nearest_pois = PoiIndex(pois).nearest_all(locations)
+    nearest_pois = pois.nearest_all(locations)
     located = RouteLocator(routes).locate_all(locations)
     out = []
     for p, (_, dist_poi), (_, dist_route, _, altitude) in zip(locations, nearest_pois, located):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex
+from .geo import METERS_PER_DEG, SpatialIndex
 # tracing patches these here by name
 from .geo import haversine_distance, point_in_polygon  # noqa: F401
 from .ingest import DemandPoint, LgaRecord, StationRecord, locate_lga
@@ -81,29 +81,22 @@ def alignment_rate(recs: list[Recommendation], station_index: SpatialIndex,
     return aligned / len(recs), len(recs)
 
 
-def site_index(sites: list[GeoPoint], radius_m: float) -> SpatialIndex:
-    """Index whose cells are about as wide as the radius it is queried with."""
-    if radius_m <= 0:
-        raise EvaluateError("radius must be > 0")
-    return SpatialIndex(list(sites), radius_m / METERS_PER_DEG)
-
-
-def coverage(points: list[DemandPoint], sites: list[GeoPoint],
-             radius_m: float) -> float:
-    """Fraction of demand points within radius_m of any site."""
+def coverage(points: list[DemandPoint], sites: SpatialIndex, radius_m: float,
+             uncovered: list[DemandPoint] | None = None) -> float:
+    """Fraction of demand points within radius_m of any indexed site; the
+    points outside that radius are appended to uncovered, when given."""
     if radius_m <= 0:
         raise EvaluateError("radius_m must be > 0")
     if not points:
         raise EvaluateError("no demand points")
-    if not sites:
-        return 0.0
-    index = site_index(sites, radius_m)
-    covered = sum(1 for dp in points if index.any_within(dp.location, radius_m))
-    return covered / len(points)
+    missed = [dp for dp in points if not sites.any_within(dp.location, radius_m)]
+    if uncovered is not None:
+        uncovered += missed
+    return (len(points) - len(missed)) / len(points)
 
 
 def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],
-                 stations: list[StationRecord],
+                 stations: list[StationRecord], station_index: SpatialIndex,
                  recs_pre_dedup: list[Recommendation],
                  recs_final: list[Recommendation],
                  align_m: float, coverage_radius_m: float) -> EvaluationReport:
@@ -119,16 +112,16 @@ def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],
         row(r.lga_name if r.lga_name in counts else locate_lga(r.location, lgas))[
             f"recommended_{r.charger_kind}"] += 1
 
-    station_index = site_index([s.location for s in stations], align_m)
     rate, n_recs = alignment_rate(recs_pre_dedup, station_index, align_m)
     new_area = sum(1 for r in recs_final
                    if not station_index.any_within(r.location, align_m))
 
-    station_sites = [s.location for s in stations]
-    cov_before = coverage(demand_points, station_sites, coverage_radius_m)
-    cov_after = coverage(demand_points,
-                         station_sites + [r.location for r in recs_final],
-                         coverage_radius_m)
+    # only the points the stations leave uncovered can gain a recommendation
+    uncovered: list[DemandPoint] = []
+    cov_before = coverage(demand_points, station_index, coverage_radius_m, uncovered)
+    rec_index = SpatialIndex([r.location for r in recs_final], coverage_radius_m / METERS_PER_DEG)
+    gained = sum(1 for dp in uncovered if rec_index.any_within(dp.location, coverage_radius_m))
+    cov_after = (len(demand_points) - len(uncovered) + gained) / len(demand_points)
 
     dists = sorted(station_index.nearest(r.location)[1]
                    for r in recs_final) if stations else []

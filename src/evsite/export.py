@@ -49,8 +49,11 @@ class ExportError(ValueError):
 def _load_features(path: Path) -> list[dict]:
     if not path.exists():
         raise ExportError(f"missing input: {path}")
-    with open(path) as f:
-        doc = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except UnicodeDecodeError as e:
+        raise ExportError(f"{path}: not UTF-8 text: {e}") from e
     if doc.get("type") != "FeatureCollection":
         raise ExportError(f"{path}: not a FeatureCollection")
     return doc["features"]

@@ -150,7 +150,10 @@ def load_trips(path, format: str = "csv") -> tuple[list[TripRecord], list[str]]:
     """
     path = Path(path)
     if format == "csv":
-        rows, bad = _read_trip_csv(path)
+        try:
+            rows, bad = _read_trip_csv(path)
+        except UnicodeDecodeError as e:
+            raise IngestError(f"{path}: not UTF-8 text: {e}") from e
     elif format == "geojson":
         rows, bad = _read_trip_geojson(path)
     else:
@@ -179,7 +182,7 @@ def load_trips(path, format: str = "csv") -> tuple[list[TripRecord], list[str]]:
 
 def _read_trip_csv(path: Path):
     rows, bad = [], []
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader, None)
@@ -306,8 +309,7 @@ def _read_features(path, make, bad: list[str] | None = None) -> list:
     A feature that make cannot read raises IngestError naming path and
     feature, or, given a list bad, is dropped with that message appended to it.
     """
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _load_json(path)
     if (not isinstance(doc, dict) or doc.get("type") != "FeatureCollection"
             or not isinstance(doc.get("features"), list)):
         raise IngestError(f"{path}: not a GeoJSON FeatureCollection")
@@ -322,6 +324,18 @@ def _read_features(path, make, bad: list[str] | None = None) -> list:
                 raise IngestError(f"{path}: feature {idx}: {e}") from e
             bad.append(f"{path}: feature {idx}: {e}")
     return records
+
+
+def _load_json(path):
+    """The JSON document at path, read as UTF-8 (RFC 8259 8.1); bytes that are
+    not UTF-8 and malformed JSON raise IngestError naming path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except UnicodeDecodeError as e:
+        raise IngestError(f"{path}: not UTF-8 text: {e}") from e
+    except json.JSONDecodeError as e:
+        raise IngestError(f"{path}: not valid JSON: {e}") from e
 
 
 def _geometry(feat: dict, *types: str):
@@ -366,9 +380,21 @@ def _point(feat: dict) -> GeoPoint:
 
 
 def _polygon(rings) -> Polygon:
+    """A polygon none of whose ring edges spans more than 180 degrees of
+    longitude: an edge is a straight line in lon/lat (RFC 7946 3.1.1), so an
+    edge from lon 179.5 to -179.5 runs the long way round, and a ring that
+    crosses the antimeridian must be split there (RFC 7946 3.1.9)."""
     if not isinstance(rings, list) or not rings:
         raise ValueError("polygon needs a list of rings")
-    return Polygon(_positions(rings[0]), tuple(map(_positions, rings[1:])))
+    polygon = Polygon(_positions(rings[0]), tuple(map(_positions, rings[1:])))
+    for ring in polygon.rings():
+        for a, b in zip(ring, ring[1:]):
+            if abs(b.lon - a.lon) > 180.0:
+                raise ValueError(
+                    f"ring edge from lon {a.lon} to lon {b.lon} spans more than "
+                    "180 degrees; split a ring that crosses the antimeridian "
+                    "there (RFC 7946 3.1.9)")
+    return polygon
 
 
 def load_lgas(path) -> list[LgaRecord]:
@@ -408,8 +434,7 @@ def load_routes(path) -> list[RouteRecord]:
 
 
 def load_fire_grid(path) -> FireRiskGrid:
-    with open(path) as f:
-        doc = json.load(f)
+    doc = _load_json(path)
     try:
         bbox, cells = doc["bbox"], doc["cells"]
         if not isinstance(bbox, list) or len(bbox) != 4:

@@ -9,6 +9,7 @@ from pathlib import Path
 from . import cluster, constraints, evaluate, ingest, recommend
 from .config import RunConfig
 from .constraints import RouteLocator
+from .geo import METERS_PER_DEG, SpatialIndex
 from .ingest import write_json
 
 KIND_COLORS = {
@@ -45,6 +46,7 @@ class PipelineResult:
     cluster_results: list[cluster.LgaClusterResult]
     recs_pre_dedup: list[recommend.Recommendation]
     recs_final: list[recommend.Recommendation]
+    station_index: SpatialIndex
 
 
 def load_layers(cfg: RunConfig) -> Layers:
@@ -71,8 +73,14 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     demand = ingest.extract_demand_points(trips, cfg.dwell_radius_m, cfg.dwell_min_s)
     bucket_ids, unassigned = ingest.assign_lga(demand, layers.lgas)
 
+    poi_index = constraints.PoiIndex(layers.pois)
+    # exact for any cell size: cells as wide as the widest radius it is asked
+    # about, and no narrower than a metre so that min_sep_m = 0 works too
+    station_index = SpatialIndex([s.location for s in layers.stations], max(
+        cfg.min_sep_m, cfg.align_m, cfg.coverage_radius_m, 1.0) / METERS_PER_DEG)
+
     contexts_all = constraints.annotate_context(
-        demand, layers.pois, layers.routes, layers.fire_grid)
+        demand, poi_index, layers.routes, layers.fire_grid)
     by_id = {dp.point_id: i for i, dp in enumerate(demand)}
     buckets = {name: [demand[by_id[i]] for i in ids]
                for name, ids in bucket_ids.items()}
@@ -81,15 +89,15 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     results = cluster.cluster_all(buckets, bucket_ctx, c)
     recs_pre = recommend.propose_all(
-        results, buckets, layers.pois, layers.routes, layers.fire_grid, c,
+        results, buckets, poi_index, layers.routes, layers.fire_grid, c,
         cfg.poi_snap_m, cfg.route_snap_m, cfg.corridor_span_m)
     if cfg.dedup_enabled:
-        recs_final = recommend.dedup(recs_pre, layers.stations, cfg.min_sep_m)
+        recs_final = recommend.dedup(recs_pre, station_index, cfg.min_sep_m)
     else:
         recs_final = list(recs_pre)
 
     return PipelineResult(layers, cleaning, demand, buckets, unassigned,
-                          results, recs_pre, recs_final)
+                          results, recs_pre, recs_final, station_index)
 
 
 def _json_value(v):
@@ -181,7 +189,7 @@ def write_outputs(result: PipelineResult, cfg: RunConfig, out_dir) -> dict:
 def write_evaluation(result: PipelineResult, cfg: RunConfig, out_dir) -> evaluate.EvaluationReport:
     report = evaluate.build_report(
         result.demand_points, result.layers.lgas, result.layers.stations,
-        result.recs_pre_dedup, result.recs_final,
+        result.station_index, result.recs_pre_dedup, result.recs_final,
         cfg.align_m, cfg.coverage_radius_m)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

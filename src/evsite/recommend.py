@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 
 from .cluster import NOISE, LgaClusterResult
 from .constraints import ConstraintConfig, PoiIndex, RouteLocator, lookup_ffdi
-from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance
-from .ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord, StationRecord
+from .geo import GeoPoint, SpatialIndex, haversine_distance
+from .ingest import DemandPoint, FireRiskGrid, RouteRecord
 
 UNSNAPPED = "unsnapped"
 
@@ -73,15 +73,12 @@ def snap(location: GeoPoint, pois: PoiIndex, locator: RouteLocator,
     return location, UNSNAPPED, math.inf
 
 
-def dedup(recs: list[Recommendation], stations: list[StationRecord],
+def dedup(recs: list[Recommendation], stations: SpatialIndex,
           min_sep_m: float) -> list[Recommendation]:
-    """Drop recommendations within min_sep_m (inclusive) of any station."""
+    """Drop recommendations within min_sep_m (inclusive) of any indexed station."""
     if min_sep_m < 0:
         raise RecommendError("min_sep_m must be >= 0")
-    # cells no narrower than a metre, so that min_sep_m = 0 works too
-    index = SpatialIndex([s.location for s in stations],
-                         max(min_sep_m, 1.0) / METERS_PER_DEG)
-    kept = [r for r in recs if not index.any_within(r.location, min_sep_m)]
+    kept = [r for r in recs if not stations.any_within(r.location, min_sep_m)]
     return sorted(kept, key=lambda r: r.rec_id)
 
 
@@ -105,13 +102,11 @@ def annotate_risk(rec: Recommendation, flood_alt_m: float,
 
 def propose_all(cluster_results: list[LgaClusterResult],
                 buckets: dict[str, list[DemandPoint]],
-                pois: list[PoiRecord], routes: list[RouteRecord],
+                pois: PoiIndex, routes: list[RouteRecord],
                 grid: FireRiskGrid | None, cfg: ConstraintConfig,
                 poi_snap_m: float, route_snap_m: float,
                 corridor_span_m: float) -> list[Recommendation]:
     """One annotated, classified recommendation per cluster, before dedup."""
-    poi_index = PoiIndex(pois)
-    categories = {p.poi_id: p.category for p in pois}
     locator = RouteLocator(routes)
     recs = []
     for result in cluster_results:
@@ -120,7 +115,7 @@ def propose_all(cluster_results: list[LgaClusterResult],
             members = [points[i].location
                        for i, lab in enumerate(result.assignment.labels) if lab == c]
             center = cluster_location(members)
-            loc, target, dist = snap(center, poi_index, locator, poi_snap_m, route_snap_m)
+            loc, target, dist = snap(center, pois, locator, poi_snap_m, route_snap_m)
             span = max(haversine_distance(center, m) for m in members)
             altitude = locator.altitude_at(loc) if locator else math.nan
             ffdi = lookup_ffdi(loc, grid) if grid is not None else None
@@ -131,7 +126,7 @@ def propose_all(cluster_results: list[LgaClusterResult],
                 altitude_m=altitude, ffdi_delta=ffdi,
                 flood_flag=False, fire_flag=None, cluster_span_m=span)
             rec = annotate_risk(rec, cfg.flood_alt_m, cfg.ffdi_threshold)
-            rec = replace(rec, charger_kind=classify_charger(rec, categories, corridor_span_m))
+            rec = replace(rec, charger_kind=classify_charger(rec, pois.categories, corridor_span_m))
             recs.append(rec)
     return sorted(recs, key=lambda r: r.rec_id)
 

@@ -25,6 +25,7 @@ from evsite.geo import GeoPoint, MultiPolygon, Polygon, haversine_distance, poin
 from evsite.ingest import DemandPoint, assign_lga
 from evsite.pipeline import run_pipeline, write_evaluation, write_outputs
 from evsite.synth import ScenarioSpec, generate
+from test_recommend import index_of
 
 
 PASS_LINES: list[str] = []
@@ -254,7 +255,7 @@ def test_criterion_8_partition_and_coverage(standard_runs):
              for _ in range(10)]
     prev = -1.0
     for k in range(11):
-        cov = coverage(result.demand_points, sites[:k], cfg.coverage_radius_m)
+        cov = coverage(result.demand_points, index_of(sites[:k]), cfg.coverage_radius_m)
         assert cov >= prev
         prev = cov
     report(8, f"{len(all_ids)} demand points partitioned exactly once; "

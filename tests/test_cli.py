@@ -279,6 +279,46 @@ class TestValidate:
         assert f"trips: {want[0]} (malformed rows: 1)" in result.output
         assert f"{want[1]} must fit in a signed 64-bit integer" in result.output
 
+    @pytest.mark.parametrize("name", ["trips.csv", "stations.geojson", "fire_grid.json",
+                                      "config.json"],
+                             ids=["csv", "geojson", "fire-grid", "config"])
+    def test_byte_that_is_not_utf8_exits_1_naming_the_file(self, runner, scenario, name):
+        _, _, dirs = scenario
+        path = dirs["config"] if name == "config.json" else dirs["scenario"] / name
+        data = path.read_bytes()
+        # near the end, so that a reader that decodes as it goes meets it late
+        path.write_bytes(data[:-5] + b"\xff" + data[-5:])
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert name in result.output and "not UTF-8 text" in result.output
+
+    @pytest.mark.parametrize("name", ["stations.geojson", "fire_grid.json"])
+    def test_malformed_json_exits_1_naming_the_file(self, runner, scenario, name):
+        _, _, dirs = scenario
+        (dirs["scenario"] / name).write_text("{not json")
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert f"{name}: not valid JSON" in result.output
+
+    def test_lga_ring_across_the_antimeridian_exits_1(self, runner, scenario):
+        _, _, dirs = scenario
+        path = dirs["scenario"] / "lgas.geojson"
+        doc = json.loads(path.read_text())
+        doc["features"][1]["geometry"] = {"type": "Polygon", "coordinates": [
+            [[179.5, 0.0], [-179.5, 0.0], [-179.5, 1.0], [179.5, 1.0], [179.5, 0.0]]]}
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert "lgas.geojson: feature 1: ring edge from lon 179.5 to lon -179.5" in result.output
+        assert "antimeridian" in result.output
+        # the same ring split at the antimeridian loads as two polygons
+        doc["features"][1]["geometry"] = {"type": "MultiPolygon", "coordinates": [
+            [[[179.5, 0.0], [180.0, 0.0], [180.0, 1.0], [179.5, 1.0], [179.5, 0.0]]],
+            [[[-180.0, 0.0], [-179.5, 0.0], [-179.5, 1.0], [-180.0, 1.0], [-180.0, 0.0]]]]}
+        path.write_text(json.dumps(doc))
+        lga = load_lgas(path)[1]
+        assert len(lga.boundary.polygons) == 2
+
 
 class TestRecommend:
     OUT_FILES = ("recommendations.geojson", "stations.geojson", "run_summary.json")

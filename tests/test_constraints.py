@@ -119,7 +119,7 @@ class TestAnnotateContext:
         pois = [PoiRecord("p1", "fuel", loc)]
         routes = [make_route("r1", [(-33.5, 150.0, 10.0), (-33.5, 151.0, 20.0)])]
         ctx, = annotate_context([DemandPoint(0, loc, "t", "origin")],
-                                pois, routes, None)
+                                PoiIndex(pois), routes, None)
         assert ctx.dist_poi_m == 0.0
         assert ctx.dist_route_m < 1e-6
         assert ctx.ffdi_delta is None
@@ -127,12 +127,12 @@ class TestAnnotateContext:
     def test_empty_poi_layer(self):
         routes = [make_route("r1", [(-33.5, 150.0, 10.0), (-33.5, 151.0, 20.0)])]
         ctx, = annotate_context([DemandPoint(0, GeoPoint(-33.5, 150.5), "t", "origin")],
-                                [], routes, None)
+                                PoiIndex([]), routes, None)
         assert ctx.dist_poi_m == math.inf
 
     def test_no_routes_gives_inf_and_nan(self):
         ctx, = annotate_context([DemandPoint(0, GeoPoint(-33.5, 150.5), "t", "origin")],
-                                [], [], None)
+                                PoiIndex([]), [], None)
         assert ctx.dist_route_m == math.inf
         assert math.isnan(ctx.altitude_m)
 
@@ -150,7 +150,7 @@ class TestAnnotateContext:
         points = [DemandPoint(i, GeoPoint(rng.uniform(-34, -33),
                                           rng.uniform(150, 151)), "t", "origin")
                   for i in range(50)]
-        contexts = annotate_context(points, pois, routes, grid)
+        contexts = annotate_context(points, PoiIndex(pois), routes, grid)
         for dp, ctx in zip(points, contexts):
             lat, lon = dp.location.lat, dp.location.lon
             want_poi = min(oracles.haversine_oracle(lat, lon, p.location.lat,
@@ -179,7 +179,7 @@ class TestAnnotateContext:
                      for _ in range(200)]
         locations += [poi.location for poi in pois[:3]]
         points = [DemandPoint(i, loc, "t", "origin") for i, loc in enumerate(locations)]
-        contexts = annotate_context(points, pois, [], None)
+        contexts = annotate_context(points, PoiIndex(pois), [], None)
         for dp, ctx in zip(points, contexts):
             assert ctx.dist_poi_m == min(haversine_distance(dp.location, poi.location)
                                          for poi in pois)
@@ -414,7 +414,7 @@ class TestRouteLocator:
             assert (d, poi.poi_id) == min((haversine_distance(p, q.location), q.poi_id)
                                           for q in pois)
         points = [DemandPoint(i, p, "t", "origin") for i, p in enumerate(locations)]
-        contexts = annotate_context(points, pois, routes, None)
+        contexts = annotate_context(points, PoiIndex(pois), routes, None)
         assert [(c.dist_route_m, c.altitude_m, c.dist_poi_m) for c in contexts] == [
             (d, altitude, dist_poi)
             for (_, d, _, altitude), (_, dist_poi) in zip(located, nearest)]

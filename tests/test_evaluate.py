@@ -10,14 +10,14 @@ from evsite.evaluate import (
     alignment_rate,
     build_report,
     coverage,
-    site_index,
 )
 from evsite.constraints import ConstraintConfig
 from evsite.geo import BoundingBox, GeoPoint, haversine_distance
 from evsite.ingest import UNASSIGNED_LGA, DemandPoint, FireRiskGrid, StationRecord, assign_lga
 from evsite.pipeline import station_features
+from evsite.recommend import dedup
 from test_ingest import square_lga
-from test_recommend import rec_at
+from test_recommend import index_of, rec_at
 
 
 def station(lat, lon, sid="s0", kind="existing_fast"):
@@ -25,9 +25,8 @@ def station(lat, lon, sid="s0", kind="existing_fast"):
 
 
 def aligned(recs, stations, align_m):
-    """alignment_rate over an index of the stations, as build_report builds it."""
-    return alignment_rate(recs, site_index([s.location for s in stations], align_m),
-                          align_m)
+    """alignment_rate over an index of the stations."""
+    return alignment_rate(recs, index_of(s.location for s in stations), align_m)
 
 
 class TestAlignmentRate:
@@ -69,15 +68,15 @@ class TestCoverage:
 
     def test_station_at_every_point(self):
         pts = self._points([(-33.5, 150.5), (-33.6, 150.6)])
-        assert coverage(pts, [p.location for p in pts], 100.0) == 1.0
+        assert coverage(pts, index_of(p.location for p in pts), 100.0) == 1.0
 
     def test_empty_station_set(self):
         pts = self._points([(-33.5, 150.5)])
-        assert coverage(pts, [], 3000.0) == 0.0
+        assert coverage(pts, index_of([]), 3000.0) == 0.0
 
     def test_no_points_errors(self):
         with pytest.raises(EvaluateError, match="no demand points"):
-            coverage([], [GeoPoint(0, 0)], 3000.0)
+            coverage([], index_of([GeoPoint(0, 0)]), 3000.0)
 
     def test_monotone_under_station_addition(self):
         rng = random.Random(26)
@@ -87,7 +86,7 @@ class TestCoverage:
                  for _ in range(10)]
         prev = 0.0
         for k in range(11):
-            cov = coverage(pts, sites[:k], 5000.0)
+            cov = coverage(pts, index_of(sites[:k]), 5000.0)
             assert cov >= prev
             prev = cov
 
@@ -101,7 +100,7 @@ class TestCoverage:
                    if any(oracles.haversine_oracle(p.location.lat, p.location.lon,
                                                    s.lat, s.lon) <= 8000.0
                           for s in sites)) / len(pts)
-        assert coverage(pts, sites, 8000.0) == want
+        assert coverage(pts, index_of(sites), 8000.0) == want
 
     def test_points_at_exactly_the_radius(self):
         rng = random.Random(28)
@@ -114,8 +113,8 @@ class TestCoverage:
             want = sum(1 for p in pts
                        if any(haversine_distance(p.location, s) <= radius
                               for s in sites)) / len(pts)
-            assert coverage(pts, sites, radius) == want
-            assert coverage(pts[k:k + 1], sites, radius) == 1.0
+            assert coverage(pts, index_of(sites), radius) == want
+            assert coverage(pts[k:k + 1], index_of(sites), radius) == 1.0
 
     def test_across_the_antimeridian(self):
         pts = self._points([(0.0, -179.9995), (0.5, 179.9995), (-0.2, 179.0)])
@@ -125,7 +124,7 @@ class TestCoverage:
                                                    s.lat, s.lon) <= 200.0
                           for s in sites)) / len(pts)
         assert want == 2 / 3
-        assert coverage(pts, sites, 200.0) == want
+        assert coverage(pts, index_of(sites), 200.0) == want
 
 
 class TestBuildReport:
@@ -137,7 +136,8 @@ class TestBuildReport:
 
     def test_empty_recs(self):
         stations = [station(-33.5, 150.5)]
-        report = build_report(self._points(), self.LGAS, stations, [], [],
+        report = build_report(self._points(), self.LGAS, stations,
+                              index_of(s.location for s in stations), [], [],
                               1000.0, 3000.0)
         assert report.alignment_rec_count == 0
         assert report.coverage_after == report.coverage_before
@@ -148,7 +148,7 @@ class TestBuildReport:
     def test_single_rec_counted_in_its_lga(self):
         rec = rec_at(-33.5, 151.5, rec_id="B-0", lga_name="B",
                      charger_kind="fast")
-        report = build_report(self._points(), self.LGAS, [], [rec], [rec],
+        report = build_report(self._points(), self.LGAS, [], index_of([]), [rec], [rec],
                               1000.0, 3000.0)
         assert report.per_lga_counts["B"]["recommended_fast"] == 1
         assert report.new_area_count == 1
@@ -158,7 +158,8 @@ class TestBuildReport:
         lgas = [square_lga("B", -34.0, 151.0), square_lga("A", -34.0, 150.0)]
         edge = GeoPoint(-33.5, 151.0)
         s = station(edge.lat, edge.lon, kind="approved")
-        report = build_report(self._points(), lgas, [s], [], [], 1000.0, 3000.0)
+        report = build_report(self._points(), lgas, [s], index_of([s.location]), [], [],
+                              1000.0, 3000.0)
         assert report.per_lga_counts["A"]["approved"] == 1
         assert report.per_lga_counts["B"]["approved"] == 0
         grid = FireRiskGrid(BoundingBox(0.0, 0.0, 1.0, 1.0), 1, 1, (None,))
@@ -183,7 +184,8 @@ class TestBuildReport:
                        charger_kind=("fast", "destination")[i % 2])
                 for i in range(9)]
         pts = self._points()
-        report = build_report(pts, self.LGAS, stations, recs, recs,
+        report = build_report(pts, self.LGAS, stations,
+                              index_of(s.location for s in stations), recs, recs,
                               1000.0, 3000.0)
         counts = report.per_lga_counts
         assert set(counts) <= {"A", "B", UNASSIGNED_LGA}
@@ -207,7 +209,7 @@ class TestBuildReport:
 
     def test_table_mirrors_json(self):
         rec = rec_at(-33.5, 150.5, rec_id="A-0", lga_name="A")
-        report = build_report(self._points(), self.LGAS, [], [rec], [rec],
+        report = build_report(self._points(), self.LGAS, [], index_of([]), [rec], [rec],
                               1000.0, 3000.0)
         table = report.as_table()
         doc = report.as_dict()
@@ -215,3 +217,44 @@ class TestBuildReport:
         assert f"coverage_before: {doc['coverage_before']}" in table
         for name in doc["per_lga_counts"]:
             assert name in table
+
+
+class TestStationIndexCellSize:
+    """One station index serves dedup, alignment, coverage and the report,
+    whatever the width of its cells."""
+
+    def test_same_answers_for_every_cell_size(self):
+        rng = random.Random(30)
+        stations = [station(rng.uniform(-34, -33), rng.uniform(150, 152), sid=f"s{i}")
+                    for i in range(40)]
+        # half the recommendations within 800 m of a station
+        recs = []
+        for i in range(60):
+            if i % 2:
+                s = stations[i % 40].location
+                lat, lon = s.lat + rng.uniform(-0.005, 0.005), s.lon + rng.uniform(-0.005, 0.005)
+            else:
+                lat, lon = rng.uniform(-34, -33), rng.uniform(150, 152)
+            recs.append(rec_at(lat, lon, rec_id=f"A-{i:02d}"))
+        pts = [DemandPoint(i, GeoPoint(rng.uniform(-34, -33), rng.uniform(150, 152)),
+                           "t", "origin") for i in range(300)]
+        answers = []
+        for cell_m in (1.0, 500.0, 3000.0, 50000.0):
+            index = index_of((s.location for s in stations), cell_m)
+            kept = dedup(recs, index, 500.0)
+            uncovered = []
+            answers.append((
+                kept, alignment_rate(recs, index, 1000.0),
+                coverage(pts, index, 3000.0, uncovered), uncovered,
+                build_report(pts, TestBuildReport.LGAS, stations, index, recs, kept,
+                             1000.0, 3000.0).as_dict()))
+        assert all(a == answers[0] for a in answers[1:])
+        kept, (rate, _), cov, uncovered, report = answers[0]
+        assert 0 < len(kept) < len(recs)
+        assert 0.0 < rate < 1.0
+        assert 0.0 < cov < 1.0
+        assert uncovered == [dp for dp in pts
+                             if all(haversine_distance(dp.location, s.location) > 3000.0
+                                    for s in stations)]
+        assert report["coverage_before"] == cov
+        assert report["coverage_after"] > cov

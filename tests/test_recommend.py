@@ -6,7 +6,7 @@ import pytest
 import oracles
 from evsite.cluster import dbscan_lga
 from evsite.constraints import ConstraintConfig, PoiIndex, PointContext, RouteLocator
-from evsite.geo import GeoPoint, haversine_distance
+from evsite.geo import METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance
 from evsite.ingest import DemandPoint, PoiRecord, RouteRecord, StationRecord
 from evsite.recommend import (
     Recommendation,
@@ -19,6 +19,11 @@ from evsite.recommend import (
     propose_all,
     snap,
 )
+
+
+def index_of(points, cell_m=1000.0):
+    """A SpatialIndex of the points; its answers are exact for any cell size."""
+    return SpatialIndex(list(points), cell_m / METERS_PER_DEG)
 
 
 def rec_at(lat, lon, rec_id="A-0", **kw):
@@ -123,19 +128,19 @@ class TestSnap:
 class TestDedup:
     def test_coincident_removed(self):
         station = StationRecord("s1", "approved", GeoPoint(-33.5, 150.5))
-        assert dedup([rec_at(-33.5, 150.5)], [station], 500.0) == []
+        assert dedup([rec_at(-33.5, 150.5)], index_of([station.location]), 500.0) == []
 
     def test_min_sep_zero_keeps_non_coincident(self):
         station = StationRecord("s1", "approved", GeoPoint(-33.5, 150.5))
         recs = [rec_at(-33.5001, 150.5)]
-        assert dedup(recs, [station], 0.0) == recs
+        assert dedup(recs, index_of([station.location]), 0.0) == recs
 
     def test_exactly_at_min_sep_is_dropped(self):
         station = StationRecord("s1", "approved", GeoPoint(-33.5, 150.5))
         rec = rec_at(-33.503, 150.504)
         d = haversine_distance(rec.location, station.location)
-        assert dedup([rec], [station], d) == []
-        assert dedup([rec], [station], math.nextafter(d, 0.0)) == [rec]
+        assert dedup([rec], index_of([station.location]), d) == []
+        assert dedup([rec], index_of([station.location]), math.nextafter(d, 0.0)) == [rec]
 
     def test_random_matches_all_pairs_filter(self):
         rng = random.Random(22)
@@ -145,7 +150,7 @@ class TestDedup:
                                   GeoPoint(rng.uniform(-34, -33),
                                            rng.uniform(150, 151)))
                     for i in range(15)]
-        got = dedup(recs, stations, 20000.0)
+        got = dedup(recs, index_of(s.location for s in stations), 20000.0)
         want = sorted(
             (r for r in recs
              if all(oracles.haversine_oracle(r.location.lat, r.location.lon,
@@ -226,7 +231,7 @@ class TestProposeAll:
                               (10.0, 20.0))]
         pts = self._blob(center)
         result = self._cluster(pts)
-        recs = propose_all([result], {"A": pts}, pois, routes, None, self.CFG,
+        recs = propose_all([result], {"A": pts}, PoiIndex(pois), routes, None, self.CFG,
                            300.0, 1000.0, 10000.0)
         assert len(recs) == 1
         assert recs[0].rec_id == "A-0"
@@ -243,7 +248,7 @@ class TestProposeAll:
         assert result.assignment.cluster_count == 2
         routes = [RouteRecord("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.5, 151.0)),
                               (10.0, 20.0))]
-        recs = propose_all([result], {"A": pts}, [], routes, None, self.CFG,
+        recs = propose_all([result], {"A": pts}, PoiIndex([]), routes, None, self.CFG,
                            300.0, 1000.0, 10000.0)
         assert len(recs) == 2
         for r in recs:
