@@ -105,8 +105,13 @@ def evaluate(config_path, out_dir):
 def synth_cmd(spec_path, out_dir):
     """Generate a seeded synthetic scenario bundle (all layers + manifest)."""
     def run():
-        with open(spec_path, encoding="utf-8") as f:
-            doc = json.load(f)
+        try:
+            with open(spec_path, encoding="utf-8") as f:
+                doc = json.load(f)
+        except RecursionError as e:
+            raise ValueError(f"spec {spec_path}: not valid JSON: nested too deeply") from e
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise ValueError(f"spec {spec_path}: {e}") from e
         spec = synth.ScenarioSpec.from_dict(doc)
         manifest = synth.generate(spec, out_dir)
         click.echo(json.dumps(manifest.layer_counts, sort_keys=True))

@@ -89,6 +89,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ConfigError(f"config {path} is not valid JSON: nested too deeply") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
 

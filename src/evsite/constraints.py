@@ -85,17 +85,19 @@ def lookup_ffdi(p: GeoPoint, grid: FireRiskGrid) -> float | None:
 class RouteLocator:
     """Exact nearest-route queries accelerated by a grid index over vertices.
 
-    A segment can only beat a candidate distance d if its start vertex lies
-    within d plus the segment's length, which bounds both the vertex search
-    radius (by the longest segment) and which candidates need projecting.
+    Every point of a segment lies within the segment's reach (see
+    RouteRecord.segment_reach_m) of one of its two ends, so a segment can only
+    come within d of p if one of its ends lies within d plus its reach. That
+    bounds both the vertex search radius (by the longest reach) and which
+    segments need projecting.
 
     Queries are answered a group of nearby points at a time (see
     _cell_groups). For a group with centre c and reach rho, and D the distance
-    from c to its nearest vertex, every member's nearest vertex lies within
-    D + 2 rho of c, and a segment that a member would project starts within
-    D + 2 rho of c plus the segment's length. One radius query around c,
-    pruned by those two bounds, gives a short list that holds every vertex a
-    member's own query would have used; each member scans only that list.
+    from c to its nearest vertex, every member's nearest vertex and closest
+    on-route point lie within D + 2 rho of c. One radius query around c, at
+    an upper bound on D plus 2 rho plus the longest reach, gives D and the
+    segments with an end within D + 2 rho plus their reach; each member scans
+    only those segments and their ends.
     """
 
     def __init__(self, routes: list[RouteRecord]):
@@ -103,13 +105,14 @@ class RouteLocator:
         self._vertices = [v for r in self.routes for v in r.polyline]
         self._altitudes = [a for r in self.routes for a in r.altitudes]
         self._route_ids = [r.route_id for r in self.routes for _ in r.polyline]
-        # length of the segment from each vertex to the next; -1 at a route's end
-        self._seg_m = array("d")
+        # reach of the segment from each vertex to the next; -1 at a route's end
+        self._reach_m = array("d")
         for route in self.routes:
-            self._seg_m += route.segment_m
-            self._seg_m.append(-1.0)
-        self.max_seg_m = max(self._seg_m, default=0.0)
-        cell = max(self.max_seg_m, 500.0) / METERS_PER_DEG
+            self._reach_m += route.segment_reach_m
+            self._reach_m.append(-1.0)
+        self.max_reach_m = max(self._reach_m, default=0.0)
+        # a reach is at least half its segment: cells about the longest one
+        cell = max(2.0 * self.max_reach_m, 500.0) / METERS_PER_DEG
         self._index = SpatialIndex(self._vertices, cell) if self._vertices else None
 
     def __bool__(self) -> bool:
@@ -131,41 +134,55 @@ class RouteLocator:
         index = self._index
         if index is None:
             return [(p, math.inf, "", math.nan) for p in points]
-        vertices, seg_m, route_ids = self._vertices, self._seg_m, self._route_ids
-        max_seg_m = self.max_seg_m
+        vertices, reach_m, route_ids = self._vertices, self._reach_m, self._route_ids
         out: list = [None] * len(points)
         for c, rho, members in _cell_groups(points):
-            bound = index.nearest(c)[1] + 2.0 * rho
-            near = index.neighbors_within(c, bound + max_seg_m)
-            cands = [v for v, h in zip(near, index.distances(c, near))
-                     if h <= bound or (seg_m[v] >= 0 and h - seg_m[v] <= bound)]
+            near = index.neighbors_within(
+                c, index.nearest_bound(c) + 2.0 * rho + self.max_reach_m)
+            h = dict(zip(near, index.distances(c, near)))
+            bound = min(h.values()) + 2.0 * rho
+            # the segments, by ascending start vertex, that may come within
+            # bound of c; an end outside near lies farther than bound + reach
+            segs = []
+            for v in near:
+                s = v - 1
+                if s >= 0 and s not in h and reach_m[s] >= 0 and h[v] - reach_m[s] <= bound:
+                    segs.append(s)
+                if reach_m[v] >= 0 and min(h[v], h.get(v + 1, math.inf)) - reach_m[v] <= bound:
+                    segs.append(v)
+            # their ends, ascending, and where each segment's start sits there
+            ends, starts = [], []
+            for s in segs:
+                if not ends or ends[-1] != s:
+                    ends.append(s)
+                starts.append(len(ends) - 1)
+                ends.append(s + 1)
             for i in members:
                 p = points[i]
                 lat, lon = p.lat, p.lon
                 rad_lat = math.radians(lat)
                 cos_lat = math.cos(rad_lat)
-                dists = index.distances(p, cands)
-                d_vertex, vid = min(zip(dists, cands))
+                dists = index.distances(p, ends)
+                d_vertex, vid = min(zip(dists, ends))
                 best_vid, best_lat, best_lon = vid, None, None
                 best_d, best_id = d_vertex, route_ids[vid]
-                # the candidates p's own radius query would return, ascending
-                reach = d_vertex + max_seg_m
-                for cand, h in zip(cands, dists):
+                for s, j in zip(segs, starts):
+                    h_a, h_b = dists[j], dists[j + 1]
                     # the slack keeps rounding from pruning a segment whose
                     # projection ties best_d, as when p lies on the segment's
                     # extension
-                    if h > reach or seg_m[cand] < 0 or h - seg_m[cand] > best_d + 1e-6:
+                    if (h_a if h_a < h_b else h_b) - reach_m[s] > best_d + 1e-6:
                         continue
-                    a, b = vertices[cand], vertices[cand + 1]
+                    a, b = vertices[s], vertices[s + 1]
                     c_lat, c_lon, d = project_segment(lat, lon, rad_lat, cos_lat,
                                                       a.lat, a.lon, b.lat, b.lon)
-                    if d >= h:
-                        # as in project_to_polyline, the start vertex, at h,
+                    if d >= h_a:
+                        # as in project_to_polyline, the start vertex, at h_a,
                         # stands unless the projection is strictly closer
-                        c_lat, d = None, h
-                    if d < best_d or (d == best_d and route_ids[cand] < best_id):
-                        best_vid, best_lat, best_lon = cand, c_lat, c_lon
-                        best_d, best_id = d, route_ids[cand]
+                        c_lat, d = None, h_a
+                    if d < best_d or (d == best_d and route_ids[s] < best_id):
+                        best_vid, best_lat, best_lon = s, c_lat, c_lon
+                        best_d, best_id = d, route_ids[s]
                 best_pt = (vertices[best_vid] if best_lat is None
                            else GeoPoint(best_lat, best_lon))
                 out[i] = (best_pt, best_d, best_id, self._altitudes[vid])
@@ -180,7 +197,8 @@ class PoiIndex:
     at least 0.01 degrees, so that nearest finds a POI within a ring or two
     instead of walking rings of empty cells. Queries are answered a group of
     nearby points at a time, as in RouteLocator: every member's nearest POI
-    lies within D + 2 rho of the group's centre.
+    lies within D + 2 rho of the group's centre, so within a radius query at
+    an upper bound on D plus 2 rho.
     """
 
     def __init__(self, pois: list[PoiRecord]):
@@ -205,7 +223,7 @@ class PoiIndex:
             return [(None, math.inf)] * len(points)
         out: list = [None] * len(points)
         for c, rho, members in _cell_groups(points):
-            cands = index.neighbors_within(c, index.nearest(c)[1] + 2.0 * rho)
+            cands = index.neighbors_within(c, index.nearest_bound(c) + 2.0 * rho)
             for i in members:
                 d, j = min(zip(index.distances(points[i], cands), cands))
                 out[i] = (self.pois[j], d)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import html
 import json
+import math
 from pathlib import Path
 
 _PAGE = """<!DOCTYPE html>
@@ -47,6 +48,9 @@ class ExportError(ValueError):
 
 
 def _load_features(path: Path) -> list[dict]:
+    """The features of the GeoJSON FeatureCollection at path; a file that is
+    not one, or a feature without Point coordinates or with properties that
+    are not an object, raises ExportError naming path (and the feature)."""
     if not path.exists():
         raise ExportError(f"missing input: {path}")
     try:
@@ -54,9 +58,34 @@ def _load_features(path: Path) -> list[dict]:
             doc = json.load(f)
     except UnicodeDecodeError as e:
         raise ExportError(f"{path}: not UTF-8 text: {e}") from e
-    if doc.get("type") != "FeatureCollection":
+    except json.JSONDecodeError as e:
+        raise ExportError(f"{path}: not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ExportError(f"{path}: not valid JSON: nested too deeply") from e
+    if (not isinstance(doc, dict) or doc.get("type") != "FeatureCollection"
+            or not isinstance(doc.get("features"), list)):
         raise ExportError(f"{path}: not a FeatureCollection")
+    for i, feat in enumerate(doc["features"]):
+        geom = feat.get("geometry") if isinstance(feat, dict) else None
+        coords = (geom.get("coordinates")
+                  if isinstance(geom, dict) and geom.get("type") == "Point" else None)
+        if not (isinstance(coords, list) and len(coords) >= 2
+                and all(_is_number(c) for c in coords[:2])):
+            raise ExportError(f"{path}: feature {i}: no Point coordinates")
+        if not isinstance(feat.get("properties") or {}, dict):
+            raise ExportError(f"{path}: feature {i}: properties must be an object")
     return doc["features"]
+
+
+def _is_number(x) -> bool:
+    """Whether x is a finite JSON number: not a boolean, NaN, an infinity or
+    an integer too large for a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def export_map(recommendations_path, stations_path, out_html) -> int:

@@ -190,7 +190,9 @@ class SpatialIndex:
             raise GeoError("radius must be >= 0")
         if not self.points:
             return []
-        dlat = radius_m / METERS_PER_DEG
+        # the margin keeps a point at exactly radius_m inside the window when
+        # the degree arithmetic rounds the other way
+        dlat = (radius_m + _REACH_MARGIN_M) / METERS_PER_DEG
         if abs(p.lat) + dlat >= 90.0:
             dlon = 360.0  # the query disc holds a pole, so every longitude
         else:
@@ -354,13 +356,12 @@ class SpatialIndex:
         """haversine_distance(p, points[i]) for each id, the very same doubles."""
         return self._distances(_query_terms(p), ids)
 
-    def nearest(self, p: GeoPoint) -> tuple[int, float]:
-        """(id, distance) of the closest indexed point; ties broken by smallest id."""
+    def nearest_bound(self, p: GeoPoint) -> float:
+        """An upper bound on the distance from p to its nearest indexed point:
+        the least distance to the points of the first ring of cells around
+        p's cell that holds any (or to every point, once rings grow sparse)."""
         if not self.points:
             raise GeoError("empty index")
-        # expand rings of cells until any candidate is found, then an exact
-        # radius query at that distance settles the argmin and tie-break
-        q = _query_terms(p)
         cells = self._cells
         key = self._key(p)
         max_ring = max(abs(self._row_range[0] - key[0]), abs(self._row_range[1] - key[0]),
@@ -373,8 +374,13 @@ class SpatialIndex:
                 ids = [i for k in _ring_cells(key, ring) for i in cells.get(k, ())]
             if ids:
                 break
-        ids = self.neighbors_within(p, min(self._distances(q, ids)))
-        d, best_id = min(zip(self._distances(q, ids), ids))
+        return min(self._distances(_query_terms(p), ids))
+
+    def nearest(self, p: GeoPoint) -> tuple[int, float]:
+        """(id, distance) of the closest indexed point; ties broken by smallest id."""
+        # an exact radius query at an upper bound settles the argmin and tie-break
+        ids = self.neighbors_within(p, self.nearest_bound(p))
+        d, best_id = min(zip(self.distances(p, ids), ids))
         return best_id, d
 
 
@@ -405,19 +411,44 @@ def _ring_cells(center: tuple[int, int], ring: int):
         yield (r, c0 + ring)
 
 
-def segment_lengths(polyline) -> array:
-    """haversine_distance from each vertex of the polyline to the next, the
-    very same doubles: the formula inlined over columns of the vertices'
-    terms, so that each vertex's radians and cosine are taken once."""
-    rad = [math.radians(v.lat) for v in polyline]
-    cos = [math.cos(r) for r in rad]
+def segment_reaches(polyline) -> array:
+    """For each segment, polyline[i] to polyline[i + 1], the larger
+    haversine_distance from its two ends to the midpoint of the lat/lon-linear
+    path that project_segment interpolates (t = 0.5, longitude wrapped as
+    there), the very same double. Distance from an end grows along that
+    path, so every point of the segment lies within this reach of one of its
+    ends.
+
+    The formula is inlined over columns of the ends' and midpoints' terms, so
+    that each vertex's radians and cosine are taken once. The distance grows
+    with the sum under the square root, so one asin of the larger sum gives
+    the larger distance."""
+    lat = [v.lat for v in polyline]
     lon = [v.lon for v in polyline]
+    rad = [math.radians(x) for x in lat]
+    cos = [math.cos(r) for r in rad]
+    mid_rad = [math.radians(a + 0.5 * (b - a)) for a, b in zip(lat, lat[1:])]
+    mid_cos = [math.cos(r) for r in mid_rad]
+    # within [-180, 180] a midpoint needs no wrap of its own
+    mid_lon = [a + 0.5 * (b - a) if -180.0 <= b - a <= 180.0 else _midpoint_across(a, b)
+               for a, b in zip(lon, lon[1:])]
     sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
-    return array("d", [_DIAMETER_M * asin(min(1.0, sqrt(
-                           sin((lat2 - lat1) / 2.0) ** 2
-                           + cos1 * cos2 * sin(radians(lon2 - lon1) / 2.0) ** 2)))
-                       for lat1, lat2, cos1, cos2, lon1, lon2
-                       in zip(rad, rad[1:], cos, cos[1:], lon, lon[1:])])
+    return array("d", [_DIAMETER_M * asin(min(1.0, sqrt(max(
+                           sin((m - r1) / 2.0) ** 2 + c1 * mc * sin(radians(mo - o1) / 2.0) ** 2,
+                           sin((m - r2) / 2.0) ** 2 + c2 * mc * sin(radians(mo - o2) / 2.0) ** 2))))
+                       for r1, r2, c1, c2, o1, o2, m, mc, mo
+                       in zip(rad, rad[1:], cos, cos[1:], lon, lon[1:], mid_rad, mid_cos, mid_lon)])
+
+
+def _midpoint_across(a_lon: float, b_lon: float) -> float:
+    """The longitude halfway along the short way from a_lon to b_lon across
+    the antimeridian, wrapped as project_segment wraps it."""
+    dlon = b_lon - a_lon
+    dlon -= math.copysign(360.0, dlon)
+    m = a_lon + 0.5 * dlon
+    if not -180.0 <= m <= 180.0:
+        m -= math.copysign(360.0, m)
+    return m
 
 
 def project_to_polyline(p: GeoPoint, polyline) -> tuple[GeoPoint, float]:

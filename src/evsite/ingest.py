@@ -19,7 +19,7 @@ from .geo import (
     bbox_of_rings,
     haversine_distance,
     point_in_polygon,
-    segment_lengths,
+    segment_reaches,
 )
 
 STATION_KINDS = ("existing_fast", "existing_destination", "approved")
@@ -87,10 +87,11 @@ class RouteRecord:
                 raise IngestError(f"route {self.route_id}: altitude {a} out of range")
 
     @cached_property
-    def segment_m(self) -> array:
-        """Length of each segment, polyline[i] to polyline[i + 1], in meters:
-        haversine_distance's doubles, computed on first use."""
-        return segment_lengths(self.polyline)
+    def segment_reach_m(self) -> array:
+        """For each segment, polyline[i] to polyline[i + 1], the distance in
+        meters within which every point of it lies of one of its ends (see
+        geo.segment_reaches), computed on first use."""
+        return segment_reaches(self.polyline)
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def load_trips(path, format: str = "csv") -> tuple[list[TripRecord], list[str]]:
         try:
             rows, bad = _read_trip_csv(path)
         except UnicodeDecodeError as e:
-            raise IngestError(f"{path}: not UTF-8 text: {e}") from e
+            raise _not_utf8(path, e) from e
     elif format == "geojson":
         rows, bad = _read_trip_geojson(path)
     else:
@@ -328,14 +329,32 @@ def _read_features(path, make, bad: list[str] | None = None) -> list:
 
 def _load_json(path):
     """The JSON document at path, read as UTF-8 (RFC 8259 8.1); bytes that are
-    not UTF-8 and malformed JSON raise IngestError naming path."""
+    not UTF-8, malformed JSON and JSON nested too deeply to parse raise
+    IngestError naming path."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
     except UnicodeDecodeError as e:
-        raise IngestError(f"{path}: not UTF-8 text: {e}") from e
+        raise _not_utf8(path, e) from e
     except json.JSONDecodeError as e:
         raise IngestError(f"{path}: not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise IngestError(f"{path}: not valid JSON: nested too deeply") from e
+
+
+def _not_utf8(path, e: UnicodeDecodeError) -> IngestError:
+    """The error for a file that is not UTF-8, at the first bad byte of the
+    whole file: a reader that decodes as it goes reports a position within
+    the chunk it was decoding, so the file is read again here."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        at = whole.start
+        line = data.count(b"\n", 0, at) + 1
+        return IngestError(f"{path}: not UTF-8 text: byte 0x{data[at]:02x} at offset {at} "
+                           f"(line {line}): {whole.reason}")
+    return IngestError(f"{path}: not UTF-8 text: {e}")  # the file changed since
 
 
 def _geometry(feat: dict, *types: str):

@@ -34,6 +34,10 @@ NUMERIC_KEYS = ([(name, key) for name, section in DEFAULTS.items()
                 + [("constraints", f.name) for f in fields(ConstraintConfig)])
 
 
+# JSON nested far deeper than the interpreter's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 class TestConfig:
     def test_unknown_top_level_key_rejected(self, scenario):
         _, _, dirs = scenario
@@ -291,6 +295,11 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
         assert result.exit_code == 1, result.output
         assert name in result.output and "not UTF-8 text" in result.output
+        if name == "trips.csv":
+            # the byte's place in the file, not in the decoder's chunk
+            at = len(data) - 5
+            line = data[:at].count(b"\n") + 1
+            assert f"byte 0xff at offset {at} (line {line})" in result.output
 
     @pytest.mark.parametrize("name", ["stations.geojson", "fire_grid.json"])
     def test_malformed_json_exits_1_naming_the_file(self, runner, scenario, name):
@@ -299,6 +308,15 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
         assert result.exit_code == 1, result.output
         assert f"{name}: not valid JSON" in result.output
+
+    @pytest.mark.parametrize("name", ["stations.geojson", "config.json"])
+    def test_deeply_nested_json_exits_1_naming_the_file(self, runner, scenario, name):
+        _, _, dirs = scenario
+        path = dirs["config"] if name == "config.json" else dirs["scenario"] / name
+        path.write_text(DEEP_JSON)
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert name in result.output and "not valid JSON: nested too deeply" in result.output
 
     def test_lga_ring_across_the_antimeridian_exits_1(self, runner, scenario):
         _, _, dirs = scenario
@@ -463,6 +481,14 @@ class TestSynthCmd:
         assert len(names) == 144
         assert {"LGA-0110", "LGA-1100"} <= names
 
+    def test_deeply_nested_spec_exits_1(self, runner, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(DEEP_JSON)
+        result = runner.invoke(main, ["synth", "--spec", str(spec_path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert f"{spec_path}: not valid JSON: nested too deeply" in result.output
+
     def test_unknown_spec_key_exits_1(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"seed": 3, "wat": 1}))
@@ -522,3 +548,37 @@ class TestExportMap:
         result = runner.invoke(main, ["export-map", "--in", str(tmp_path),
                                       "--out", str(tmp_path / "map.html")])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "not a FeatureCollection"),
+        ('{"type": "FeatureCollection"}', "not a FeatureCollection"),
+        ('{"type": "FeatureCollection", "features": {}}', "not a FeatureCollection"),
+        (DEEP_JSON, "not valid JSON: nested too deeply"),
+        ("{not json", "not valid JSON"),
+        ('{"type": "FeatureCollection", "features": [1]}', "feature 0: no Point coordinates"),
+        ('{"type": "FeatureCollection", "features": [{"type": "Feature"}]}',
+         "feature 0: no Point coordinates"),
+        ('{"type": "FeatureCollection", "features": [{"geometry": {"type": "Point"}}]}',
+         "feature 0: no Point coordinates"),
+        ('{"type": "FeatureCollection", "features": [{"geometry": '
+         '{"type": "LineString", "coordinates": [[1, 2], [3, 4]]}}]}',
+         "feature 0: no Point coordinates"),
+        ('{"type": "FeatureCollection", "features": [{"geometry": '
+         '{"type": "Point", "coordinates": [150.0]}}]}', "feature 0: no Point coordinates"),
+        ('{"type": "FeatureCollection", "features": [{"geometry": '
+         '{"type": "Point", "coordinates": ["150", -33]}}]}', "feature 0: no Point coordinates"),
+        ('{"type": "FeatureCollection", "features": [{"geometry": '
+         '{"type": "Point", "coordinates": [1e400, -33]}}]}', "feature 0: no Point coordinates"),
+        ('{"type": "FeatureCollection", "features": [{"geometry": {"type": "Point", '
+         '"coordinates": [150, -33]}, "properties": [1]}]}',
+         "feature 0: properties must be an object"),
+    ], ids=["list", "no-features", "features-object", "nested", "not-json", "feature-number",
+            "no-geometry", "no-coordinates", "line", "one-coordinate", "string-coordinate",
+            "infinite-coordinate", "properties-list"])
+    def test_malformed_input_exits_1_naming_the_file(self, runner, tmp_path, text, message):
+        self._empty_collection(tmp_path / "stations.geojson")
+        (tmp_path / "recommendations.geojson").write_text(text)
+        result = runner.invoke(main, ["export-map", "--in", str(tmp_path),
+                                      "--out", str(tmp_path / "map.html")])
+        assert result.exit_code == 1, result.output
+        assert f"recommendations.geojson: {message}" in result.output

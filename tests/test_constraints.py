@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -327,27 +327,52 @@ class TestRouteLocator:
         lon = origin[1] + east_m / (METERS_PER_DEG * math.cos(math.radians(origin[0])))
         return (lat, (lon + 180.0) % 360.0 - 180.0)
 
-    # a step along a route: none (a zero-length segment), a short one or one
-    # of about 4 km, like synth's spurs
+    @staticmethod
+    def _check_altitude(p, altitude, routes):
+        """altitude is that of p's nearest vertex: the smallest id at the least
+        haversine_distance, and one within 1e-6 m of the least distance by
+        the oracle's formula, which may round a near tie the other way."""
+        ordered = sorted(routes, key=lambda r: r.route_id)
+        vertices = [v for r in ordered for v in r.polyline]
+        alts = [a for r in ordered for a in r.altitudes]
+        _, vid = min((haversine_distance(p, v), i) for i, v in enumerate(vertices))
+        assert altitude == alts[vid]
+        oracle = [oracles.haversine_oracle(p.lat, p.lon, v.lat, v.lon) for v in vertices]
+        assert oracle[vid] <= min(oracle) + 1e-6
+
+    # a step along a route: none (a zero-length segment), a short one, one of
+    # about 4 km, like synth's spurs, or an east-west one of about 20 km, which
+    # at high latitudes bows far from its chord
     _steps = st.one_of(
         st.just((0.0, 0.0)),
         st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)),
-        st.tuples(st.floats(-4000.0, 4000.0), st.sampled_from([-4000.0, 4000.0])))
+        st.tuples(st.floats(-4000.0, 4000.0), st.sampled_from([-4000.0, 4000.0])),
+        st.tuples(st.sampled_from([-20000.0, 20000.0]), st.floats(-400.0, 400.0)))
 
     @settings(max_examples=60, deadline=None)
-    @given(origin=st.sampled_from([(-33.5, 150.0), (0.0, 179.995), (60.0, -179.999)]),
+    @given(origin=st.sampled_from([(-33.5, 150.0), (0.0, 179.995), (60.0, -179.999),
+                                   (84.0, 30.0), (88.5, 179.99), (-89.2, 0.0)]),
            starts=st.lists(st.tuples(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0)),
                            min_size=1, max_size=4),
            steps=st.lists(st.lists(_steps, min_size=1, max_size=4), min_size=4, max_size=4),
            twin=st.booleans(),
            queries=st.lists(st.tuples(st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0)),
                             min_size=1, max_size=25),
-           on_route=st.lists(st.integers(0, 100), max_size=5))
+           on_route=st.lists(st.integers(0, 100), max_size=5),
+           stub=st.tuples(st.floats(-2.0, 2.0), st.floats(1.0, 4.0)))
+    # the nearest vertex sits on a cell row's edge, 1 m north of the query
+    @example(origin=(0.0, 179.995), starts=[(0.0, 0.0)], steps=[[(0.0, 0.0)]] * 4,
+             twin=False, queries=[(0.0, -1.0)], on_route=[], stub=(0.0, 1.0))
+    # a near tie that the oracle's formula rounds the other way
+    @example(origin=(84.0, 30.0), starts=[(0.0, 0.0), (-1.5, -1.5)], steps=[[(0.0, 0.0)]] * 4,
+             twin=False, queries=[(-1.5, 0.0)], on_route=[], stub=(0.0, 1.0))
     def test_locate_all_equals_full_scan_on_random_layers(self, origin, starts, steps, twin,
-                                                          queries, on_route):
+                                                          queries, on_route, stub):
         # routes of short, long and zero-length segments, maybe a twin of the
-        # first under a smaller id, anywhere up to across the antimeridian;
-        # queries scattered, clustered in one grouping cell, and on vertices
+        # first under a smaller id, anywhere from the antimeridian to near a
+        # pole; queries scattered, clustered in one grouping cell, on vertices,
+        # and one off the middle of the longest segment, with a short route
+        # starting a gap north of it
         routes = []
         for k, (start, route_steps) in enumerate(zip(starts, steps)):
             east, north = start
@@ -360,16 +385,36 @@ class TestRouteLocator:
         if twin:
             routes.append(make_route("r", [(v.lat, v.lon, a) for v, a in
                                            zip(routes[0].polyline, routes[0].altitudes)]))
-        vertices = [v for r in routes for v in r.polyline]
         points = [GeoPoint(*self._offset(origin, e, n)) for e, n in queries]
+        off, gap = stub
+        a, b = max(((a, b) for r in routes for a, b in zip(r.polyline, r.polyline[1:])),
+                   key=lambda ab: haversine_distance(*ab))
+        middle = (a.lat + 0.5 * (b.lat - a.lat),
+                  a.lon + 0.5 * ((b.lon - a.lon + 180.0) % 360.0 - 180.0))
+        q = self._offset(middle, 0.0, off)
+        routes.append(make_route("s", [(*self._offset(q, 0.0, gap), 1.0),
+                                       (*self._offset(q, 0.0, gap + 100.0), 2.0)]))
+        points.append(GeoPoint(*q))
+        vertices = [v for r in routes for v in r.polyline]
         points += [GeoPoint(*self._offset((p.lat, p.lon), 30.0, -20.0)) for p in points[:3]]
         points += [vertices[k % len(vertices)] for k in on_route]
-        coords = [(v.lat, v.lon) for r in sorted(routes, key=lambda r: r.route_id)
-                  for v in r.polyline]
-        alts = [a for r in sorted(routes, key=lambda r: r.route_id) for a in r.altitudes]
         for p, (pt, d, route_id, altitude) in zip(points, RouteLocator(routes).locate_all(points)):
             assert (pt, d, route_id) == self._full_scan(p, routes)
-            assert altitude == alts[oracles.linear_nearest(coords, p.lat, p.lon)[0]]
+            self._check_altitude(p, altitude, routes)
+
+    def test_segment_bowing_near_the_pole_is_projected(self):
+        # along 89.5 N a 20-degree segment's midpoint lies 37 m farther from
+        # its ends than half its length: p, 10 m north of that midpoint, must
+        # still project onto it, not stop at the start of a route 20 m north
+        m = GeoPoint(89.5, 10.0)
+        p = GeoPoint(m.lat + 10.0 / METERS_PER_DEG, 10.0)
+        start = p.lat + 20.0 / METERS_PER_DEG
+        routes = [make_route("long", [(89.5, 0.0, 1.0), (89.5, 20.0, 2.0)]),
+                  make_route("short", [(start, 10.0, 3.0), (start + 0.002, 10.0, 4.0)])]
+        pt, d, route_id, altitude = RouteLocator(routes).locate(p)
+        assert (route_id, altitude) == ("long", 3.0)
+        assert d == pytest.approx(10.0, abs=1e-3)
+        assert (pt, d, route_id) == self._full_scan(p, routes)
 
     # -- answers for a whole batch of points at once --------------------------
 

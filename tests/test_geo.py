@@ -17,6 +17,7 @@ from evsite.geo import (
     point_in_polygon,
     project_segment,
     project_to_polyline,
+    segment_reaches,
 )
 
 
@@ -164,6 +165,17 @@ class TestSpatialIndex:
         assert idx.nearest(GeoPoint(-34, 151)) == (0, pytest.approx(
             oracles.haversine_oracle(-34, 151, -33.5, 150.5)))
         assert idx.nearest(p) == (0, 0.0)
+
+    def test_point_at_exactly_the_radius_is_found(self):
+        # p.lat + radius in degrees rounds to just below 0, the row of q: the
+        # window must still hold that row, or nearest finds no point
+        q = GeoPoint(0.0, 179.995)
+        idx = SpatialIndex([q, q], 500.0 / METERS_PER_DEG)
+        p = GeoPoint(-8.993203637245379e-06, 179.995)
+        d = haversine_distance(p, q)
+        assert idx.neighbors_within(p, d) == [0, 1]
+        assert idx.any_within(p, d)
+        assert idx.nearest(p) == (0, d)
 
     def test_nearest_vs_linear_scan(self):
         rng = random.Random(6)
@@ -428,12 +440,50 @@ class TestProjectSegment:
         assert degenerate >= 100
 
 
-class TestSegmentLengths:
-    def test_route_segment_m_equals_haversine_bit_for_bit(self):
+class TestSegmentReaches:
+    @staticmethod
+    def _along(a, b, t):
+        """The point at t of the lat/lon-linear path from a to b, as
+        project_segment interpolates it."""
+        def wrap(x):
+            return x - 360.0 if x > 180.0 else x + 360.0 if x < -180.0 else x
+        return GeoPoint(a.lat + t * (b.lat - a.lat), wrap(a.lon + t * wrap(b.lon - a.lon)))
+
+    @staticmethod
+    def _segments(rng):
+        """Segments of _random_segments, long east-west ones at high latitudes
+        and across the antimeridian, and ones that near a pole."""
+        out = [(a, b) for _, a, b in _random_segments(rng, 200)]
+        for _ in range(100):
+            lat = rng.choice([rng.uniform(80.0, 89.9), rng.uniform(-89.9, -80.0)])
+            lon = rng.uniform(-180.0, 180.0)
+            b_lon = (lon + rng.uniform(-90.0, 90.0) + 180.0) % 360.0 - 180.0
+            out.append((GeoPoint(lat, lon),
+                        GeoPoint(max(-90.0, min(90.0, lat + rng.uniform(-0.5, 0.5))), b_lon)))
+        return out
+
+    def test_route_segment_reach_m_equals_haversine_bit_for_bit(self):
         rng = random.Random(33)
-        for p, a, b in _random_segments(rng, 200):
-            line = (p, a, b, b, GeoPoint(rng.uniform(-89.0, 89.0), rng.uniform(-180.0, 180.0)))
+        for a, b in self._segments(rng):
+            line = (a, b, b, GeoPoint(rng.uniform(-89.0, 89.0), rng.uniform(-180.0, 180.0)))
             route = RouteRecord("r", line, (0.0,) * len(line))
-            assert list(route.segment_m) == [haversine_distance(u, v)
-                                             for u, v in zip(line, line[1:])]
-            assert route.segment_m is route.segment_m  # computed once
+            want = []
+            for u, v in zip(line, line[1:]):
+                m = self._along(u, v, 0.5)
+                want.append(max(haversine_distance(u, m), haversine_distance(v, m)))
+            assert list(route.segment_reach_m) == want
+            assert route.segment_reach_m is route.segment_reach_m  # computed once
+
+    def test_every_point_of_a_segment_lies_within_its_reach_of_an_end(self):
+        for a, b in self._segments(random.Random(34)):
+            (reach,) = segment_reaches((a, b))
+            assert reach <= haversine_distance(a, b) + 1e-6
+            for k in range(65):
+                c = self._along(a, b, k / 64)
+                assert min(haversine_distance(a, c), haversine_distance(b, c)) <= reach + 1e-6
+
+    @pytest.mark.parametrize("lat,span,short_m", [(89.5, 20.0, 36.0), (-89.5, 90.0, 3200.0)])
+    def test_half_the_length_falls_short_near_the_poles(self, lat, span, short_m):
+        a, b = GeoPoint(lat, 0.0), GeoPoint(lat, span)
+        (reach,) = segment_reaches((a, b))
+        assert reach - haversine_distance(a, b) / 2 > short_m
