@@ -13,9 +13,8 @@ from pathlib import Path
 import click
 
 from . import export, pipeline, synth
-from .config import ConfigError, load_config
-from .geo import GeoError
-from .ingest import IngestError
+from .config import load_config
+from .ingest import load_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -28,11 +27,12 @@ def _fail_input(message: str):
 
 
 def _guarded(fn):
-    """Map input errors to exit 1 and anything unexpected to exit 2."""
+    """Map input errors to exit 1 and anything unexpected to exit 2. Every
+    input error class is a ValueError; a file that cannot be read raises
+    OSError."""
     try:
         return fn()
-    except (ConfigError, IngestError, GeoError, export.ExportError,
-            OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError) as e:
         _fail_input(str(e))
     except Exception as e:  # noqa: BLE001 - exit-code contract
         click.echo(f"internal error: {e}", err=True)
@@ -105,14 +105,11 @@ def evaluate(config_path, out_dir):
 def synth_cmd(spec_path, out_dir):
     """Generate a seeded synthetic scenario bundle (all layers + manifest)."""
     def run():
+        doc = load_json(spec_path)
         try:
-            with open(spec_path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except RecursionError as e:
-            raise ValueError(f"spec {spec_path}: not valid JSON: nested too deeply") from e
-        except ValueError as e:  # not UTF-8, or not JSON
-            raise ValueError(f"spec {spec_path}: {e}") from e
-        spec = synth.ScenarioSpec.from_dict(doc)
+            spec = synth.ScenarioSpec.from_dict(doc)
+        except ValueError as e:
+            raise ValueError(f"{spec_path}: {e}") from e
         manifest = synth.generate(spec, out_dir)
         click.echo(json.dumps(manifest.layer_counts, sort_keys=True))
     _guarded(run)

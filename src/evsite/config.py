@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .constraints import ConstraintConfig
+from .ingest import load_json
 
 
 class ConfigError(ValueError):
@@ -80,17 +80,7 @@ def _finite(x: int | float) -> bool:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"config {path} is not UTF-8 text: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    except RecursionError as e:
-        raise ConfigError(f"config {path} is not valid JSON: nested too deeply") from e
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
 
@@ -104,7 +94,11 @@ def load_config(path) -> RunConfig:
                           {**dict.fromkeys(LAYER_KEYS, ""), "trips_format": "csv"})
     missing = [k for k in LAYER_KEYS if k not in layers_doc]
     if missing:
-        raise ConfigError(f"config missing layer paths: {missing}")
+        raise ConfigError(f"config layers: missing paths for {missing}")
+    trips_format = layers_doc.get("trips_format", "csv")
+    if trips_format not in ("csv", "geojson"):
+        raise ConfigError("config layers.trips_format must be 'csv' or 'geojson', "
+                          f"got {trips_format!r}")
     base = path.parent
     layers = {k: (base / layers_doc[k] if not Path(layers_doc[k]).is_absolute()
                   else Path(layers_doc[k])) for k in LAYER_KEYS}
@@ -128,7 +122,7 @@ def load_config(path) -> RunConfig:
 
     return RunConfig(
         layers=layers,
-        trips_format=str(layers_doc.get("trips_format", "csv")),
+        trips_format=trips_format,
         constraints=constraints,
         max_speed_mps=float(sections["cleaning"]["max_speed_mps"]),
         dwell_radius_m=float(sections["demand"]["dwell_radius_m"]),

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import html
-import json
-import math
 from pathlib import Path
+
+from .ingest import _point, _read_features
 
 _PAGE = """<!DOCTYPE html>
 <html>
@@ -43,55 +43,19 @@ document.body.addEventListener("click", () => popup.style.display = "none");
 """
 
 
-class ExportError(ValueError):
-    pass
-
-
-def _load_features(path: Path) -> list[dict]:
-    """The features of the GeoJSON FeatureCollection at path; a file that is
-    not one, or a feature without Point coordinates or with properties that
-    are not an object, raises ExportError naming path (and the feature)."""
-    if not path.exists():
-        raise ExportError(f"missing input: {path}")
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except UnicodeDecodeError as e:
-        raise ExportError(f"{path}: not UTF-8 text: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ExportError(f"{path}: not valid JSON: {e}") from e
-    except RecursionError as e:
-        raise ExportError(f"{path}: not valid JSON: nested too deeply") from e
-    if (not isinstance(doc, dict) or doc.get("type") != "FeatureCollection"
-            or not isinstance(doc.get("features"), list)):
-        raise ExportError(f"{path}: not a FeatureCollection")
-    for i, feat in enumerate(doc["features"]):
-        geom = feat.get("geometry") if isinstance(feat, dict) else None
-        coords = (geom.get("coordinates")
-                  if isinstance(geom, dict) and geom.get("type") == "Point" else None)
-        if not (isinstance(coords, list) and len(coords) >= 2
-                and all(_is_number(c) for c in coords[:2])):
-            raise ExportError(f"{path}: feature {i}: no Point coordinates")
-        if not isinstance(feat.get("properties") or {}, dict):
-            raise ExportError(f"{path}: feature {i}: properties must be an object")
-    return doc["features"]
-
-
-def _is_number(x) -> bool:
-    """Whether x is a finite JSON number: not a boolean, NaN, an infinity or
-    an integer too large for a float."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
+def _marker(feat: dict) -> dict:
+    """feat, unchanged, once its geometry is a Point that a layer loader would
+    take and its properties, if any, are an object."""
+    _point(feat)
+    if not isinstance(feat.get("properties") or {}, dict):
+        raise ValueError("properties must be an object")
+    return feat
 
 
 def export_map(recommendations_path, stations_path, out_html) -> int:
     """Render both collections as colored circle markers; returns marker count."""
-    features = (_load_features(Path(stations_path))
-                + _load_features(Path(recommendations_path)))
+    features = (_read_features(stations_path, _marker)
+                + _read_features(recommendations_path, _marker))
     lons = [f["geometry"]["coordinates"][0] for f in features]
     lats = [f["geometry"]["coordinates"][1] for f in features]
     if features:
@@ -122,5 +86,5 @@ def export_map(recommendations_path, stations_path, out_html) -> int:
         n_markers=len(markers),
         viewbox=f"{min_lon} {min_lat} {width} {height}",
         markers="\n".join(markers))
-    Path(out_html).write_text(page)
+    Path(out_html).write_text(page, encoding="utf-8")
     return len(markers)

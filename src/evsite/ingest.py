@@ -230,7 +230,7 @@ def _read_trip_geojson(path: Path):
 
 
 def save_trips(path, trips: list[TripRecord]) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(TRIPS_CSV_HEADER)
         for trip in trips:
@@ -310,7 +310,7 @@ def _read_features(path, make, bad: list[str] | None = None) -> list:
     A feature that make cannot read raises IngestError naming path and
     feature, or, given a list bad, is dropped with that message appended to it.
     """
-    doc = _load_json(path)
+    doc = load_json(path)
     if (not isinstance(doc, dict) or doc.get("type") != "FeatureCollection"
             or not isinstance(doc.get("features"), list)):
         raise IngestError(f"{path}: not a GeoJSON FeatureCollection")
@@ -327,10 +327,11 @@ def _read_features(path, make, bad: list[str] | None = None) -> list:
     return records
 
 
-def _load_json(path):
-    """The JSON document at path, read as UTF-8 (RFC 8259 8.1); bytes that are
-    not UTF-8, malformed JSON and JSON nested too deeply to parse raise
-    IngestError naming path."""
+def load_json(path):
+    """The JSON document at path, read as UTF-8 (RFC 8259 8.1): the one reader
+    of every JSON input. Bytes that are not UTF-8, malformed JSON and JSON
+    nested too deeply to parse raise IngestError naming path; a file that
+    cannot be opened raises OSError, which names it too."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
@@ -380,9 +381,13 @@ def _positions(coords) -> tuple[GeoPoint, ...]:
     """A list of GeoJSON positions as GeoPoints. A position is [lon, lat, ...]:
     members past the second, such as an altitude, are ignored (RFC 7946 3.1.1).
     Each member must be a JSON number; a float is taken without a call."""
-    return tuple([GeoPoint(lat if type(lat := c[1]) is float else _json_float(lat, "latitude"),
-                           lon if type(lon := c[0]) is float else _json_float(lon, "longitude"))
-                  for c in coords])
+    try:
+        return tuple([GeoPoint(lat if type(lat := c[1]) is float else _json_float(lat, "latitude"),
+                               lon if type(lon := c[0]) is float else _json_float(lon, "longitude"))
+                      for c in coords])
+    except (IndexError, TypeError, KeyError) as e:
+        # a short position, or a number or an object where one belongs
+        raise ValueError("position must be [lon, lat, ...]") from e
 
 
 def _json_float(value, key: str) -> float:
@@ -453,7 +458,7 @@ def load_routes(path) -> list[RouteRecord]:
 
 
 def load_fire_grid(path) -> FireRiskGrid:
-    doc = _load_json(path)
+    doc = load_json(path)
     try:
         bbox, cells = doc["bbox"], doc["cells"]
         if not isinstance(bbox, list) or len(bbox) != 4:
@@ -518,7 +523,7 @@ def _point_feature(location: GeoPoint, properties: dict) -> dict:
 def write_json(path, doc) -> None:
     """Compact, key-sorted, newline-terminated JSON: identical docs, identical
     bytes. NaN and Infinity, which JSON does not have, raise ValueError."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, sort_keys=True, separators=(",", ":"), allow_nan=False)
         f.write("\n")
 

@@ -101,63 +101,48 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
 
 def _json_value(v):
-    if isinstance(v, float):
-        if math.isnan(v):
-            return None
-        if math.isinf(v):
-            return None
-    return v
+    """v, or None for a float that JSON does not have: NaN or an infinity."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def recommendations_features(recs: list[recommend.Recommendation]) -> list[dict]:
     features = []
     for r in recs:
         kind = f"recommended_{r.charger_kind}"
-        features.append({
-            "type": "Feature",
-            "id": r.rec_id,
-            "geometry": {"type": "Point",
-                         "coordinates": [r.location.lon, r.location.lat]},
-            "properties": {
-                "kind": kind,
-                "color": KIND_COLORS[kind],
-                "altitude_m": _json_value(r.altitude_m),
-                "ffdi_delta": r.ffdi_delta,
-                "flood_flag": r.flood_flag,
-                "fire_flag": r.fire_flag,
-                "cluster_size": r.cluster_size,
-                "snap_target": r.snap_target,
-                "snap_dist_m": _json_value(r.snap_dist_m),
-                "lga_name": r.lga_name,
-            },
-        })
+        features.append({"id": r.rec_id, **ingest._point_feature(r.location, {
+            "kind": kind,
+            "color": KIND_COLORS[kind],
+            "altitude_m": _json_value(r.altitude_m),
+            "ffdi_delta": r.ffdi_delta,
+            "flood_flag": r.flood_flag,
+            "fire_flag": r.fire_flag,
+            "cluster_size": r.cluster_size,
+            "snap_target": r.snap_target,
+            "snap_dist_m": _json_value(r.snap_dist_m),
+            "lga_name": r.lga_name,
+        })})
     return features
 
 
 def station_features(result: PipelineResult, cfg: RunConfig) -> list[dict]:
     locator = RouteLocator(result.layers.routes)
+    c = cfg.constraints
     features = []
     for s in sorted(result.layers.stations, key=lambda s: s.station_id):
-        altitude = locator.altitude_at(s.location) if locator else None
+        altitude = locator.altitude_at(s.location) if locator else math.nan
         ffdi = constraints.lookup_ffdi(s.location, result.layers.fire_grid)
-        c = cfg.constraints
-        features.append({
-            "type": "Feature",
-            "id": s.station_id,
-            "geometry": {"type": "Point",
-                         "coordinates": [s.location.lon, s.location.lat]},
-            "properties": {
-                "kind": s.kind,
-                "color": KIND_COLORS[s.kind],
-                "altitude_m": _json_value(altitude),
-                "ffdi_delta": ffdi,
-                "flood_flag": (altitude is not None and altitude < c.flood_alt_m),
-                "fire_flag": None if ffdi is None else ffdi >= c.ffdi_threshold,
-                "cluster_size": None,
-                "snap_target": None,
-                "lga_name": evaluate.locate_lga(s.location, result.layers.lgas),
-            },
-        })
+        flood, fire = recommend.risk_flags(altitude, ffdi, c.flood_alt_m, c.ffdi_threshold)
+        features.append({"id": s.station_id, **ingest._point_feature(s.location, {
+            "kind": s.kind,
+            "color": KIND_COLORS[s.kind],
+            "altitude_m": _json_value(altitude),
+            "ffdi_delta": ffdi,
+            "flood_flag": flood,
+            "fire_flag": fire,
+            "cluster_size": None,
+            "snap_target": None,
+            "lga_name": evaluate.locate_lga(s.location, result.layers.lgas),
+        })})
     return features
 
 
@@ -194,5 +179,5 @@ def write_evaluation(result: PipelineResult, cfg: RunConfig, out_dir) -> evaluat
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "evaluation.json", report.as_dict())
-    (out / "evaluation.txt").write_text(report.as_table())
+    (out / "evaluation.txt").write_text(report.as_table(), encoding="utf-8")
     return report

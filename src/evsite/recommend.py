@@ -94,10 +94,17 @@ def classify_charger(rec: Recommendation, poi_categories: dict[str, str],
     return "destination"
 
 
+def risk_flags(altitude_m: float, ffdi: float | None, flood_alt_m: float,
+               ffdi_threshold: float) -> tuple[bool, bool | None]:
+    """(flood, fire): flood below flood_alt_m, never for a NaN (unknown)
+    altitude; fire at or above ffdi_threshold, None for an unknown FFDI."""
+    return altitude_m < flood_alt_m, None if ffdi is None else ffdi >= ffdi_threshold
+
+
 def annotate_risk(rec: Recommendation, flood_alt_m: float,
                   ffdi_threshold: float) -> Recommendation:
-    fire = None if rec.ffdi_delta is None else rec.ffdi_delta >= ffdi_threshold
-    return replace(rec, flood_flag=rec.altitude_m < flood_alt_m, fire_flag=fire)
+    flood, fire = risk_flags(rec.altitude_m, rec.ffdi_delta, flood_alt_m, ffdi_threshold)
+    return replace(rec, flood_flag=flood, fire_flag=fire)
 
 
 def propose_all(cluster_results: list[LgaClusterResult],

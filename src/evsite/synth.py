@@ -8,7 +8,7 @@ their true centers so recovery is checkable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .geo import GeoPoint, METERS_PER_DEG, BoundingBox, haversine_distance
@@ -21,6 +21,7 @@ from .ingest import (
     RouteRecord,
     StationRecord,
     TripRecord,
+    _number,
     save_fire_grid,
     save_lgas,
     save_pois,
@@ -66,11 +67,28 @@ class ScenarioSpec:
             raise ValueError("poi_per_hotspot_prob must be in [0, 1]")
 
     @staticmethod
-    def from_dict(doc: dict) -> "ScenarioSpec":
-        known = set(ScenarioSpec.__dataclass_fields__)
-        unknown = set(doc) - known
+    def from_dict(doc) -> "ScenarioSpec":
+        """The spec a JSON object sets: each value has its field's kind, an
+        integer for an int field, a finite number for a float field and four
+        of them for bbox; else ValueError naming the key."""
+        if not isinstance(doc, dict):
+            raise ValueError("scenario spec must be a JSON object")
+        defaults = {f.name: f.default for f in fields(ScenarioSpec)}
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise ValueError(f"unknown scenario spec keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            kind = type(defaults[key])
+            if kind is int and type(value) is not int:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if kind is float:
+                _number(value, key)
+            if kind is tuple:
+                if not isinstance(value, list) or len(value) != 4:
+                    raise ValueError(f"{key} must be [min_lat, min_lon, max_lat, max_lon], "
+                                     f"got {value!r}")
+                for k, v in enumerate(value):
+                    _number(v, f"{key}[{k}]")
         if "bbox" in doc:
             doc = {**doc, "bbox": tuple(doc["bbox"])}
         return ScenarioSpec(**doc)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import evsite
 from evsite.cli import main
-from evsite.config import DEFAULTS, ConfigError, default_config_dict, load_config
+from evsite.config import (
+    DEFAULTS, LAYER_KEYS, ConfigError, default_config_dict, load_config)
 from evsite.constraints import ConstraintConfig
 from evsite.export import export_map
 from evsite.ingest import load_lgas, load_stations, load_trips
@@ -96,6 +97,44 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"config {section}\.{key} must be a finite"):
             load_config(p)
 
+    # (path, in the config document, of a value the fuzz breaks; the name its
+    # message must carry)
+    FUZZED_KEYS = ([(("layers", k), k) for k in LAYER_KEYS]
+                   + [(("layers", "trips_format"), "trips_format"),
+                      (("dedup", "enabled"), "dedup.enabled"), (("workers",), "workers")]
+                   + [((name,), name) for name in ("layers", "constraints", *DEFAULTS)])
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(FUZZED_KEYS),
+           value=st.sampled_from([None, True, "x", [], {}, math.nan,
+                                  10 ** 400, -10 ** 400, "remove"]))
+    def test_broken_value_exits_1_naming_the_key(self, runner, scenario, key, value):
+        (*head, last), name = key
+        _, _, dirs = scenario
+        doc = default_config_dict(str(dirs["scenario"]))
+        doc["layers"]["trips_format"] = "csv"
+        parent = doc[head[0]] if head else doc
+        if value == "remove":
+            del parent[last]
+        else:
+            parent[last] = value
+        p = dirs["tmp"] / "fuzzed.json"
+        p.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(p)])
+        # a key with a default can go, a section with defaults can be empty,
+        # dedup.enabled is true already, and workers, which has no effect,
+        # may be any positive integer
+        harmless = (last != "layers" and last not in LAYER_KEYS and (
+            value == "remove" or (value == {} and name in (*DEFAULTS, "constraints"))
+            or (name == "dedup.enabled" and value is True)
+            or (name == "workers" and value == 10 ** 400)))
+        if harmless:
+            assert result.exit_code == 0, result.output
+        else:
+            assert result.exit_code == 1, result.output
+            assert name in result.output or "fuzzed.json" in result.output, result.output
+
     def test_missing_layer_file(self, scenario, tmp_path):
         _, _, dirs = scenario
         doc = default_config_dict(str(dirs["scenario"]))
@@ -150,6 +189,25 @@ class TestValidate:
         assert result.exit_code == 1, result.output
         assert f"{layer}: feature 1:" in result.output
 
+
+    @pytest.mark.parametrize("layer,edit", [
+        ("stations.geojson", lambda g: g.update(coordinates=[150.0])),
+        ("stations.geojson", lambda g: g.update(coordinates=150)),
+        ("pois.geojson", lambda g: g.update(coordinates={"lon": 150, "lat": -33})),
+        ("routes.geojson", lambda g: g["coordinates"].__setitem__(1, 150)),
+        ("routes.geojson", lambda g: g["coordinates"].__setitem__(1, [150.0])),
+        ("lgas.geojson", lambda g: g["coordinates"][0][0].__setitem__(1, [])),
+    ], ids=["station-one-coordinate", "station-number", "poi-object", "route-number",
+            "route-one-coordinate", "lga-empty-position"])
+    def test_short_or_non_list_position_exits_1(self, runner, scenario, layer, edit):
+        _, _, dirs = scenario
+        path = dirs["scenario"] / layer
+        doc = json.loads(path.read_text())
+        edit(doc["features"][1]["geometry"])
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert f"{layer}: feature 1: position must be [lon, lat, ...]" in result.output
 
     @pytest.mark.parametrize("layer,properties", [
         ("pois.geojson", ["poi_id", "category"]),
@@ -497,6 +555,30 @@ class TestSynthCmd:
         assert result.exit_code == 1
 
 
+    @pytest.mark.parametrize("spec,key", [
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"lga_rows": "2"}, "lga_rows"),
+        ({"lga_rows": 2.5}, "lga_rows"),
+        ({"bbox": 5}, "bbox"),
+        ({"bbox": [-35.0, 149.0, -33.0]}, "bbox"),
+        ({"bbox": [-35.0, 149.0, -33.0, "151"]}, "bbox[3]"),
+        ({"hotspot_sigma_m": None}, "hotspot_sigma_m"),
+        ({"hotspot_sigma_m": 10 ** 400}, "hotspot_sigma_m"),
+        ([1], "scenario spec must be a JSON object"),
+    ], ids=["seed-string", "seed-float", "seed-boolean", "rows-string", "rows-float",
+            "bbox-number", "bbox-short", "bbox-string", "sigma-null", "sigma-huge",
+            "not-an-object"])
+    def test_spec_value_of_the_wrong_kind_exits_1(self, runner, tmp_path, spec, key):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["synth", "--spec", str(spec_path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert f"{spec_path}: {key}" in result.output
+
+
 class TestExportMap:
     def _empty_collection(self, path):
         path.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
@@ -550,25 +632,29 @@ class TestExportMap:
         assert result.exit_code == 1
 
     @pytest.mark.parametrize("text,message", [
-        ("[1, 2]", "not a FeatureCollection"),
-        ('{"type": "FeatureCollection"}', "not a FeatureCollection"),
-        ('{"type": "FeatureCollection", "features": {}}', "not a FeatureCollection"),
+        ("[1, 2]", "not a GeoJSON FeatureCollection"),
+        ('{"type": "FeatureCollection"}', "not a GeoJSON FeatureCollection"),
+        ('{"type": "FeatureCollection", "features": {}}', "not a GeoJSON FeatureCollection"),
         (DEEP_JSON, "not valid JSON: nested too deeply"),
         ("{not json", "not valid JSON"),
-        ('{"type": "FeatureCollection", "features": [1]}', "feature 0: no Point coordinates"),
+        ('{"type": "FeatureCollection", "features": [1]}',
+         "feature 0: not a GeoJSON Feature"),
         ('{"type": "FeatureCollection", "features": [{"type": "Feature"}]}',
-         "feature 0: no Point coordinates"),
+         "feature 0: geometry must be Point"),
         ('{"type": "FeatureCollection", "features": [{"geometry": {"type": "Point"}}]}',
-         "feature 0: no Point coordinates"),
+         "feature 0: Point geometry has no coordinates"),
         ('{"type": "FeatureCollection", "features": [{"geometry": '
          '{"type": "LineString", "coordinates": [[1, 2], [3, 4]]}}]}',
-         "feature 0: no Point coordinates"),
+         "feature 0: geometry must be Point"),
         ('{"type": "FeatureCollection", "features": [{"geometry": '
-         '{"type": "Point", "coordinates": [150.0]}}]}', "feature 0: no Point coordinates"),
+         '{"type": "Point", "coordinates": [150.0]}}]}',
+         "feature 0: position must be [lon, lat, ...]"),
         ('{"type": "FeatureCollection", "features": [{"geometry": '
-         '{"type": "Point", "coordinates": ["150", -33]}}]}', "feature 0: no Point coordinates"),
+         '{"type": "Point", "coordinates": ["150", -33]}}]}',
+         "feature 0: longitude must be a JSON number, got '150'"),
         ('{"type": "FeatureCollection", "features": [{"geometry": '
-         '{"type": "Point", "coordinates": [1e400, -33]}}]}', "feature 0: no Point coordinates"),
+         '{"type": "Point", "coordinates": [1e400, -33]}}]}',
+         "feature 0: non-finite coordinate: (-33.0, inf)"),
         ('{"type": "FeatureCollection", "features": [{"geometry": {"type": "Point", '
          '"coordinates": [150, -33]}, "properties": [1]}]}',
          "feature 0: properties must be an object"),
@@ -582,3 +668,39 @@ class TestExportMap:
                                       "--out", str(tmp_path / "map.html")])
         assert result.exit_code == 1, result.output
         assert f"recommendations.geojson: {message}" in result.output
+
+    @pytest.mark.parametrize("coordinates", [[181.0, -33.0], [150.0, -90.5]],
+                             ids=["longitude", "latitude"])
+    def test_coordinate_out_of_range_exits_1(self, runner, tmp_path, coordinates):
+        self._empty_collection(tmp_path / "recommendations.geojson")
+        (tmp_path / "stations.geojson").write_text(json.dumps({
+            "type": "FeatureCollection", "features": [{
+                "type": "Feature", "geometry": {"type": "Point", "coordinates": coordinates},
+                "properties": {}}]}))
+        result = runner.invoke(main, ["export-map", "--in", str(tmp_path),
+                                      "--out", str(tmp_path / "map.html")])
+        assert result.exit_code == 1, result.output
+        assert "stations.geojson: feature 0: " in result.output
+        assert "out of range" in result.output
+
+    def test_text_outputs_are_utf8_in_any_locale(self, scenario):
+        # an ASCII locale with UTF-8 mode and locale coercion off: the text
+        # writers must not take the locale's encoding
+        _, _, dirs = scenario
+        path = dirs["scenario"] / "lgas.geojson"
+        doc = json.loads(path.read_text())
+        doc["features"][0]["properties"]["lga_name"] = "Caf\u00e9-Nord"
+        path.write_text(json.dumps(doc))
+        src = str(Path(evsite.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = dirs["tmp"] / "out"
+        for args in (["evaluate", "--config", str(dirs["config"]), "--out", str(out)],
+                     ["recommend", "--config", str(dirs["config"]), "--out", str(out)],
+                     ["export-map", "--in", str(out), "--out", str(out / "map.html")]):
+            run = subprocess.run([sys.executable, "-m", "evsite.cli", *args], env=env,
+                                 capture_output=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+        assert "Caf\u00e9-Nord" in (out / "evaluation.txt").read_text(encoding="utf-8")
+        assert 'id: Caf\u00e9-Nord-0' in (out / "map.html").read_text(encoding="utf-8")
