@@ -6,21 +6,24 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
+from operator import itemgetter
 from pathlib import Path
 
 from .geo import (
+    _DIAMETER_M,
     BoundingBox,
     GeoPoint,
     MultiPolygon,
     Polygon,
     bbox_of_rings,
-    haversine_distance,
     point_in_polygon,
     segment_reaches,
 )
+# tracing patches this here by name; the trip path inlines the formula instead
+from .geo import haversine_distance  # noqa: F401
 
 STATION_KINDS = ("existing_fast", "existing_destination", "approved")
 POI_CATEGORIES = ("fast_food", "fuel", "tourism")
@@ -152,28 +155,29 @@ def load_trips(path, format: str = "csv") -> tuple[list[TripRecord], list[str]]:
     path = Path(path)
     if format == "csv":
         try:
-            rows, bad = _read_trip_csv(path)
+            by_trip, bad = _read_trip_csv(path)
         except UnicodeDecodeError as e:
             raise _not_utf8(path, e) from e
     elif format == "geojson":
-        rows, bad = _read_trip_geojson(path)
+        by_trip, bad = _read_trip_geojson(path)
     else:
         raise IngestError(f"unknown trips format {format!r}")
 
-    total = len(rows) + len(bad)
+    total = sum(map(len, by_trip.values())) + len(bad)
     if total and len(bad) > total / 2:
         raise IngestError(
             f"corrupt input {path}: {len(bad)} of {total} rows malformed")
 
-    by_trip: dict[str, list[tuple[int, GeoPoint]]] = {}
-    for trip_id, ts, pt in rows:
-        by_trip.setdefault(trip_id, []).append((ts, pt))
     trips = []
+    by_time = itemgetter(0)
     for trip_id in sorted(by_trip):
-        pts = sorted(by_trip[trip_id], key=lambda tp: (tp[0], tp[1].lat, tp[1].lon))
+        pts = by_trip[trip_id]
         if len(pts) < 2:
             bad.append(f"trip {trip_id}: fewer than 2 valid points, dropped")
             continue
+        # by timestamp alone: fixes that share one are either all equal, and
+        # interchangeable, or make TripRecord fail whatever their order
+        pts.sort(key=by_time)
         try:
             trips.append(TripRecord(trip_id, tuple(pts)))
         except IngestError as e:
@@ -182,7 +186,10 @@ def load_trips(path, format: str = "csv") -> tuple[list[TripRecord], list[str]]:
 
 
 def _read_trip_csv(path: Path):
-    rows, bad = [], []
+    """(trip_id -> [(timestamp, location), ...] in row order, malformed-row
+    messages)."""
+    by_trip: dict[str, list[tuple[int, GeoPoint]]] = {}
+    bad = []
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -207,26 +214,31 @@ def _read_trip_csv(path: Path):
                 if len(row) != 4:
                     raise ValueError(f"expected 4 columns, got {len(row)}")
                 trip_id, ts, lat, lon = row
-                rows.append((trip_id, _integer(ts, "timestamp"),
-                             GeoPoint(float(lat), float(lon))))
+                fix = (_integer(ts, "timestamp"), GeoPoint(float(lat), float(lon)))
             except ValueError as e:
                 bad.append(f"{path}:{lineno}: {e}")
-    return rows, bad
+                continue
+            by_trip.setdefault(trip_id, []).append(fix)
+    return by_trip, bad
 
 
 def _read_trip_geojson(path: Path):
-    def fixes(feat: dict) -> list[tuple[str, int, GeoPoint]]:
+    """As _read_trip_csv, a feature's fixes counting as rows."""
+    def fixes(feat: dict) -> tuple[str, list[tuple[int, GeoPoint]]]:
         trip_id = str(_prop(feat, "trip_id"))
         timestamps = _prop(feat, "timestamps")
         line = _positions(_geometry(feat, "LineString"))
         if len(line) != len(timestamps):
             raise ValueError("timestamps length != coordinate count")
         # a malformed feature is dropped whole, none of its fixes kept
-        return [(trip_id, _json_integer(ts, "timestamp"), pt)
-                for ts, pt in zip(timestamps, line)]
+        return trip_id, [(_json_integer(ts, "timestamp"), pt)
+                         for ts, pt in zip(timestamps, line)]
 
+    by_trip: dict[str, list[tuple[int, GeoPoint]]] = {}
     bad = []
-    return [row for rows in _read_features(path, fixes, bad) for row in rows], bad
+    for trip_id, read in _read_features(path, fixes, bad):
+        by_trip.setdefault(trip_id, []).extend(read)
+    return by_trip, bad
 
 
 def save_trips(path, trips: list[TripRecord]) -> None:
@@ -238,27 +250,49 @@ def save_trips(path, trips: list[TripRecord]) -> None:
                 w.writerow([trip.trip_id, ts, repr(pt.lat), repr(pt.lon)])
 
 
+def _haversine_columns(points) -> tuple[list[float], list[float], list[float]]:
+    """radians(lat), cos(lat) and lon of each fix of a trip: the terms that
+    haversine_distance takes of each end, taken once per fix."""
+    rad = [math.radians(p.lat) for _, p in points]
+    return rad, [math.cos(r) for r in rad], [p.lon for _, p in points]
+
+
 def clean_trips(trips: list[TripRecord],
                 max_speed_mps: float) -> tuple[list[TripRecord], CleaningSummary]:
-    """Drop duplicate consecutive fixes and physically implausible jumps."""
+    """Drop duplicate consecutive fixes and physically implausible jumps.
+
+    The speed test measures from the last kept fix with haversine_distance
+    inlined over the trip's columns, the very same doubles. A trip that keeps
+    every fix is passed on as it is."""
     if max_speed_mps <= 0:
         raise IngestError("max_speed_mps must be > 0")
     summary = CleaningSummary()
     out = []
+    sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
     for trip in trips:
-        kept: list[tuple[int, GeoPoint]] = []
-        for ts, pt in trip.points:
-            if kept:
-                prev_ts, prev_pt = kept[-1]
-                if ts == prev_ts and pt == prev_pt:
-                    summary.duplicate_fixes_removed += 1
-                    continue
-                dt = ts - prev_ts
-                if dt <= 0 or haversine_distance(prev_pt, pt) / dt > max_speed_mps:
-                    summary.speed_fixes_removed += 1
-                    continue
-            kept.append((ts, pt))
-        if len(kept) < 2:
+        pts = trip.points
+        rad, cos_lat, lon = _haversine_columns(pts)
+        kept = [pts[0]]
+        k = 0  # index of the last kept fix
+        prev_ts, prev_pt = pts[0]
+        for i in range(1, len(pts)):
+            ts, pt = fix = pts[i]
+            if ts == prev_ts and pt == prev_pt:
+                summary.duplicate_fixes_removed += 1
+                continue
+            dt = ts - prev_ts
+            if dt <= 0 or _DIAMETER_M * asin(min(1.0, sqrt(
+                    sin((rad[i] - rad[k]) / 2.0) ** 2
+                    + cos_lat[k] * cos_lat[i] * sin(radians(lon[i] - lon[k]) / 2.0) ** 2))
+                    ) / dt > max_speed_mps:
+                summary.speed_fixes_removed += 1
+                continue
+            kept.append(fix)
+            k = i
+            prev_ts, prev_pt = fix
+        if len(kept) == len(pts):
+            out.append(trip)
+        elif len(kept) < 2:
             summary.trips_dropped += 1
         else:
             out.append(TripRecord(trip.trip_id, tuple(kept)))
@@ -270,25 +304,34 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
     """Origin, destination, and stay-point centroids for every trip.
 
     A stay is a maximal subsequence whose points all lie within dwell_radius_m
-    of the subsequence's first point and which spans at least dwell_min_s.
-    Ids are dense 0..n-1 in (trip_id, timestamp) order.
+    of the subsequence's first point and which spans at least dwell_min_s;
+    that distance is haversine_distance inlined over the trip's columns, the
+    very same doubles. Ids are dense 0..n-1 in (trip_id, timestamp) order.
     """
     if dwell_radius_m <= 0 or dwell_min_s <= 0:
         raise IngestError("dwell parameters must be > 0")
     raw: list[tuple[str, int, int, GeoPoint, str]] = []  # sort keys + payload
+    sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
     for trip in trips:
         pts = trip.points
+        n = len(pts)
+        rad, cos_lat, lon = _haversine_columns(pts)
         raw.append((trip.trip_id, pts[0][0], 0, pts[0][1], "origin"))
         raw.append((trip.trip_id, pts[-1][0], 2, pts[-1][1], "destination"))
         i = 0
-        while i < len(pts):
+        while i < n:
+            r1, c1, o1 = rad[i], cos_lat[i], lon[i]
             j = i
-            while j + 1 < len(pts) and haversine_distance(pts[i][1], pts[j + 1][1]) <= dwell_radius_m:
+            while j + 1 < n and _DIAMETER_M * asin(min(1.0, sqrt(
+                    sin((rad[j + 1] - r1) / 2.0) ** 2
+                    + c1 * cos_lat[j + 1] * sin(radians(lon[j + 1] - o1) / 2.0) ** 2))
+                    ) <= dwell_radius_m:
                 j += 1
             if pts[j][0] - pts[i][0] >= dwell_min_s:
-                lat = sum(p.lat for _, p in pts[i:j + 1]) / (j - i + 1)
-                lon = sum(p.lon for _, p in pts[i:j + 1]) / (j - i + 1)
-                raw.append((trip.trip_id, pts[i][0], 1, GeoPoint(lat, lon), "dwell"))
+                stay = pts[i:j + 1]
+                centroid = GeoPoint(sum(p.lat for _, p in stay) / len(stay),
+                                    sum(p.lon for _, p in stay) / len(stay))
+                raw.append((trip.trip_id, pts[i][0], 1, centroid, "dwell"))
             i = j + 1
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
     return [DemandPoint(i, loc, trip_id, kind)

@@ -35,6 +35,15 @@ from .rng import Rng
 POI_CYCLE = ("fuel", "fast_food", "tourism")
 STATION_CYCLE = ("existing_fast", "existing_destination", "approved")
 
+# (ScenarioSpec fields, test, what the test asks) checked at construction
+_RANGES = (
+    (("lga_rows", "lga_cols", "ffdi_rows", "ffdi_cols"), lambda v: v >= 1, ">= 1"),
+    (("n_hotspots_per_lga", "points_per_hotspot_min", "points_per_hotspot_max",
+      "background_noise_points", "n_stations_per_lga"), lambda v: v >= 0, ">= 0"),
+    (("route_spacing_deg", "route_vertex_step_deg"), lambda v: v > 0, "> 0"),
+    (("poi_per_hotspot_prob", "ffdi_missing_prob"), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+)
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -59,12 +68,15 @@ class ScenarioSpec:
     ffdi_missing_prob: float = 0.05
 
     def __post_init__(self):
-        if self.lga_rows < 1 or self.lga_cols < 1:
-            raise ValueError("need at least a 1x1 LGA grid")
+        """Each field in its range, else ValueError naming the key: a route
+        step of 0 would never end the route loops of generate."""
+        for keys, ok, text in _RANGES:
+            for key in keys:
+                value = getattr(self, key)
+                if not ok(value):
+                    raise ValueError(f"{key} must be {text}, got {value!r}")
         if self.points_per_hotspot_min > self.points_per_hotspot_max:
-            raise ValueError("points_per_hotspot range inverted")
-        if not 0.0 <= self.poi_per_hotspot_prob <= 1.0:
-            raise ValueError("poi_per_hotspot_prob must be in [0, 1]")
+            raise ValueError("points_per_hotspot_min must be <= points_per_hotspot_max")
 
     @staticmethod
     def from_dict(doc) -> "ScenarioSpec":

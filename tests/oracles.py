@@ -147,3 +147,59 @@ def relabel_by_first_occurrence(labels):
             mapping[lab] = len(mapping)
         out.append(mapping[lab])
     return out
+
+
+# The trip-path oracles are the first, per-fix versions of ingest.clean_trips
+# and ingest.extract_demand_points. They measure with the package's
+# haversine_distance on purpose: the column kernels must give the very same
+# doubles, which an independent formula cannot show. Trips are
+# (trip_id, ((timestamp, point), ...)) pairs.
+
+def per_fix_clean_trips(trips, max_speed_mps):
+    """(kept (trip_id, fixes) pairs, summary dict), one call per fix."""
+    from evsite.geo import haversine_distance
+    summary = {"duplicate_fixes_removed": 0, "speed_fixes_removed": 0,
+               "trips_dropped": 0}
+    out = []
+    for trip_id, points in trips:
+        kept = []
+        for ts, pt in points:
+            if kept:
+                prev_ts, prev_pt = kept[-1]
+                if ts == prev_ts and pt == prev_pt:
+                    summary["duplicate_fixes_removed"] += 1
+                    continue
+                dt = ts - prev_ts
+                if dt <= 0 or haversine_distance(prev_pt, pt) / dt > max_speed_mps:
+                    summary["speed_fixes_removed"] += 1
+                    continue
+            kept.append((ts, pt))
+        if len(kept) < 2:
+            summary["trips_dropped"] += 1
+        else:
+            out.append((trip_id, tuple(kept)))
+    return out, summary
+
+
+def per_fix_demand_points(trips, dwell_radius_m, dwell_min_s):
+    """(trip_id, kind, lat, lon) of each demand point in id order: origin,
+    destination and the centroid of every stay, a maximal run of fixes
+    within dwell_radius_m of its first that spans dwell_min_s."""
+    from evsite.geo import haversine_distance
+    raw = []
+    for trip_id, pts in trips:
+        raw.append((trip_id, pts[0][0], 0, "origin", pts[0][1].lat, pts[0][1].lon))
+        raw.append((trip_id, pts[-1][0], 2, "destination", pts[-1][1].lat, pts[-1][1].lon))
+        i = 0
+        while i < len(pts):
+            j = i
+            while j + 1 < len(pts) and haversine_distance(pts[i][1], pts[j + 1][1]) <= dwell_radius_m:
+                j += 1
+            if pts[j][0] - pts[i][0] >= dwell_min_s:
+                stay = [p for _, p in pts[i:j + 1]]
+                raw.append((trip_id, pts[i][0], 1, "dwell",
+                            sum(p.lat for p in stay) / len(stay),
+                            sum(p.lon for p in stay) / len(stay)))
+            i = j + 1
+    raw.sort(key=lambda r: (r[0], r[1], r[2]))
+    return [(trip_id, kind, lat, lon) for trip_id, _, _, kind, lat, lon in raw]

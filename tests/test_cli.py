@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import evsite
+from evsite import synth
 from evsite.cli import main
 from evsite.config import (
     DEFAULTS, LAYER_KEYS, ConfigError, default_config_dict, load_config)
@@ -577,6 +578,40 @@ class TestSynthCmd:
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 1, result.output
         assert f"{spec_path}: {key}" in result.output
+
+    @pytest.mark.parametrize("key,value", [
+        ("route_spacing_deg", 0), ("route_spacing_deg", -0.01),
+        ("route_vertex_step_deg", 0.0), ("route_vertex_step_deg", -1),
+        ("n_hotspots_per_lga", -1), ("points_per_hotspot_min", -2),
+        ("points_per_hotspot_max", -1), ("background_noise_points", -1),
+        ("n_stations_per_lga", -1),
+        ("ffdi_missing_prob", -0.5), ("ffdi_missing_prob", 2),
+        ("poi_per_hotspot_prob", 1.5),
+        ("ffdi_rows", 0), ("ffdi_cols", -3), ("lga_rows", 0), ("lga_cols", -1),
+    ])
+    def test_spec_value_out_of_range_exits_1(self, runner, tmp_path, monkeypatch,
+                                             key, value):
+        # the spec is refused before any layer is generated: a route step of
+        # 0 would loop for ever
+        def generate(spec, out_dir):
+            raise AssertionError(f"generate called with {spec}")
+        monkeypatch.setattr(synth, "generate", generate)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({key: value}))
+        result = runner.invoke(main, ["synth", "--spec", str(spec_path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert f"{spec_path}: {key} must be" in result.output
+        assert not (tmp_path / "o").exists()
+
+    def test_minimum_above_maximum_exits_1(self, runner, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"points_per_hotspot_min": 5,
+                                         "points_per_hotspot_max": 4}))
+        result = runner.invoke(main, ["synth", "--spec", str(spec_path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert f"{spec_path}: points_per_hotspot_min must be <=" in result.output
 
 
 class TestExportMap:

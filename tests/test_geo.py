@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from evsite.ingest import RouteRecord
@@ -117,6 +119,74 @@ class TestPointInPolygon:
                 assert oracles.min_edge_distance_deg(p.lon, p.lat, [verts]) < 1e-9
                 disagreements_near_edge += 1
         assert agree >= 999
+
+
+def _clamp(x, lo, hi):
+    return max(lo, min(hi, x))
+
+
+@st.composite
+def rim_polygons(draw):
+    """A star-shaped (lon, lat) ring by the antimeridian or above 80 degrees
+    of latitude, its vertices clamped to the globe, so that some of its
+    edges run along lon +-180 or lat +-90."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        clon, clat = sign * draw(st.floats(178.5, 180.0)), draw(st.floats(-70.0, 70.0))
+    else:
+        clon, clat = draw(st.floats(-180.0, 180.0)), sign * draw(st.floats(80.0, 90.0))
+    n = draw(st.integers(3, 9))
+    verts = []
+    for k in range(n):
+        r = draw(st.floats(0.2, 1.5))
+        verts.append((_clamp(clon + r * math.cos(2 * math.pi * k / n), -180.0, 180.0),
+                      _clamp(clat + r * math.sin(2 * math.pi * k / n), -90.0, 90.0)))
+    return verts + verts[:1], clon, clat
+
+
+class TestPointInPolygonAtTheRim:
+    """point_in_polygon by the antimeridian and the poles: off the edges it
+    agrees with the crossing-count oracle, and a point on an edge is inside."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=rim_polygons(),
+           probes=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                           min_size=1, max_size=20))
+    def test_matches_the_crossing_count_oracle(self, case, probes):
+        verts, clon, clat = case
+        poly = MultiPolygon((Polygon(tuple(GeoPoint(lat, lon) for lon, lat in verts)),))
+        for dlon, dlat in probes:
+            lon, lat = _clamp(clon + dlon, -180.0, 180.0), _clamp(clat + dlat, -90.0, 90.0)
+            if oracles.min_edge_distance_deg(lon, lat, [verts]) > 1e-9:
+                assert point_in_polygon(GeoPoint(lat, lon), poly) == \
+                    oracles.crossing_count_inside(lon, lat, [verts]), (lon, lat)
+        # the vertices, and the midpoint of each edge along a meridian or a
+        # parallel (lon +-180 and lat +-90 among them), lie exactly on an edge
+        on_edge = list(verts)
+        for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
+            if x1 == x2 or y1 == y2:
+                on_edge.append((x1 + (x2 - x1) / 2, y1 + (y2 - y1) / 2))
+        for lon, lat in on_edge:
+            assert point_in_polygon(GeoPoint(lat, lon), poly), (lon, lat)
+
+    def test_ring_split_at_the_antimeridian(self):
+        # lon 179.5 to -179.5 across the antimeridian, split there (RFC 7946 3.1.9)
+        poly = MultiPolygon((
+            Polygon(ring((-1, 179.5), (-1, 180), (1, 180), (1, 179.5), (-1, 179.5))),
+            Polygon(ring((-1, -180), (-1, -179.5), (1, -179.5), (1, -180), (-1, -180)))))
+        for lat, lon in [(0, 179.75), (0, -179.75), (0, 180.0), (0, -180.0),
+                         (0.999, 179.999), (-0.999, -179.999), (1, 180.0)]:
+            assert point_in_polygon(GeoPoint(lat, lon), poly), (lat, lon)
+        for lat, lon in [(0, 179.4), (0, -179.4), (1.001, 180.0), (0, 0)]:
+            assert not point_in_polygon(GeoPoint(lat, lon), poly), (lat, lon)
+
+    def test_ring_up_to_the_pole(self):
+        poly = MultiPolygon((Polygon(ring((85, -10), (85, 10), (90, 10), (90, -10),
+                                          (85, -10))),))
+        for lat, lon in [(90, 0), (90, 10), (89.999, 0), (85, 0), (87, -10)]:
+            assert point_in_polygon(GeoPoint(lat, lon), poly), (lat, lon)
+        for lat, lon in [(84.999, 0), (89, 10.001), (89, 180), (-90, 0)]:
+            assert not point_in_polygon(GeoPoint(lat, lon), poly), (lat, lon)
 
 
 def assert_radius_queries(idx, q, r, want):

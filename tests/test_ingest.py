@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from evsite.geo import BoundingBox, GeoPoint, MultiPolygon, Polygon
+from evsite.geo import BoundingBox, GeoPoint, MultiPolygon, Polygon, haversine_distance
 from evsite.ingest import (
     CleaningSummary,
     DemandPoint,
@@ -128,6 +129,44 @@ class TestLoadTrips:
         assert [t.trip_id for t in trips] == ["a", "b"]
         assert len(bad) == 1
         assert "feature 2: timestamp must be a finite integer" in bad[0]
+
+    # fixes of trip a, two of them at t=200
+    TIE_ROWS = [(100, -33.5, 150.5), (200, -33.6, 150.6), (200, -33.7, 150.6),
+                (300, -33.8, 150.7)]
+
+    @staticmethod
+    def _write_trip(path, fixes, format):
+        if format == "csv":
+            write_csv(path, [f"a,{ts},{lat!r},{lon!r}" for ts, lat, lon in fixes])
+        else:
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+                "type": "Feature",
+                "geometry": {"type": "LineString",
+                             "coordinates": [[lon, lat] for _, lat, lon in fixes]},
+                "properties": {"trip_id": "a", "timestamps": [ts for ts, _, _ in fixes]}}]}))
+
+    @pytest.mark.parametrize("format", ["csv", "geojson"])
+    def test_different_fixes_at_one_timestamp_drop_the_trip_in_any_order(
+            self, tmp_path, format):
+        f = tmp_path / "t.trips"
+        for order in itertools.permutations(self.TIE_ROWS):
+            self._write_trip(f, order, format)
+            assert load_trips(f, format=format) == (
+                [], ["trip a: timestamps not strictly increasing, dropped"])
+
+    @pytest.mark.parametrize("format", ["csv", "geojson"])
+    def test_equal_fixes_at_one_timestamp_load_in_any_order(self, tmp_path, format):
+        rows = self.TIE_ROWS[:2] + self.TIE_ROWS[1:2] + self.TIE_ROWS[3:]
+        want = tuple((ts, GeoPoint(lat, lon)) for ts, lat, lon in sorted(rows))
+        f = tmp_path / "t.trips"
+        for order in itertools.permutations(rows):
+            self._write_trip(f, order, format)
+            trips, bad = load_trips(f, format=format)
+            assert bad == [] and [t.points for t in trips] == [want]
+            cleaned, summary = clean_trips(trips, 1000.0)
+            assert summary.as_dict() == {"duplicate_fixes_removed": 1,
+                                         "speed_fixes_removed": 0, "trips_dropped": 0}
+            assert cleaned[0].points == want[:2] + want[3:]
 
 
 class TestCleanTrips:
@@ -541,6 +580,134 @@ class TestTripsCsvFuzz:
         assert len(bad) == 1 and bad[0].startswith(f"{f}:{line + 2}: "), bad
         write_csv(f, [",".join(r) for r in self.ROWS[:line] + self.ROWS[line + 1:]])
         assert trips == load_trips(f)[0]
+
+
+# how a fix moves on from the one before: a few metres (a stay), a drive, a
+# glitch that jumps 11 km and back, or a repeat of the same fix
+FIX_STEPS = ("stay", "drive", "glitch", "repeat")
+
+
+@st.composite
+def trip_rows(draw):
+    """(rows in file order, speed limit, dwell radius, dwell time). The rows
+    are (trip_id, timestamp, lat, lon), shuffled, with repeated fixes and
+    glitches; the speed limit is one pair's exact speed and the radius one
+    pair's exact distance, so that thresholds sit on the boundary of a test."""
+    rows, pairs = [], []
+    for t in range(draw(st.integers(1, 4))):
+        lat, lon = draw(st.floats(-60.0, 60.0)), draw(st.floats(-179.0, 179.0))
+        ts = draw(st.integers(0, 10 ** 6))
+        fixes = []
+        for _ in range(draw(st.integers(2, 12))):
+            step = draw(st.sampled_from(FIX_STEPS))
+            if step == "repeat" and fixes:
+                fixes.append(fixes[-1])
+                continue
+            if step == "stay":
+                lat += draw(st.floats(-3e-4, 3e-4))
+                lon += draw(st.floats(-3e-4, 3e-4))
+                ts += draw(st.integers(10, 300))
+            elif step == "drive":
+                lat += draw(st.floats(-0.01, 0.01))
+                lon += draw(st.floats(-0.01, 0.01))
+                ts += draw(st.integers(10, 120))
+            else:
+                ts += draw(st.integers(5, 30))
+            fixes.append((ts, lat + 0.1, lon) if step == "glitch" else (ts, lat, lon))
+        rows += [(f"t{t}", *fix) for fix in fixes]
+        pairs += [(a, b) for k, a in enumerate(fixes) for b in fixes[k + 1:]]
+    speeds, radii = [30.0], [100.0]
+    for (ta, *a), (tb, *b) in pairs:
+        d = haversine_distance(GeoPoint(*a), GeoPoint(*b))
+        if d > 0:
+            radii.append(d)
+            if tb > ta:
+                speeds.append(d / (tb - ta))
+    return (draw(st.permutations(rows)), draw(st.sampled_from(speeds)),
+            draw(st.sampled_from(radii)), draw(st.sampled_from([1, 60, 300, 600])))
+
+
+class TestTripPathOracle:
+    """load_trips, clean_trips and extract_demand_points against the per-fix
+    oracles, which call haversine_distance for every comparison."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=trip_rows(), format=st.sampled_from(["csv", "geojson"]))
+    def test_trip_path_matches_the_per_fix_oracles(self, tmp_path, case, format):
+        rows, max_speed_mps, dwell_radius_m, dwell_min_s = case
+        f = tmp_path / "t.trips"
+        if format == "csv":
+            write_csv(f, [f"{tid},{ts},{lat!r},{lon!r}" for tid, ts, lat, lon in rows])
+        else:
+            # each run of rows of one trip is a feature of its own
+            runs = [list(g) for _, g in itertools.groupby(rows, key=lambda r: r[0])]
+            f.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+                "type": "Feature",
+                "geometry": {"type": "LineString",
+                             "coordinates": [[lon, lat] for _, _, lat, lon in run]},
+                "properties": {"trip_id": run[0][0],
+                               "timestamps": [ts for _, ts, _, _ in run]}}
+                for run in runs]}))
+        trips, bad = load_trips(f, format=format)
+        assert bad == []
+        # (timestamp, lat, lon) order: fixes that share a timestamp are equal
+        assert [(t.trip_id, t.points) for t in trips] == [
+            (tid, tuple((ts, GeoPoint(lat, lon)) for _, ts, lat, lon in sorted(
+                (r for r in rows if r[0] == tid), key=lambda r: r[1:])))
+            for tid in sorted({r[0] for r in rows})]
+
+        cleaned, summary = clean_trips(trips, max_speed_mps)
+        want, want_summary = oracles.per_fix_clean_trips(
+            [(t.trip_id, t.points) for t in trips], max_speed_mps)
+        assert [(t.trip_id, t.points) for t in cleaned] == want
+        assert summary.as_dict() == want_summary
+        by_id = {t.trip_id: t for t in trips}
+        for t in cleaned:
+            # a trip that keeps every fix is passed on, not rebuilt
+            assert (t is by_id[t.trip_id]) == (t.points == by_id[t.trip_id].points)
+
+        dps = extract_demand_points(cleaned, dwell_radius_m, dwell_min_s)
+        assert [d.point_id for d in dps] == list(range(len(dps)))
+        assert [(d.source_trip, d.kind, d.location.lat, d.location.lon) for d in dps] == \
+            oracles.per_fix_demand_points(want, dwell_radius_m, dwell_min_s)
+
+    def test_kernels_give_the_doubles_of_haversine_distance(self):
+        # a limit of exactly d keeps the second fix and one ulp below drops
+        # it, so each kernel returns d itself; about one pair in sixteen
+        # tells apart a kernel that groups the product differently
+        rng = random.Random(13)
+        for k in range(3000):
+            a = GeoPoint(rng.uniform(-89.0, 89.0), rng.uniform(-180.0, 180.0))
+            scale = (1e-4, 1e-2, 1.0, 90.0)[k % 4]
+            b = GeoPoint(max(-90.0, min(90.0, a.lat + rng.uniform(-scale, scale))),
+                         (a.lon + rng.uniform(-2 * scale, 2 * scale) + 180.0) % 360.0 - 180.0)
+            d = haversine_distance(a, b)
+            if d == 0.0:
+                continue
+            trip = TripRecord("a", ((0, a), (1, b)))
+            assert clean_trips([trip], d)[0] == [trip], (a, b)
+            assert clean_trips([trip], math.nextafter(d, 0.0))[0] == [], (a, b)
+            trip = TripRecord("a", ((0, a), (600, b)))
+            assert len(extract_demand_points([trip], d, 600)) == 3, (a, b)
+            assert len(extract_demand_points([trip], math.nextafter(d, 0.0), 600)) == 2, (a, b)
+
+    def test_speed_limit_at_the_exact_speed_keeps_the_fix(self):
+        a, b, c = GeoPoint(-33.0, 150.0), GeoPoint(-33.01, 150.013), GeoPoint(-33.02, 150.02)
+        trip = TripRecord("a", ((0, a), (70, b), (140, c)))
+        limit = haversine_distance(a, b) / 70
+        assert clean_trips([trip], limit)[0][0].points[1] == (70, b)
+        below = math.nextafter(limit, 0.0)
+        assert (70, b) not in clean_trips([trip], below)[0][0].points
+
+    def test_dwell_radius_at_the_exact_distance_holds_the_fix(self):
+        a, b, c = GeoPoint(-33.0, 150.0), GeoPoint(-33.0003, 150.0004), GeoPoint(-33.1, 150.0)
+        trip = TripRecord("a", ((0, a), (700, b), (800, c)))
+        radius = haversine_distance(a, b)
+        dwell = [d for d in extract_demand_points([trip], radius, 600) if d.kind == "dwell"]
+        assert [d.location for d in dwell] == [GeoPoint((a.lat + b.lat) / 2, (a.lon + b.lon) / 2)]
+        assert not [d for d in extract_demand_points([trip], math.nextafter(radius, 0.0), 600)
+                    if d.kind == "dwell"]
 
 
 class TestAssignLga:
