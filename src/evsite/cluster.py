@@ -57,8 +57,9 @@ def dbscan_lga(points: list[DemandPoint], contexts: list[PointContext],
     # cells of half the smallest eps, but no finer than an eighth of the
     # largest, so that a query window stays within about 17 x 17 cells
     cell_m = max(min(eps) / 2, max(eps) / 8) if points else METERS_PER_DEG
-    index = SpatialIndex([points[i].location for i in order], cell_m / METERS_PER_DEG)
-    locations = index.points
+    locations = [points[i].location for i in order]
+    index = SpatialIndex([p.lat for p in locations], [p.lon for p in locations],
+                         cell_m / METERS_PER_DEG)
 
     labels = [NOISE] * len(points)
     # ids not yet clustered, one set per index cell: a walk counts what it

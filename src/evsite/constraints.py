@@ -102,18 +102,22 @@ class RouteLocator:
 
     def __init__(self, routes: list[RouteRecord]):
         self.routes = sorted(routes, key=lambda r: r.route_id)
-        self._vertices = [v for r in self.routes for v in r.polyline]
-        self._altitudes = [a for r in self.routes for a in r.altitudes]
-        self._route_ids = [r.route_id for r in self.routes for _ in r.polyline]
+        # every route's columns end to end, vertex ids running across routes
+        self._lat, self._lon, self._altitudes = array("d"), array("d"), array("d")
+        self._route_ids: list[str] = []
         # reach of the segment from each vertex to the next; -1 at a route's end
         self._reach_m = array("d")
         for route in self.routes:
+            self._lat += route.lat
+            self._lon += route.lon
+            self._altitudes += route.altitudes
+            self._route_ids += [route.route_id] * len(route.lat)
             self._reach_m += route.segment_reach_m
             self._reach_m.append(-1.0)
         self.max_reach_m = max(self._reach_m, default=0.0)
         # a reach is at least half its segment: cells about the longest one
         cell = max(2.0 * self.max_reach_m, 500.0) / METERS_PER_DEG
-        self._index = SpatialIndex(self._vertices, cell) if self._vertices else None
+        self._index = SpatialIndex(self._lat, self._lon, cell) if self._lat else None
 
     def __bool__(self) -> bool:
         return self._index is not None
@@ -134,7 +138,8 @@ class RouteLocator:
         index = self._index
         if index is None:
             return [(p, math.inf, "", math.nan) for p in points]
-        vertices, reach_m, route_ids = self._vertices, self._reach_m, self._route_ids
+        v_lat, v_lon = self._lat, self._lon
+        reach_m, route_ids = self._reach_m, self._route_ids
         out: list = [None] * len(points)
         for c, rho, members in _cell_groups(points):
             near = index.neighbors_within(
@@ -173,9 +178,9 @@ class RouteLocator:
                     # extension
                     if (h_a if h_a < h_b else h_b) - reach_m[s] > best_d + 1e-6:
                         continue
-                    a, b = vertices[s], vertices[s + 1]
                     c_lat, c_lon, d = project_segment(lat, lon, rad_lat, cos_lat,
-                                                      a.lat, a.lon, b.lat, b.lon)
+                                                      v_lat[s], v_lon[s],
+                                                      v_lat[s + 1], v_lon[s + 1])
                     if d >= h_a:
                         # as in project_to_polyline, the start vertex, at h_a,
                         # stands unless the projection is strictly closer
@@ -183,9 +188,9 @@ class RouteLocator:
                     if d < best_d or (d == best_d and route_ids[s] < best_id):
                         best_vid, best_lat, best_lon = s, c_lat, c_lon
                         best_d, best_id = d, route_ids[s]
-                best_pt = (vertices[best_vid] if best_lat is None
-                           else GeoPoint(best_lat, best_lon))
-                out[i] = (best_pt, best_d, best_id, self._altitudes[vid])
+                if best_lat is None:
+                    best_lat, best_lon = v_lat[best_vid], v_lon[best_vid]
+                out[i] = (GeoPoint(best_lat, best_lon), best_d, best_id, self._altitudes[vid])
         return out
 
 
@@ -206,11 +211,10 @@ class PoiIndex:
         self.categories = {p.poi_id: p.category for p in self.pois}
         self._index = None
         if pois:
-            lats = [p.location.lat for p in pois]
-            lons = [p.location.lon for p in pois]
+            lats = [p.location.lat for p in self.pois]
+            lons = [p.location.lon for p in self.pois]
             extent = max(max(lats) - min(lats), max(lons) - min(lons))
-            self._index = SpatialIndex([p.location for p in self.pois],
-                                       max(extent / math.sqrt(len(pois)), 0.01))
+            self._index = SpatialIndex(lats, lons, max(extent / math.sqrt(len(pois)), 0.01))
 
     def nearest(self, p: GeoPoint) -> tuple[PoiRecord | None, float]:
         """(closest POI, distance); None and inf when there are no POIs."""

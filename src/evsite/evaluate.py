@@ -119,7 +119,9 @@ def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],
     # only the points the stations leave uncovered can gain a recommendation
     uncovered: list[DemandPoint] = []
     cov_before = coverage(demand_points, station_index, coverage_radius_m, uncovered)
-    rec_index = SpatialIndex([r.location for r in recs_final], coverage_radius_m / METERS_PER_DEG)
+    rec_index = SpatialIndex([r.location.lat for r in recs_final],
+                             [r.location.lon for r in recs_final],
+                             coverage_radius_m / METERS_PER_DEG)
     gained = sum(1 for dp in uncovered if rec_index.any_within(dp.location, coverage_radius_m))
     cov_after = (len(demand_points) - len(uncovered) + gained) / len(demand_points)
 

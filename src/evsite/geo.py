@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 EARTH_RADIUS_M = 6371008.8
@@ -22,17 +22,18 @@ class GeoError(ValueError):
     """Raised for invalid geometry inputs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     lat: float
     lon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise GeoError(f"non-finite coordinate: ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise GeoError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
+        # one chained test on the way through; NaN fails it, as does +-inf
+        if not (-90.0 <= self.lat <= 90.0 and -180.0 <= self.lon <= 180.0):
+            if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
+                raise GeoError(f"non-finite coordinate: ({self.lat}, {self.lon})")
+            if not -90.0 <= self.lat <= 90.0:
+                raise GeoError(f"latitude out of range: {self.lat}")
             raise GeoError(f"longitude out of range: {self.lon}")
 
 
@@ -131,26 +132,26 @@ def point_in_polygon(p: GeoPoint, poly: MultiPolygon) -> bool:
     return False
 
 
-@dataclass
 class SpatialIndex:
-    """Uniform lat/lon grid over a fixed point set; exact radius and nearest queries."""
+    """Uniform lat/lon grid over a fixed point set, given as parallel lat and
+    lon columns; exact radius and nearest queries. A point's id is its
+    position in the columns."""
 
-    points: list[GeoPoint]
-    cell_size: float
-    _cells: dict[tuple[int, int], list[int]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.cell_size <= 0:
+    def __init__(self, lat, lon, cell_size: float):
+        if cell_size <= 0:
             raise GeoError("cell_size must be > 0")
+        self.cell_size = cell_size
         # the cells as _key computes them, without a call per point
-        cell, floor, cells = self.cell_size, math.floor, self._cells
-        for i, p in enumerate(self.points):
-            key = (floor(p.lat / cell), floor(p.lon / cell))
+        cell, floor = cell_size, math.floor
+        cells: dict[tuple[int, int], list[int]] = {}
+        for i, (y, x) in enumerate(zip(lat, lon)):
+            key = (floor(y / cell), floor(x / cell))
             ids = cells.get(key)
             if ids is None:
                 cells[key] = [i]
             else:
                 ids.append(i)
+        self._cells = cells
         keys = cells.keys()
         self._row_range = ((min(k[0] for k in keys), max(k[0] for k in keys))
                            if keys else (0, -1))
@@ -158,9 +159,9 @@ class SpatialIndex:
                            if keys else (0, -1))
         # the per-point terms of haversine_distance, so that radius queries
         # compute the very same doubles without a call per candidate
-        self._rad_lat = array("d", [math.radians(p.lat) for p in self.points])
+        self._rad_lat = array("d", map(math.radians, lat))
         self._cos_lat = array("d", map(math.cos, self._rad_lat))
-        self._lon = array("d", [p.lon for p in self.points])
+        self._lon = array("d", lon)
         # cell key -> (radians(lat), cos(lat), lon, reach) of the cell's
         # centre, filled on first use: see _disc
         self._discs: dict[tuple[int, int], tuple[float, float, float, float]] = {}
@@ -182,13 +183,13 @@ class SpatialIndex:
         return disc
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._lon)
 
     def _window(self, p: GeoPoint, radius_m: float) -> list[tuple[int, int]]:
         """Keys of the occupied cells in the lat/lon window of a radius query."""
         if radius_m < 0:
             raise GeoError("radius must be >= 0")
-        if not self.points:
+        if not self._lon:
             return []
         # the margin keeps a point at exactly radius_m inside the window when
         # the degree arithmetic rounds the other way
@@ -353,14 +354,14 @@ class SpatialIndex:
         return out
 
     def distances(self, p: GeoPoint, ids: list[int]) -> list[float]:
-        """haversine_distance(p, points[i]) for each id, the very same doubles."""
+        """haversine_distance from p to each id's point, the very same doubles."""
         return self._distances(_query_terms(p), ids)
 
     def nearest_bound(self, p: GeoPoint) -> float:
         """An upper bound on the distance from p to its nearest indexed point:
         the least distance to the points of the first ring of cells around
         p's cell that holds any (or to every point, once rings grow sparse)."""
-        if not self.points:
+        if not self._lon:
             raise GeoError("empty index")
         cells = self._cells
         key = self._key(p)
@@ -411,20 +412,18 @@ def _ring_cells(center: tuple[int, int], ring: int):
         yield (r, c0 + ring)
 
 
-def segment_reaches(polyline) -> array:
-    """For each segment, polyline[i] to polyline[i + 1], the larger
-    haversine_distance from its two ends to the midpoint of the lat/lon-linear
-    path that project_segment interpolates (t = 0.5, longitude wrapped as
-    there), the very same double. Distance from an end grows along that
-    path, so every point of the segment lies within this reach of one of its
-    ends.
+def segment_reaches(lat, lon) -> array:
+    """For each segment of the polyline with vertex columns lat and lon,
+    vertex i to vertex i + 1, the larger haversine_distance from its two ends
+    to the midpoint of the lat/lon-linear path that project_segment
+    interpolates (t = 0.5, longitude wrapped as there), the very same double.
+    Distance from an end grows along that path, so every point of the segment
+    lies within this reach of one of its ends.
 
     The formula is inlined over columns of the ends' and midpoints' terms, so
     that each vertex's radians and cosine are taken once. The distance grows
     with the sum under the square root, so one asin of the larger sum gives
     the larger distance."""
-    lat = [v.lat for v in polyline]
-    lon = [v.lon for v in polyline]
     rad = [math.radians(x) for x in lat]
     cos = [math.cos(r) for r in rad]
     mid_rad = [math.radians(a + 0.5 * (b - a)) for a, b in zip(lat, lat[1:])]

@@ -76,14 +76,19 @@ class PoiRecord:
 
 @dataclass(frozen=True)
 class RouteRecord:
+    """A route as parallel array('d') columns: vertex i sits at (lat[i],
+    lon[i]) at altitudes[i] meters. load_routes checks each vertex as a
+    GeoPoint does; the record checks the vertex count and the altitudes."""
+
     route_id: str
-    polyline: tuple[GeoPoint, ...]
-    altitudes: tuple[float, ...]
+    lat: array
+    lon: array
+    altitudes: array
 
     def __post_init__(self):
-        if len(self.polyline) < 2:
+        if len(self.lat) < 2:
             raise IngestError(f"route {self.route_id}: needs >= 2 vertices")
-        if len(self.altitudes) != len(self.polyline):
+        if len(self.altitudes) != len(self.lat):
             raise IngestError(f"route {self.route_id}: altitudes length mismatch")
         for a in self.altitudes:
             if not math.isfinite(a) or not -100.0 <= a <= 3000.0:
@@ -91,10 +96,10 @@ class RouteRecord:
 
     @cached_property
     def segment_reach_m(self) -> array:
-        """For each segment, polyline[i] to polyline[i + 1], the distance in
-        meters within which every point of it lies of one of its ends (see
+        """For each segment, vertex i to vertex i + 1, the distance in meters
+        within which every point of it lies of one of its ends (see
         geo.segment_reaches), computed on first use."""
-        return segment_reaches(self.polyline)
+        return segment_reaches(self.lat, self.lon)
 
 
 @dataclass(frozen=True)
@@ -420,23 +425,73 @@ def _prop(feat: dict, key: str):
     return props[key]
 
 
-def _positions(coords) -> tuple[GeoPoint, ...]:
-    """A list of GeoJSON positions as GeoPoints. A position is [lon, lat, ...]:
-    members past the second, such as an altitude, are ignored (RFC 7946 3.1.1).
-    Each member must be a JSON number; a float is taken without a call."""
+# the types json gives a JSON number; bool, a subclass of int, is not one
+_JSON_NUMBERS = {float, int}
+
+
+def _numbers(values: list, key: str) -> array:
+    """A list of JSON numbers as doubles; else, at the first value that is
+    not one or has no double, the error _json_float raises naming key."""
+    if set(map(type, values)) <= _JSON_NUMBERS:
+        try:
+            return array("d", values)
+        except OverflowError:
+            pass
+    return array("d", [_json_float(v, key) for v in values])
+
+
+def _columns(coords) -> tuple[array, array]:
+    """A list of GeoJSON positions as lat and lon columns. A position is
+    [lon, lat, ...]: members past the second, such as an altitude, are
+    ignored (RFC 7946 3.1.1). Each member must be a JSON number, and each
+    position a valid GeoPoint.
+
+    The columns are read and checked whole; when any check fails,
+    _checked_columns reads the positions again one at a time, so the error
+    raised is the first in position order."""
     try:
-        return tuple([GeoPoint(lat if type(lat := c[1]) is float else _json_float(lat, "latitude"),
-                               lon if type(lon := c[0]) is float else _json_float(lon, "longitude"))
-                      for c in coords])
+        lat = [c[1] for c in coords]
+        lon = [c[0] for c in coords]
+    except (IndexError, TypeError, KeyError):
+        return _checked_columns(coords)
+    # an int outside the ranges fails them before the sum could overflow, NaN
+    # fails the sum's test, whatever min and max make of it, and an empty
+    # list is read the slow way too
+    if (lat and {*map(type, lat), *map(type, lon)} <= _JSON_NUMBERS
+            and -90.0 <= min(lat) and max(lat) <= 90.0
+            and -180.0 <= min(lon) and max(lon) <= 180.0
+            and math.isfinite(sum(lat) + sum(lon))):
+        return array("d", lat), array("d", lon)
+    return _checked_columns(coords)
+
+
+def _checked_columns(coords) -> tuple[array, array]:
+    """_columns one position at a time, each checked in full before the next."""
+    lat, lon = array("d"), array("d")
+    try:
+        for c in coords:
+            y = _json_float(c[1], "latitude")
+            x = _json_float(c[0], "longitude")
+            GeoPoint(y, x)  # for its checks, in their order
+            lat.append(y)
+            lon.append(x)
     except (IndexError, TypeError, KeyError) as e:
         # a short position, or a number or an object where one belongs
         raise ValueError("position must be [lon, lat, ...]") from e
+    return lat, lon
+
+
+def _positions(coords) -> tuple[GeoPoint, ...]:
+    """A list of GeoJSON positions as GeoPoints (see _columns)."""
+    return tuple(map(GeoPoint, *_columns(coords)))
 
 
 def _json_float(value, key: str) -> float:
-    """A JSON number that json did not read as a float, which is an int, as a
-    float; an int too large for one raises OverflowError. Anything else, a
-    string or a boolean among them, is a ValueError naming key."""
+    """A JSON number as a float: a float as it is, an int converted (one too
+    large for a float raises OverflowError). Anything else, a string or a
+    boolean among them, is a ValueError naming key."""
+    if type(value) is float:
+        return value
     if type(value) is int:
         return float(value)
     raise ValueError(f"{key} must be a JSON number, got {value!r}")
@@ -493,10 +548,9 @@ def load_routes(path) -> list[RouteRecord]:
         altitudes = _prop(feat, "altitudes")
         if type(altitudes) is not list:
             raise ValueError("altitudes must be an array")
-        return RouteRecord(
-            str(_prop(feat, "route_id")), _positions(_geometry(feat, "LineString")),
-            tuple([a if type(a) is float else _json_float(a, "altitude")
-                   for a in altitudes]))
+        route_id = str(_prop(feat, "route_id"))
+        lat, lon = _columns(_geometry(feat, "LineString"))
+        return RouteRecord(route_id, lat, lon, _numbers(altitudes, "altitude"))
     return _read_features(path, route)
 
 
@@ -591,7 +645,7 @@ def save_routes(path, routes: list[RouteRecord]) -> None:
     write_feature_collection(path, [
         {"type": "Feature",
          "geometry": {"type": "LineString",
-                      "coordinates": [[v.lon, v.lat] for v in r.polyline]},
+                      "coordinates": [[x, y] for x, y in zip(r.lon, r.lat)]},
          "properties": {"route_id": r.route_id, "altitudes": list(r.altitudes)}}
         for r in routes])
 

@@ -76,8 +76,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     poi_index = constraints.PoiIndex(layers.pois)
     # exact for any cell size: cells as wide as the widest radius it is asked
     # about, and no narrower than a metre so that min_sep_m = 0 works too
-    station_index = SpatialIndex([s.location for s in layers.stations], max(
-        cfg.min_sep_m, cfg.align_m, cfg.coverage_radius_m, 1.0) / METERS_PER_DEG)
+    station_index = SpatialIndex(
+        [s.location.lat for s in layers.stations], [s.location.lon for s in layers.stations],
+        max(cfg.min_sep_m, cfg.align_m, cfg.coverage_radius_m, 1.0) / METERS_PER_DEG)
 
     contexts_all = constraints.annotate_context(
         demand, poi_index, layers.routes, layers.fire_grid)

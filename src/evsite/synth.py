@@ -8,6 +8,7 @@ their true centers so recovery is checkable.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -31,6 +32,10 @@ from .ingest import (
     write_json,
 )
 from .rng import Rng
+
+# the most vertices the route grid may hold; a finer grid is refused, since
+# a tiny step would have generate build routes until memory runs out
+MAX_ROUTE_VERTICES = 1_000_000
 
 POI_CYCLE = ("fuel", "fast_food", "tourism")
 STATION_CYCLE = ("existing_fast", "existing_destination", "approved")
@@ -69,7 +74,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         """Each field in its range, else ValueError naming the key: a route
-        step of 0 would never end the route loops of generate."""
+        step of 0 would never end the route loops of generate, and a tiny one
+        would not end them in time."""
         for keys, ok, text in _RANGES:
             for key in keys:
                 value = getattr(self, key)
@@ -77,6 +83,16 @@ class ScenarioSpec:
                     raise ValueError(f"{key} must be {text}, got {value!r}")
         if self.points_per_hotspot_min > self.points_per_hotspot_max:
             raise ValueError("points_per_hotspot_min must be <= points_per_hotspot_max")
+        # the grid lines and vertices per line that _build_routes makes, give
+        # or take one each
+        min_lat, min_lon, max_lat, max_lon = self.bbox
+        lines = max(0, math.floor((max_lat - min_lat) / self.route_spacing_deg)) + 1
+        per_line = max(0, math.floor((max_lon - min_lon) / self.route_vertex_step_deg)) + 1
+        if lines * per_line > MAX_ROUTE_VERTICES:
+            raise ValueError(
+                f"route_spacing_deg {self.route_spacing_deg!r} and route_vertex_step_deg "
+                f"{self.route_vertex_step_deg!r} make a route grid of {lines} lines x "
+                f"{per_line} vertices, more than {MAX_ROUTE_VERTICES}")
 
     @staticmethod
     def from_dict(doc) -> "ScenarioSpec":
@@ -132,10 +148,10 @@ class ScenarioManifest:
         }
 
 
-def _altitude_at(spec: ScenarioSpec, p: GeoPoint) -> float:
+def _altitude_at(spec: ScenarioSpec, lat: float, lon: float) -> float:
     min_lat, min_lon, max_lat, max_lon = spec.bbox
-    u = (p.lat - min_lat) / max(1e-12, max_lat - min_lat)
-    v = (p.lon - min_lon) / max(1e-12, max_lon - min_lon)
+    u = (lat - min_lat) / max(1e-12, max_lat - min_lat)
+    v = (lon - min_lon) / max(1e-12, max_lon - min_lon)
     alt = (spec.altitude_base_m
            + spec.altitude_amplitude_m * math.sin(2 * math.pi * u)
            + spec.altitude_amplitude_m * math.cos(2 * math.pi * v))
@@ -259,10 +275,10 @@ def generate(spec: ScenarioSpec, out_dir) -> ScenarioManifest:
     return manifest
 
 
-def _polyline_with_altitudes(spec: ScenarioSpec, points: list[GeoPoint],
-                             route_id: str) -> RouteRecord:
-    return RouteRecord(route_id, tuple(points),
-                       tuple(_altitude_at(spec, p) for p in points))
+def _route(spec: ScenarioSpec, route_id: str, lat: list[float],
+           lon: list[float]) -> RouteRecord:
+    return RouteRecord(route_id, array("d", lat), array("d", lon),
+                       array("d", [_altitude_at(spec, y, x) for y, x in zip(lat, lon)]))
 
 
 def _build_routes(spec: ScenarioSpec, hotspots: list[Hotspot]) -> list[RouteRecord]:
@@ -273,21 +289,21 @@ def _build_routes(spec: ScenarioSpec, hotspots: list[Hotspot]) -> list[RouteReco
     lat = min_lat
     k = 0
     while lat <= max_lat + 1e-12:
-        points = []
+        lons = []
         lon = min_lon
         while lon <= max_lon + 1e-12:
-            points.append(GeoPoint(round(lat, 9), round(min(lon, max_lon), 9)))
+            lons.append(round(min(lon, max_lon), 9))
             lon += spec.route_vertex_step_deg
-        if len(points) >= 2:
-            routes.append(_polyline_with_altitudes(spec, points, f"grid-{k:04d}"))
+        if len(lons) >= 2:
+            routes.append(_route(spec, f"grid-{k:04d}", [round(lat, 9)] * len(lons), lons))
         k += 1
         lat += spec.route_spacing_deg
     half = 0.05
     for i, h in enumerate(hotspots):
         lon0 = max(min_lon, h.center.lon - half)
         lon1 = min(max_lon, h.center.lon + half)
-        points = [GeoPoint(h.center.lat, lon0), h.center, GeoPoint(h.center.lat, lon1)]
-        routes.append(_polyline_with_altitudes(spec, points, f"spur-{i:04d}"))
+        routes.append(_route(spec, f"spur-{i:04d}", [h.center.lat] * 3,
+                             [lon0, h.center.lon, lon1]))
     return routes
 
 

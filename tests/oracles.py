@@ -62,13 +62,13 @@ def nearest_vertex_altitude(lat, lon, routes):
     """Altitude of the route vertex nearest (lat, lon), by a scan of every
     vertex; ties go to the smallest (route_id, vertex index).
 
-    ``routes`` are records with ``route_id``, ``polyline`` (points with
-    ``lat``/``lon``) and a parallel ``altitudes`` sequence.
+    ``routes`` are records with ``route_id`` and parallel ``lat``, ``lon``
+    and ``altitudes`` sequences.
     """
     best = None
     for route in sorted(routes, key=lambda r: r.route_id):
-        for v, alt in zip(route.polyline, route.altitudes):
-            d = haversine_oracle(lat, lon, v.lat, v.lon)
+        for v_lat, v_lon, alt in zip(route.lat, route.lon, route.altitudes):
+            d = haversine_oracle(lat, lon, v_lat, v_lon)
             if best is None or d < best[0]:
                 best = (d, alt)
     return best[1]
@@ -203,3 +203,36 @@ def per_fix_demand_points(trips, dwell_radius_m, dwell_min_s):
             i = j + 1
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
     return [(trip_id, kind, lat, lon) for trip_id, _, _, kind, lat, lon in raw]
+
+
+# The position oracle is the first, per-position reader of GeoJSON positions
+# (ingest._positions before the column reader), with GeoPoint's checks
+# written out. The column reader must accept exactly what it accepts, with
+# the same doubles, and raise its first error with the same message.
+
+def per_position_reader(coords):
+    """[(lat, lon), ...] of a list of [lon, lat, ...] positions, each member a
+    JSON number (a float, or an int taken as a float); else the error for the
+    first position that is not a valid point, members checked latitude first."""
+    def number(value, key):
+        if type(value) is float:
+            return value
+        if type(value) is int:
+            return float(value)  # OverflowError for an int too large
+        raise ValueError(f"{key} must be a JSON number, got {value!r}")
+
+    out = []
+    try:
+        for c in coords:
+            lat = number(c[1], "latitude")
+            lon = number(c[0], "longitude")
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise ValueError(f"non-finite coordinate: ({lat}, {lon})")
+            if not -90.0 <= lat <= 90.0:
+                raise ValueError(f"latitude out of range: {lat}")
+            if not -180.0 <= lon <= 180.0:
+                raise ValueError(f"longitude out of range: {lon}")
+            out.append((lat, lon))
+    except (IndexError, TypeError, KeyError) as e:
+        raise ValueError("position must be [lon, lat, ...]") from e
+    return out

@@ -604,6 +604,25 @@ class TestSynthCmd:
         assert f"{spec_path}: {key} must be" in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec", [
+        {"route_vertex_step_deg": 1e-7}, {"route_spacing_deg": 1e-7},
+        {"route_spacing_deg": 0.001, "route_vertex_step_deg": 0.001},
+    ], ids=["tiny-step", "tiny-spacing", "fine-grid"])
+    def test_route_grid_past_the_vertex_cap_exits_1(self, runner, tmp_path, monkeypatch,
+                                                    spec):
+        # a positive but tiny route step once ran until killed
+        def generate(spec, out_dir):
+            raise AssertionError(f"generate called with {spec}")
+        monkeypatch.setattr(synth, "generate", generate)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["synth", "--spec", str(spec_path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert f"{spec_path}: route_spacing_deg" in result.output
+        assert "route_vertex_step_deg" in result.output
+        assert f"more than {synth.MAX_ROUTE_VERTICES}" in result.output
+
     def test_minimum_above_maximum_exits_1(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"points_per_hotspot_min": 5,

@@ -25,7 +25,8 @@ from evsite.geo import (
     haversine_distance,
     project_to_polyline,
 )
-from evsite.ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord
+from evsite.ingest import DemandPoint, FireRiskGrid, PoiRecord
+from records import route_of, vertices_of
 
 NEUTRAL = ConstraintConfig(eps_factor_poi=1.0, minpts_factor_poi=1.0,
                            minpts_factor_route=1.0, minpts_factor_flood=1.0,
@@ -33,9 +34,8 @@ NEUTRAL = ConstraintConfig(eps_factor_poi=1.0, minpts_factor_poi=1.0,
 
 
 def make_route(route_id, latlon_alts):
-    return RouteRecord(route_id,
-                       tuple(GeoPoint(lat, lon) for lat, lon, _ in latlon_alts),
-                       tuple(a for _, _, a in latlon_alts))
+    return route_of(route_id, [GeoPoint(lat, lon) for lat, lon, _ in latlon_alts],
+                    [a for _, _, a in latlon_alts])
 
 
 class TestEstimateAltitude:
@@ -158,11 +158,11 @@ class TestAnnotateContext:
             assert ctx.dist_poi_m == pytest.approx(want_poi)
             want_route = min(
                 oracles.dense_projection(lat, lon,
-                                         [(v.lat, v.lon) for v in r.polyline],
+                                         [(v.lat, v.lon) for v in vertices_of(r)],
                                          samples_per_segment=3000)[1]
                 for r in routes)
             assert abs(ctx.dist_route_m - want_route) < 2.0
-            alt_coords = [(v.lat, v.lon) for r in routes for v in r.polyline]
+            alt_coords = [(v.lat, v.lon) for r in routes for v in vertices_of(r)]
             alt_values = [a for r in routes for a in r.altitudes]
             want_alt = alt_values[oracles.linear_nearest(alt_coords, lat, lon)[0]]
             assert ctx.altitude_m == want_alt
@@ -268,7 +268,7 @@ class TestRouteLocator:
         for _ in range(100):
             p = GeoPoint(rng.uniform(-34.1, -32.9), rng.uniform(149.9, 151.1))
             got = locator.locate(p)[1]
-            want = min(project_to_polyline(p, r.polyline)[1] for r in routes)
+            want = min(project_to_polyline(p, vertices_of(r))[1] for r in routes)
             assert got == pytest.approx(want, abs=1e-9)
 
     def _full_scan(self, p, routes):
@@ -277,7 +277,7 @@ class TestRouteLocator:
         on a shorter distance or an equal one from a smaller route id."""
         from evsite.geo import haversine_distance, project_to_polyline
         vertices = [(v, r.route_id) for r in sorted(routes, key=lambda r: r.route_id)
-                    for v in r.polyline]
+                    for v in vertices_of(r)]
         _, vid = min((haversine_distance(p, v), i) for i, (v, _) in enumerate(vertices))
         best_pt, best_id = vertices[vid]
         best_d = haversine_distance(p, best_pt)
@@ -303,7 +303,7 @@ class TestRouteLocator:
         routes += [make_route("t-b", twin), make_route("t-a", twin)]
         locator = RouteLocator(routes)
         coords = [(v.lat, v.lon) for r in sorted(routes, key=lambda r: r.route_id)
-                  for v in r.polyline]
+                  for v in vertices_of(r)]
         alts = [a for r in sorted(routes, key=lambda r: r.route_id) for a in r.altitudes]
         rng = random.Random(17)
         queries = [GeoPoint(rng.uniform(-33.505, -33.44), rng.uniform(149.995, 150.025))
@@ -333,7 +333,7 @@ class TestRouteLocator:
         haversine_distance, and one within 1e-6 m of the least distance by
         the oracle's formula, which may round a near tie the other way."""
         ordered = sorted(routes, key=lambda r: r.route_id)
-        vertices = [v for r in ordered for v in r.polyline]
+        vertices = [v for r in ordered for v in vertices_of(r)]
         alts = [a for r in ordered for a in r.altitudes]
         _, vid = min((haversine_distance(p, v), i) for i, v in enumerate(vertices))
         assert altitude == alts[vid]
@@ -384,10 +384,10 @@ class TestRouteLocator:
                                                for j, (e, n) in enumerate(offsets)]))
         if twin:
             routes.append(make_route("r", [(v.lat, v.lon, a) for v, a in
-                                           zip(routes[0].polyline, routes[0].altitudes)]))
+                                           zip(vertices_of(routes[0]), routes[0].altitudes)]))
         points = [GeoPoint(*self._offset(origin, e, n)) for e, n in queries]
         off, gap = stub
-        a, b = max(((a, b) for r in routes for a, b in zip(r.polyline, r.polyline[1:])),
+        a, b = max(((a, b) for r in routes for a, b in zip(vertices_of(r), vertices_of(r)[1:])),
                    key=lambda ab: haversine_distance(*ab))
         middle = (a.lat + 0.5 * (b.lat - a.lat),
                   a.lon + 0.5 * ((b.lon - a.lon + 180.0) % 360.0 - 180.0))
@@ -395,7 +395,7 @@ class TestRouteLocator:
         routes.append(make_route("s", [(*self._offset(q, 0.0, gap), 1.0),
                                        (*self._offset(q, 0.0, gap + 100.0), 2.0)]))
         points.append(GeoPoint(*q))
-        vertices = [v for r in routes for v in r.polyline]
+        vertices = [v for r in routes for v in vertices_of(r)]
         points += [GeoPoint(*self._offset((p.lat, p.lon), 30.0, -20.0)) for p in points[:3]]
         points += [vertices[k % len(vertices)] for k in on_route]
         for p, (pt, d, route_id, altitude) in zip(points, RouteLocator(routes).locate_all(points)):
@@ -445,7 +445,7 @@ class TestRouteLocator:
                 for i in range(12)]
         locator = RouteLocator(routes)
         coords = [(v.lat, v.lon) for r in sorted(routes, key=lambda r: r.route_id)
-                  for v in r.polyline]
+                  for v in vertices_of(r)]
         alts = [a for r in sorted(routes, key=lambda r: r.route_id) for a in r.altitudes]
         located = locator.locate_all(locations)
         assert located == [locator.locate(p) for p in locations]
@@ -477,7 +477,7 @@ class TestRouteLocator:
                    GeoPoint(-33.4988, 150.0033), GeoPoint(-33.4980, 150.0030)]
         assert self._same_cell(members)
         coords = [(v.lat, v.lon) for r in sorted(routes, key=lambda r: r.route_id)
-                  for v in r.polyline]
+                  for v in vertices_of(r)]
         alts = [a for r in sorted(routes, key=lambda r: r.route_id) for a in r.altitudes]
         got = RouteLocator(routes).locate_all(members)
         for p, (pt, d, route_id, altitude) in zip(members, got):
@@ -505,7 +505,7 @@ class TestRouteLocator:
         assert self._same_cell(members)
         got = RouteLocator(routes).locate_all(members)
         for p, (pt, d, route_id, _) in zip(members, got):
-            assert project_to_polyline(p, routes[0].polyline)[1] == d
+            assert project_to_polyline(p, vertices_of(routes[0]))[1] == d
             assert route_id == "tie-a"
             assert (pt, d, route_id) == self._full_scan(p, routes)
 

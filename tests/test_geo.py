@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from evsite.ingest import RouteRecord
 from evsite.geo import (
     EARTH_RADIUS_M,
     METERS_PER_DEG,
@@ -14,13 +13,13 @@ from evsite.geo import (
     GeoPoint,
     MultiPolygon,
     Polygon,
-    SpatialIndex,
     haversine_distance,
     point_in_polygon,
     project_segment,
     project_to_polyline,
     segment_reaches,
 )
+from records import index_of, route_of
 
 
 def ring(*latlons):
@@ -39,6 +38,19 @@ class TestGeoPoint:
     def test_invalid(self, lat, lon):
         with pytest.raises(GeoError):
             GeoPoint(lat, lon)
+
+    @pytest.mark.parametrize("lat,lon,message", [
+        (91.0, 0.0, "latitude out of range: 91.0"),
+        (91.0, 181.0, "latitude out of range: 91.0"),
+        (0.0, -181.0, "longitude out of range: -181.0"),
+        (float("nan"), 181.0, "non-finite coordinate: (nan, 181.0)"),
+        (91.0, float("-inf"), "non-finite coordinate: (91.0, -inf)"),
+    ])
+    def test_invalid_message(self, lat, lon, message):
+        # the first failed check names the fault: finiteness, then latitude
+        with pytest.raises(GeoError) as e:
+            GeoPoint(lat, lon)
+        assert str(e.value) == message
 
 
 class TestHaversine:
@@ -202,18 +214,18 @@ def assert_radius_queries(idx, q, r, want):
 
 class TestSpatialIndex:
     def test_empty(self):
-        idx = SpatialIndex([], 0.01)
+        idx = index_of([], 0.01)
         assert_radius_queries(idx, GeoPoint(0, 0), 1e7, [])
 
     def test_identical_points(self):
         p = GeoPoint(10, 10)
-        idx = SpatialIndex([p, p, p], 0.01)
+        idx = index_of([p, p, p], 0.01)
         assert idx.neighbors_within(p, 0.0) == [0, 1, 2]
 
     def test_radius_zero_and_huge(self):
         rng = random.Random(4)
         pts = [GeoPoint(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(50)]
-        idx = SpatialIndex(pts, 0.05)
+        idx = index_of(pts, 0.05)
         assert idx.neighbors_within(pts[7], 0.0) == [7]
         assert idx.neighbors_within(GeoPoint(0, 0), 2e7) == list(range(50))
 
@@ -222,7 +234,7 @@ class TestSpatialIndex:
         pts = [GeoPoint(rng.uniform(-34, -33), rng.uniform(150, 151))
                for _ in range(500)]
         coords = [(p.lat, p.lon) for p in pts]
-        idx = SpatialIndex(pts, 0.01)
+        idx = index_of(pts, 0.01)
         for _ in range(50):
             q = GeoPoint(rng.uniform(-34.2, -32.8), rng.uniform(149.8, 151.2))
             r = rng.uniform(0, 30000)
@@ -231,7 +243,7 @@ class TestSpatialIndex:
 
     def test_nearest_single_and_exact(self):
         p = GeoPoint(-33.5, 150.5)
-        idx = SpatialIndex([p], 0.01)
+        idx = index_of([p], 0.01)
         assert idx.nearest(GeoPoint(-34, 151)) == (0, pytest.approx(
             oracles.haversine_oracle(-34, 151, -33.5, 150.5)))
         assert idx.nearest(p) == (0, 0.0)
@@ -240,7 +252,7 @@ class TestSpatialIndex:
         # p.lat + radius in degrees rounds to just below 0, the row of q: the
         # window must still hold that row, or nearest finds no point
         q = GeoPoint(0.0, 179.995)
-        idx = SpatialIndex([q, q], 500.0 / METERS_PER_DEG)
+        idx = index_of([q, q], 500.0 / METERS_PER_DEG)
         p = GeoPoint(-8.993203637245379e-06, 179.995)
         d = haversine_distance(p, q)
         assert idx.neighbors_within(p, d) == [0, 1]
@@ -252,7 +264,7 @@ class TestSpatialIndex:
         pts = [GeoPoint(rng.uniform(-34, -33), rng.uniform(150, 151))
                for _ in range(300)]
         coords = [(p.lat, p.lon) for p in pts]
-        idx = SpatialIndex(pts, 0.02)
+        idx = index_of(pts, 0.02)
         for _ in range(100):
             q = GeoPoint(rng.uniform(-35, -32), rng.uniform(149, 152))
             got_id, got_d = idx.nearest(q)
@@ -269,7 +281,7 @@ class TestSpatialIndex:
         ((-89.9999, 90.0), (-89.9999, -90.0), 50.0),  # across the south pole
     ])
     def test_neighbour_on_the_far_side_of_a_wrap(self, indexed, query, radius):
-        idx = SpatialIndex([GeoPoint(*indexed)], 0.01)
+        idx = index_of([GeoPoint(*indexed)], 0.01)
         assert_radius_queries(idx, GeoPoint(*query), radius, [0])
         assert idx.nearest(GeoPoint(*query))[0] == 0
 
@@ -282,7 +294,7 @@ class TestSpatialIndex:
                for _ in range(300)]
         pts += [GeoPoint(lat, 180.0), GeoPoint(lat, -180.0)]
         coords = [(p.lat, p.lon) for p in pts]
-        idx = SpatialIndex(pts, cell)
+        idx = index_of(pts, cell)
         for k in range(60):
             q = GeoPoint(lat + rng.uniform(-0.6, 0.6),
                          rng.choice((-1, 1)) * rng.uniform(179.5, 180.0))
@@ -307,7 +319,7 @@ class TestSpatialIndex:
             if math.hypot(dn, de) <= 500:
                 pts.append(GeoPoint(lat0 + dn / METERS_PER_DEG, lon0 + de / m_lon))
         pts += pts[:5]  # coincident points
-        idx = SpatialIndex(pts, cell_m / METERS_PER_DEG)
+        idx = index_of(pts, cell_m / METERS_PER_DEG)
 
         def scan(q, r):
             return [i for i, p in enumerate(pts) if haversine_distance(q, p) <= r]
@@ -349,7 +361,7 @@ class TestSpatialIndex:
 
         pts = [near(0.03) for _ in range(250)]
         pts += pts[:3]
-        idx = SpatialIndex(pts, cell)
+        idx = index_of(pts, cell)
 
         def scan(q, r):
             return [i for i, p in enumerate(pts) if haversine_distance(q, p) <= r]
@@ -369,7 +381,7 @@ class TestSpatialIndex:
         m_lon = METERS_PER_DEG * math.cos(math.radians(lat0))
         pts = [GeoPoint(lat0 + rng.gauss(0, 150) / METERS_PER_DEG,
                         lon0 + rng.gauss(0, 150) / m_lon) for _ in range(300)]
-        idx = SpatialIndex(pts, 60.0 / METERS_PER_DEG)
+        idx = index_of(pts, 60.0 / METERS_PER_DEG)
         for k in range(200):
             free = idx.free_cells()
             keep = rng.random()
@@ -392,7 +404,7 @@ class TestSpatialIndex:
 
     def test_nearest_empty_errors(self):
         with pytest.raises(GeoError, match="empty index"):
-            SpatialIndex([], 0.01).nearest(GeoPoint(0, 0))
+            index_of([], 0.01).nearest(GeoPoint(0, 0))
 
 
 class TestProjectToPolyline:
@@ -536,7 +548,7 @@ class TestSegmentReaches:
         rng = random.Random(33)
         for a, b in self._segments(rng):
             line = (a, b, b, GeoPoint(rng.uniform(-89.0, 89.0), rng.uniform(-180.0, 180.0)))
-            route = RouteRecord("r", line, (0.0,) * len(line))
+            route = route_of("r", line, [0.0] * len(line))
             want = []
             for u, v in zip(line, line[1:]):
                 m = self._along(u, v, 0.5)
@@ -546,7 +558,7 @@ class TestSegmentReaches:
 
     def test_every_point_of_a_segment_lies_within_its_reach_of_an_end(self):
         for a, b in self._segments(random.Random(34)):
-            (reach,) = segment_reaches((a, b))
+            (reach,) = segment_reaches((a.lat, b.lat), (a.lon, b.lon))
             assert reach <= haversine_distance(a, b) + 1e-6
             for k in range(65):
                 c = self._along(a, b, k / 64)
@@ -555,5 +567,5 @@ class TestSegmentReaches:
     @pytest.mark.parametrize("lat,span,short_m", [(89.5, 20.0, 36.0), (-89.5, 90.0, 3200.0)])
     def test_half_the_length_falls_short_near_the_poles(self, lat, span, short_m):
         a, b = GeoPoint(lat, 0.0), GeoPoint(lat, span)
-        (reach,) = segment_reaches((a, b))
+        (reach,) = segment_reaches((a.lat, b.lat), (a.lon, b.lon))
         assert reach - haversine_distance(a, b) / 2 > short_m

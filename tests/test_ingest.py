@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,7 +17,6 @@ from evsite.ingest import (
     IngestError,
     LgaRecord,
     PoiRecord,
-    RouteRecord,
     StationRecord,
     TripRecord,
     assign_lga,
@@ -37,6 +36,7 @@ from evsite.ingest import (
     save_trips,
     write_json,
 )
+from records import route_of
 
 
 def write_csv(path, rows):
@@ -295,12 +295,12 @@ class TestExtractDemandPoints:
 
 class TestLayerLoaders:
     def test_minimal_layers_roundtrip(self, tmp_path):
-        from evsite.ingest import PoiRecord, RouteRecord, StationRecord, FireRiskGrid
+        from evsite.ingest import PoiRecord, StationRecord, FireRiskGrid
         from evsite.geo import BoundingBox
         pois = [PoiRecord("p1", "fuel", GeoPoint(-33.5, 150.5))]
         stations = [StationRecord("s1", "approved", GeoPoint(-33.6, 150.6))]
-        routes = [RouteRecord("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.5, 151.0)),
-                              (10.0, 20.0))]
+        routes = [route_of("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.5, 151.0)),
+                           (10.0, 20.0))]
         lgas = [square_lga("A", -34.0, 150.0)]
         grid = FireRiskGrid(BoundingBox(-34.0, 150.0, -33.0, 151.0), 2, 2,
                             (1.0, None, 3.0, 4.0))
@@ -372,10 +372,9 @@ class TestLayerLoaders:
              "geometry": {"type": "LineString", "coordinates": [[150, -33], [150.5, -33.5]]},
              "properties": {"route_id": "r1", "altitudes": [56, 57.0]}}]}))
         route, = load_routes(f)
-        assert route.polyline == (GeoPoint(-33.0, 150.0), GeoPoint(-33.5, 150.5))
-        assert route.altitudes == (56.0, 57.0)
-        assert {type(x) for v in route.polyline for x in (v.lat, v.lon)} == {float}
-        assert {type(a) for a in route.altitudes} == {float}
+        assert route == route_of("r1", (GeoPoint(-33.0, 150.0), GeoPoint(-33.5, 150.5)),
+                                 (56.0, 57.0))
+        assert {type(x) for x in (*route.lat, *route.lon, *route.altitudes)} == {float}
 
     @pytest.mark.parametrize("key,value", [("n_rows", "2"), ("n_cols", "1"),
                                            ("bbox", [150, "-34", 151, -33]),
@@ -399,8 +398,8 @@ class TestLayerLoaders:
 
     def test_positions_with_altitude_load_the_same_records(self, tmp_path):
         # a GeoJSON position is [lon, lat, ...]: members past the second are ignored
-        routes = [RouteRecord("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.4, 150.2),
-                                     GeoPoint(-33.5, 151.0)), (10.0, 20.0, 30.0))]
+        routes = [route_of("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.4, 150.2),
+                                  GeoPoint(-33.5, 151.0)), (10.0, 20.0, 30.0))]
         hole = (GeoPoint(-33.8, 150.2), GeoPoint(-33.8, 150.4), GeoPoint(-33.6, 150.4),
                 GeoPoint(-33.8, 150.2))
         lgas = [square_lga("A", -34.0, 150.0),
@@ -426,6 +425,72 @@ def _positions_in(coords):
     if coords and not isinstance(coords[0], list):
         return [coords]
     return [p for c in coords for p in _positions_in(c)]
+
+
+def _member(limit):
+    """A valid position member: a float or an int within +-limit, -0.0 among them."""
+    return st.one_of(st.floats(-limit, limit), st.integers(-int(limit), int(limit)),
+                     st.just(-0.0))
+
+
+# members and positions that are not valid; a number past 90 but within 180
+# is bad only as a latitude
+BAD_MEMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 90.5, -90.5, 180.5, -180.5, 10 ** 400,
+                     -10 ** 400, True, False, "x", "150", None, [1.0]]),
+    st.floats(min_value=90.0, exclude_min=True, allow_infinity=False),
+    st.floats(max_value=-90.0, exclude_max=True, allow_infinity=False))
+BAD_POSITIONS = [[], [1.0], "x", "ab", 5, None, {"lon": 1.0, "lat": 2.0}]
+
+
+@st.composite
+def route_coordinates(draw):
+    """Positions of 2 to 8 valid [lon, lat] or [lon, lat, altitude] members,
+    with 0 to 3 bad members or positions put in at random."""
+    coords = [[draw(_member(180.0)), draw(_member(90.0))]
+              + ([draw(st.floats(-100.0, 3000.0))] if draw(st.booleans()) else [])
+              for _ in range(draw(st.integers(2, 8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(coords) - 1))
+        if draw(st.booleans()):
+            coords[k] = draw(st.sampled_from(BAD_POSITIONS))
+        elif isinstance(coords[k], list) and len(coords[k]) >= 2:
+            coords[k][draw(st.integers(0, 1))] = draw(BAD_MEMBERS)
+    return coords
+
+
+class TestPositionReader:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(coords=route_coordinates())
+    @example(coords=[[150, 95], ["x", -33]])
+    @example(coords=[[0.0, 0.0], [180.5, 0.0]])
+    @example(coords=[[0.0, 0.0], [-180.5, 0.0]])
+    @example(coords=[[0.0, 0.0], [0.0, 90.5]])
+    @example(coords=[[0.0, 0.0], [0.0, -90.5]])
+    @example(coords=[[-0.0, 0], [180, -90.0, "ignored"]])
+    def test_routes_load_what_the_per_position_oracle_reads(self, tmp_path, coords):
+        f = tmp_path / "r.geojson"
+        f.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": {"type": "LineString", "coordinates": coords},
+             "properties": {"route_id": "r1", "altitudes": [10.0] * len(coords)}}]}))
+        try:
+            want = oracles.per_position_reader(coords)
+        except (ValueError, OverflowError) as e:
+            with pytest.raises(IngestError) as got:
+                load_routes(f)
+            assert str(got.value) == f"{f}: feature 0: {e}"
+            return
+        route, = load_routes(f)
+        # repr tells -0.0 from 0.0
+        assert [(repr(lat), repr(lon)) for lat, lon in zip(route.lat, route.lon)] == [
+            (repr(lat), repr(lon)) for lat, lon in want]
+
+    def test_routes_keep_their_bytes_through_load_and_save(self, scenario, tmp_path):
+        _, _, dirs = scenario
+        path = dirs["scenario"] / "routes.geojson"
+        save_routes(tmp_path / "again.geojson", load_routes(path))
+        assert (tmp_path / "again.geojson").read_bytes() == path.read_bytes()
 
 
 # every way the loader fuzz breaks a value: replace it with one of these, or
@@ -472,8 +537,8 @@ def _layer_docs(tmp_path) -> dict:
         PoiRecord(f"p{k}", category, GeoPoint(-33.5, 150.5 + k / 10))
         for k, category in enumerate(("fuel", "tourism", "fast_food"))])
     save_routes(tmp_path / "r.geojson", [
-        RouteRecord(f"r{k}", tuple(GeoPoint(-33.5 + k / 10, 150.0 + j / 10)
-                                   for j in range(3)), (10.0, 20.0, 30.0))
+        route_of(f"r{k}", [GeoPoint(-33.5 + k / 10, 150.0 + j / 10) for j in range(3)],
+                 (10.0, 20.0, 30.0))
         for k in range(3)])
     save_lgas(tmp_path / "l.geojson", [square_lga(name, -34.0, 150.0 + k)
                                        for k, name in enumerate("ABC")])

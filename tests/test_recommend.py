@@ -6,8 +6,8 @@ import pytest
 import oracles
 from evsite.cluster import dbscan_lga
 from evsite.constraints import ConstraintConfig, PoiIndex, PointContext, RouteLocator
-from evsite.geo import METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance
-from evsite.ingest import DemandPoint, PoiRecord, RouteRecord, StationRecord
+from evsite.geo import METERS_PER_DEG, GeoPoint, haversine_distance
+from evsite.ingest import DemandPoint, PoiRecord, StationRecord
 from evsite.recommend import (
     Recommendation,
     RecommendError,
@@ -19,11 +19,12 @@ from evsite.recommend import (
     propose_all,
     snap,
 )
+import records
 
 
 def index_of(points, cell_m=1000.0):
     """A SpatialIndex of the points; its answers are exact for any cell size."""
-    return SpatialIndex(list(points), cell_m / METERS_PER_DEG)
+    return records.index_of(list(points), cell_m / METERS_PER_DEG)
 
 
 def rec_at(lat, lon, rec_id="A-0", **kw):
@@ -83,8 +84,8 @@ class TestClusterLocation:
 
 class TestSnap:
     POIS = [PoiRecord("p1", "fuel", GeoPoint(-33.5, 150.5))]
-    ROUTES = [RouteRecord("r1", (GeoPoint(-33.6, 150.0), GeoPoint(-33.6, 151.0)),
-                          (10.0, 20.0))]
+    ROUTES = [records.route_of("r1", (GeoPoint(-33.6, 150.0), GeoPoint(-33.6, 151.0)),
+                               (10.0, 20.0))]
 
     def test_poi_at_location(self):
         loc = GeoPoint(-33.5, 150.5)
@@ -227,8 +228,8 @@ class TestProposeAll:
     def test_blob_at_fuel_poi_yields_one_fast_rec(self):
         center = GeoPoint(-33.5, 150.5)
         pois = [PoiRecord("p1", "fuel", center)]
-        routes = [RouteRecord("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.5, 151.0)),
-                              (10.0, 20.0))]
+        routes = [records.route_of("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.5, 151.0)),
+                                   (10.0, 20.0))]
         pts = self._blob(center)
         result = self._cluster(pts)
         recs = propose_all([result], {"A": pts}, PoiIndex(pois), routes, None, self.CFG,
@@ -246,8 +247,8 @@ class TestProposeAll:
         pts = self._blob(center_a) + self._blob(center_b, start_id=50)
         result = self._cluster(pts)
         assert result.assignment.cluster_count == 2
-        routes = [RouteRecord("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.5, 151.0)),
-                              (10.0, 20.0))]
+        routes = [records.route_of("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.5, 151.0)),
+                                   (10.0, 20.0))]
         recs = propose_all([result], {"A": pts}, PoiIndex([]), routes, None, self.CFG,
                            300.0, 1000.0, 10000.0)
         assert len(recs) == 2

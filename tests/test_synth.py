@@ -13,7 +13,7 @@ from evsite.ingest import (
     load_trips,
 )
 from evsite.rng import Rng
-from evsite.synth import ScenarioSpec, generate
+from evsite.synth import MAX_ROUTE_VERTICES, ScenarioSpec, generate
 
 
 def read_all(d: Path) -> dict[str, bytes]:
@@ -108,3 +108,15 @@ class TestGenerate:
             ScenarioSpec(points_per_hotspot_min=10, points_per_hotspot_max=5)
         with pytest.raises(ValueError):
             ScenarioSpec.from_dict({"bogus_key": 1})
+
+    def test_route_grid_cap(self, tmp_path):
+        # the benchmark's finest grid, about 201 lines x 101 vertices (the
+        # float steps end each line one short), is far inside the cap; a spec
+        # whose grid would pass it is refused before generate
+        manifest = generate(ScenarioSpec(seed=3, route_spacing_deg=0.01,
+                                         n_hotspots_per_lga=0), tmp_path)
+        assert manifest.layer_counts["routes"] == 201
+        assert sum(len(r.lat) for r in load_routes(tmp_path / "routes.geojson")) == 201 * 100
+        ScenarioSpec(route_spacing_deg=0.002, route_vertex_step_deg=0.004)
+        with pytest.raises(ValueError, match=f"more than {MAX_ROUTE_VERTICES}"):
+            ScenarioSpec(route_spacing_deg=0.001, route_vertex_step_deg=0.001)
