@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .constraints import ConstraintConfig
-from .ingest import load_json
+from .ingest import load_json, read_settings
 
 
 class ConfigError(ValueError):
@@ -47,51 +46,28 @@ class RunConfig:
     raw: dict
 
 
-# the JSON kind of a config value, by its Python type
-_KINDS = {bool: "a boolean", int: "a number", float: "a number", str: "a string"}
-
-
-def _section(doc: dict, name: str, defaults: dict) -> dict:
-    """doc[name], an object whose keys are defaults' keys and whose values
-    each have the JSON kind of their default."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(section) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    for key, value in section.items():
-        kind = _KINDS[type(defaults[key])]
-        if _KINDS.get(type(value)) != kind:
-            raise ConfigError(f"config {name}.{key} must be {kind}, got {value!r}")
-        if kind == "a number" and not _finite(value):
-            raise ConfigError(f"config {name}.{key} must be a finite number, got {value!r}")
-    return section
-
-
-def _finite(x: int | float) -> bool:
-    """Whether x is a finite float; json reads NaN and Infinity as floats, and an
-    integer too long for a float has no finite float value either."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
+# every section of a config, with the defaults that give its keys and their kinds
+SECTIONS = {
+    "layers": {**dict.fromkeys(LAYER_KEYS, ""), "trips_format": "csv"},
+    "constraints": {f.name: f.default for f in fields(ConstraintConfig)},
+    **DEFAULTS,
+}
 
 
 def load_config(path) -> RunConfig:
     path = Path(path)
     doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+    try:
+        top = read_settings(doc, {**SECTIONS, "workers": 1}, f"config {path}", "config ")
+        given = {name: read_settings(top.get(name, {}), defaults, f"config {name}")
+                 for name, defaults in SECTIONS.items()}
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    # accepted for older configs; clustering runs on one thread whatever it says
+    if top.get("workers", 1) < 1:
+        raise ConfigError("config workers must be a positive integer")
 
-    top_allowed = {"layers", "constraints", "cleaning", "demand", "snap",
-                   "dedup", "classify", "evaluate", "workers"}
-    unknown = set(doc) - top_allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    layers_doc = _section(doc, "layers",
-                          {**dict.fromkeys(LAYER_KEYS, ""), "trips_format": "csv"})
+    layers_doc = given["layers"]
     missing = [k for k in LAYER_KEYS if k not in layers_doc]
     if missing:
         raise ConfigError(f"config layers: missing paths for {missing}")
@@ -106,34 +82,26 @@ def load_config(path) -> RunConfig:
         if not p.exists():
             raise ConfigError(f"layer {k!r}: file not found: {p}")
 
-    constraints_doc = _section(doc, "constraints",
-                               {f.name: f.default for f in fields(ConstraintConfig)})
     try:
-        constraints = ConstraintConfig(**constraints_doc)
+        constraints = ConstraintConfig(**given["constraints"])
     except ValueError as e:
         raise ConfigError(f"invalid constraints: {e}") from e
 
-    sections = {name: {**DEFAULTS[name], **_section(doc, name, DEFAULTS[name])}
-                for name in DEFAULTS}
-    # accepted for older configs; clustering runs on one thread whatever it says
-    workers = doc.get("workers", 1)
-    if type(workers) is not int or workers < 1:
-        raise ConfigError("workers must be a positive integer")
-
+    sections = {name: {**DEFAULTS[name], **given[name]} for name in DEFAULTS}
     return RunConfig(
         layers=layers,
         trips_format=trips_format,
         constraints=constraints,
-        max_speed_mps=float(sections["cleaning"]["max_speed_mps"]),
-        dwell_radius_m=float(sections["demand"]["dwell_radius_m"]),
-        dwell_min_s=float(sections["demand"]["dwell_min_s"]),
-        poi_snap_m=float(sections["snap"]["poi_snap_m"]),
-        route_snap_m=float(sections["snap"]["route_snap_m"]),
+        max_speed_mps=sections["cleaning"]["max_speed_mps"],
+        dwell_radius_m=sections["demand"]["dwell_radius_m"],
+        dwell_min_s=sections["demand"]["dwell_min_s"],
+        poi_snap_m=sections["snap"]["poi_snap_m"],
+        route_snap_m=sections["snap"]["route_snap_m"],
         dedup_enabled=sections["dedup"]["enabled"],
-        min_sep_m=float(sections["dedup"]["min_sep_m"]),
-        corridor_span_m=float(sections["classify"]["corridor_span_m"]),
-        align_m=float(sections["evaluate"]["align_m"]),
-        coverage_radius_m=float(sections["evaluate"]["coverage_radius_m"]),
+        min_sep_m=sections["dedup"]["min_sep_m"],
+        corridor_span_m=sections["classify"]["corridor_span_m"],
+        align_m=sections["evaluate"]["align_m"],
+        coverage_radius_m=sections["evaluate"]["coverage_radius_m"],
         raw=doc,
     )
 

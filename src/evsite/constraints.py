@@ -101,13 +101,12 @@ class RouteLocator:
     """
 
     def __init__(self, routes: list[RouteRecord]):
-        self.routes = sorted(routes, key=lambda r: r.route_id)
         # every route's columns end to end, vertex ids running across routes
         self._lat, self._lon, self._altitudes = array("d"), array("d"), array("d")
         self._route_ids: list[str] = []
         # reach of the segment from each vertex to the next; -1 at a route's end
         self._reach_m = array("d")
-        for route in self.routes:
+        for route in sorted(routes, key=lambda r: r.route_id):
             self._lat += route.lat
             self._lon += route.lon
             self._altitudes += route.altitudes

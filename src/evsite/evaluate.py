@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .geo import METERS_PER_DEG, SpatialIndex
 # tracing patches these here by name
@@ -29,16 +29,7 @@ class EvaluationReport:
     nearest_existing_distance_stats: dict[str, float | None]
 
     def as_dict(self) -> dict:
-        return {
-            "per_lga_counts": {name: dict(row)
-                               for name, row in sorted(self.per_lga_counts.items())},
-            "alignment_rate": self.alignment_rate,
-            "alignment_rec_count": self.alignment_rec_count,
-            "new_area_count": self.new_area_count,
-            "coverage_before": self.coverage_before,
-            "coverage_after": self.coverage_after,
-            "nearest_existing_distance_stats": dict(self.nearest_existing_distance_stats),
-        }
+        return asdict(self)
 
     def as_table(self) -> str:
         """Plain-text table mirroring the JSON content."""

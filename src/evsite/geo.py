@@ -182,9 +182,6 @@ class SpatialIndex:
         disc = self._discs[key] = (*centre, reach + _REACH_MARGIN_M)
         return disc
 
-    def __len__(self) -> int:
-        return len(self._lon)
-
     def _window(self, p: GeoPoint, radius_m: float) -> list[tuple[int, int]]:
         """Keys of the occupied cells in the lat/lon window of a radius query."""
         if radius_m < 0:

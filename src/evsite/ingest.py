@@ -6,7 +6,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import count
 from operator import itemgetter
@@ -141,11 +141,7 @@ class CleaningSummary:
     trips_dropped: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "duplicate_fixes_removed": self.duplicate_fixes_removed,
-            "speed_fixes_removed": self.speed_fixes_removed,
-            "trips_dropped": self.trips_dropped,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +602,49 @@ def _json_integer(value, key: str) -> int:
     if isinstance(value, str):
         raise ValueError(f"{key} must be a finite integer, got {value!r}")
     return _integer(value, key)
+
+
+# what a setting of each of these kinds must be, in JSON
+_SETTING_KINDS = {bool: "a boolean", str: "a string", dict: "a JSON object"}
+
+
+def read_settings(doc, defaults: dict, where: str, prefix: str | None = None) -> dict:
+    """The settings doc sets: a JSON object whose keys are keys of defaults,
+    each value of its default's kind. A float takes a finite JSON number, an
+    int a finite integral one (returned as an int), a tuple as many finite
+    numbers and a bool, str or dict a JSON value of that type.
+
+    Else ValueError: where names the object, and prefix plus a key names that
+    key's value (prefix is where and a dot unless given)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = doc.keys() - defaults.keys()
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    prefix = f"{where}." if prefix is None else prefix
+    settings = {}
+    for key, value in doc.items():
+        name, default = prefix + key, defaults[key]
+        kind = type(default)
+        if kind is float:
+            value = _number(value, name)
+        elif kind is int:
+            try:
+                integral = _number(value, name).is_integer()
+            except ValueError:
+                integral = False
+            if not integral:
+                raise ValueError(f"{name} must be a finite integer, got {value!r}")
+            value = int(value)
+        elif kind is tuple:
+            if type(value) is not list or len(value) != len(default):
+                raise ValueError(f"{name} must be an array of {len(default)} numbers, "
+                                 f"got {value!r}")
+            value = tuple(_number(v, f"{name}[{k}]") for k, v in enumerate(value))
+        elif type(value) is not kind:
+            raise ValueError(f"{name} must be {_SETTING_KINDS[kind]}, got {value!r}")
+        settings[key] = value
+    return settings
 
 
 # writers (synth and round-trip tests share these)

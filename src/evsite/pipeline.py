@@ -82,11 +82,9 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     contexts_all = constraints.annotate_context(
         demand, poi_index, layers.routes, layers.fire_grid)
-    by_id = {dp.point_id: i for i, dp in enumerate(demand)}
-    buckets = {name: [demand[by_id[i]] for i in ids]
-               for name, ids in bucket_ids.items()}
-    bucket_ctx = {name: [contexts_all[by_id[i]] for i in ids]
-                  for name, ids in bucket_ids.items()}
+    # extract_demand_points numbers the points 0..n-1 in list order
+    buckets = {name: [demand[i] for i in ids] for name, ids in bucket_ids.items()}
+    bucket_ctx = {name: [contexts_all[i] for i in ids] for name, ids in bucket_ids.items()}
 
     results = cluster.cluster_all(buckets, bucket_ctx, c)
     recs_pre = recommend.propose_all(

@@ -67,6 +67,3 @@ class Rng:
             u1 = self.random()
         u2 = self.random()
         return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]

@@ -22,7 +22,7 @@ from .ingest import (
     RouteRecord,
     StationRecord,
     TripRecord,
-    _number,
+    read_settings,
     save_fire_grid,
     save_lgas,
     save_pois,
@@ -33,9 +33,10 @@ from .ingest import (
 )
 from .rng import Rng
 
-# the most vertices the route grid may hold; a finer grid is refused, since
-# a tiny step would have generate build routes until memory runs out
-MAX_ROUTE_VERTICES = 1_000_000
+# the most route vertices, fire cells, LGA ring vertices, points and
+# stations a scenario may hold in all; a larger one is refused, since
+# generate would build it until memory runs out
+MAX_GENERATED = 1_000_000
 
 POI_CYCLE = ("fuel", "fast_food", "tourism")
 STATION_CYCLE = ("existing_fast", "existing_destination", "approved")
@@ -74,52 +75,53 @@ class ScenarioSpec:
 
     def __post_init__(self):
         """Each field in its range, else ValueError naming the key: a route
-        step of 0 would never end the route loops of generate, and a tiny one
-        would not end them in time."""
+        step of 0 would never end the route loops of generate, and a scenario
+        past MAX_GENERATED would not end them in time."""
         for keys, ok, text in _RANGES:
             for key in keys:
                 value = getattr(self, key)
                 if not ok(value):
                     raise ValueError(f"{key} must be {text}, got {value!r}")
+        min_lat, min_lon, max_lat, max_lon = self.bbox
+        if not (-90.0 <= min_lat <= max_lat <= 90.0
+                and -180.0 <= min_lon <= max_lon <= 180.0):
+            raise ValueError("bbox must be [min_lat, min_lon, max_lat, max_lon] with "
+                             "-90 <= min_lat <= max_lat <= 90 and "
+                             f"-180 <= min_lon <= max_lon <= 180, got {list(self.bbox)!r}")
         if self.points_per_hotspot_min > self.points_per_hotspot_max:
             raise ValueError("points_per_hotspot_min must be <= points_per_hotspot_max")
-        # the grid lines and vertices per line that _build_routes makes, give
-        # or take one each
-        min_lat, min_lon, max_lat, max_lon = self.bbox
-        lines = max(0, math.floor((max_lat - min_lat) / self.route_spacing_deg)) + 1
-        per_line = max(0, math.floor((max_lon - min_lon) / self.route_vertex_step_deg)) + 1
-        if lines * per_line > MAX_ROUTE_VERTICES:
-            raise ValueError(
-                f"route_spacing_deg {self.route_spacing_deg!r} and route_vertex_step_deg "
-                f"{self.route_vertex_step_deg!r} make a route grid of {lines} lines x "
-                f"{per_line} vertices, more than {MAX_ROUTE_VERTICES}")
+        # what generate builds, the route grid give or take a line and a
+        # vertex per line; a float, as a tiny step makes the grid infinite
+        lines = (max_lat - min_lat) // self.route_spacing_deg + 1
+        per_line = (max_lon - min_lon) // self.route_vertex_step_deg + 1
+        tiles = self.lga_rows * self.lga_cols
+        sizes = (
+            (lines * per_line, "route_spacing_deg and route_vertex_step_deg", "route vertices"),
+            (self.ffdi_rows * self.ffdi_cols, "ffdi_rows and ffdi_cols", "fire cells"),
+            # a tile's ring has 5 vertices, and a tile costs about as much to
+            # build as 5 route vertices or points
+            (5 * tiles, "lga_rows and lga_cols", "LGA ring vertices"),
+            (tiles * self.n_hotspots_per_lga * self.points_per_hotspot_max,
+             "lga_rows, lga_cols, n_hotspots_per_lga and points_per_hotspot_max",
+             "planted points"),
+            (self.background_noise_points, "background_noise_points", "noise points"),
+            (tiles * self.n_stations_per_lga, "lga_rows, lga_cols and n_stations_per_lga",
+             "stations"),
+        )
+        # capped before the sum, which a float and a huge int would overflow
+        if sum(min(n, MAX_GENERATED + 1) for n, _, _ in sizes) > MAX_GENERATED:
+            n, keys, what = max(sizes)
+            count = f"{n:.0f}" if n <= MAX_GENERATED else f"more than {MAX_GENERATED}"
+            raise ValueError(f"{keys}: {count} {what}; the scenario would hold more than "
+                             f"{MAX_GENERATED} route vertices, fire cells, LGA ring "
+                             "vertices, points and stations in all")
 
     @staticmethod
     def from_dict(doc) -> "ScenarioSpec":
-        """The spec a JSON object sets: each value has its field's kind, an
-        integer for an int field, a finite number for a float field and four
-        of them for bbox; else ValueError naming the key."""
-        if not isinstance(doc, dict):
-            raise ValueError("scenario spec must be a JSON object")
+        """The spec a JSON object sets, read by ingest.read_settings against
+        the fields' defaults; else ValueError naming the key."""
         defaults = {f.name: f.default for f in fields(ScenarioSpec)}
-        unknown = set(doc) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown scenario spec keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            kind = type(defaults[key])
-            if kind is int and type(value) is not int:
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if kind is float:
-                _number(value, key)
-            if kind is tuple:
-                if not isinstance(value, list) or len(value) != 4:
-                    raise ValueError(f"{key} must be [min_lat, min_lon, max_lat, max_lon], "
-                                     f"got {value!r}")
-                for k, v in enumerate(value):
-                    _number(v, f"{key}[{k}]")
-        if "bbox" in doc:
-            doc = {**doc, "bbox": tuple(doc["bbox"])}
-        return ScenarioSpec(**doc)
+        return ScenarioSpec(**read_settings(doc, defaults, "scenario spec", ""))
 
 
 @dataclass

@@ -72,9 +72,12 @@ class TestConfig:
         (lambda doc: doc["dedup"].update(min_sep_m=math.nan) or doc, "dedup.min_sep_m"),
         (lambda doc: doc["evaluate"].update(coverage_radius_m=math.inf) or doc,
          "evaluate.coverage_radius_m"),
+        (lambda doc: doc.update(constraints={"base_minpts": 10.5}) or doc,
+         "constraints.base_minpts"),
+        (lambda doc: doc.update(workers=0) or doc, "workers"),
     ], ids=["root-number", "root-null", "snap-list", "constraints-string",
             "dedup-string", "layer-number", "workers-boolean", "snap-nan",
-            "dedup-nan", "evaluate-infinity"])
+            "dedup-nan", "evaluate-infinity", "constraints-fraction", "workers-zero"])
     def test_malformed_config_exits_1(self, runner, scenario, edit, names):
         _, _, dirs = scenario
         doc = edit(default_config_dict(str(dirs["scenario"])))
@@ -124,12 +127,11 @@ class TestConfig:
         p.write_text(json.dumps(doc))
         result = runner.invoke(main, ["validate", "--config", str(p)])
         # a key with a default can go, a section with defaults can be empty,
-        # dedup.enabled is true already, and workers, which has no effect,
-        # may be any positive integer
+        # and dedup.enabled is true already; workers, like every count, must
+        # fit a float, so 10 ** 400 is refused
         harmless = (last != "layers" and last not in LAYER_KEYS and (
             value == "remove" or (value == {} and name in (*DEFAULTS, "constraints"))
-            or (name == "dedup.enabled" and value is True)
-            or (name == "workers" and value == 10 ** 400)))
+            or (name == "dedup.enabled" and value is True)))
         if harmless:
             assert result.exit_code == 0, result.output
         else:
@@ -567,10 +569,11 @@ class TestSynthCmd:
         ({"bbox": [-35.0, 149.0, -33.0, "151"]}, "bbox[3]"),
         ({"hotspot_sigma_m": None}, "hotspot_sigma_m"),
         ({"hotspot_sigma_m": 10 ** 400}, "hotspot_sigma_m"),
+        ({"lga_rows": 10 ** 400}, "lga_rows"),
         ([1], "scenario spec must be a JSON object"),
     ], ids=["seed-string", "seed-float", "seed-boolean", "rows-string", "rows-float",
             "bbox-number", "bbox-short", "bbox-string", "sigma-null", "sigma-huge",
-            "not-an-object"])
+            "rows-huge", "not-an-object"])
     def test_spec_value_of_the_wrong_kind_exits_1(self, runner, tmp_path, spec, key):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -588,6 +591,8 @@ class TestSynthCmd:
         ("ffdi_missing_prob", -0.5), ("ffdi_missing_prob", 2),
         ("poi_per_hotspot_prob", 1.5),
         ("ffdi_rows", 0), ("ffdi_cols", -3), ("lga_rows", 0), ("lga_cols", -1),
+        ("bbox", [-35, 149, -33, 1e308]), ("bbox", [-95, 149, -33, 151]),
+        ("bbox", [-33, 149, -35, 151]), ("bbox", [-35, 151, -33, 149]),
     ])
     def test_spec_value_out_of_range_exits_1(self, runner, tmp_path, monkeypatch,
                                              key, value):
@@ -607,7 +612,8 @@ class TestSynthCmd:
     @pytest.mark.parametrize("spec", [
         {"route_vertex_step_deg": 1e-7}, {"route_spacing_deg": 1e-7},
         {"route_spacing_deg": 0.001, "route_vertex_step_deg": 0.001},
-    ], ids=["tiny-step", "tiny-spacing", "fine-grid"])
+        {"route_spacing_deg": 5e-324},
+    ], ids=["tiny-step", "tiny-spacing", "fine-grid", "least-spacing"])
     def test_route_grid_past_the_vertex_cap_exits_1(self, runner, tmp_path, monkeypatch,
                                                     spec):
         # a positive but tiny route step once ran until killed
@@ -621,7 +627,51 @@ class TestSynthCmd:
         assert result.exit_code == 1, result.output
         assert f"{spec_path}: route_spacing_deg" in result.output
         assert "route_vertex_step_deg" in result.output
-        assert f"more than {synth.MAX_ROUTE_VERTICES}" in result.output
+        assert f"more than {synth.MAX_GENERATED}" in result.output
+
+    @pytest.mark.parametrize("spec,keys", [
+        ({"ffdi_rows": 100000, "ffdi_cols": 100000}, "ffdi_rows and ffdi_cols"),
+        ({"lga_rows": 3000, "lga_cols": 3000}, "lga_rows, lga_cols"),
+        ({"lga_rows": 900, "lga_cols": 1000, "n_hotspots_per_lga": 0,
+          "n_stations_per_lga": 0}, "lga_rows and lga_cols: more than"),
+        ({"points_per_hotspot_min": 100000000, "points_per_hotspot_max": 100000000},
+         "points_per_hotspot_max"),
+        ({"background_noise_points": 10 ** 300}, "background_noise_points"),
+        ({"lga_rows": 1e300, "lga_cols": 1e300, "n_stations_per_lga": 1e300},
+         "n_stations_per_lga"),
+        ({"route_spacing_deg": 0.002, "route_vertex_step_deg": 0.004,
+          "background_noise_points": 600000}, "background_noise_points: 600000"),
+    ], ids=["fire-cells", "lga-grid", "lga-tiles", "planted-points", "noise-points",
+            "stations", "sum"])
+    def test_scenario_past_the_size_bound_exits_1(self, runner, tmp_path, monkeypatch,
+                                                  spec, keys):
+        # each of these once ran until killed, or exited 2 out of memory
+        # under `ulimit -v 1500000`; the last is under the bound part by
+        # part, and over it in sum
+        def generate(spec, out_dir):
+            raise AssertionError(f"generate called with {spec}")
+        monkeypatch.setattr(synth, "generate", generate)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["synth", "--spec", str(spec_path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert keys in result.output
+        assert f"more than {synth.MAX_GENERATED}" in result.output
+
+    def test_integral_number_for_a_count_writes_the_same_bytes(self, runner, tmp_path):
+        outs = []
+        for rows in ("2", "2.0", "2e0"):
+            spec_path = tmp_path / f"spec-{rows}.json"
+            spec_path.write_text(f'{{"seed": 4, "lga_rows": {rows}, "ffdi_rows": {rows}, '
+                                 '"background_noise_points": 20}')
+            out = tmp_path / f"scen-{rows}"
+            result = runner.invoke(main, ["synth", "--spec", str(spec_path),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outs[0] == outs[1] == outs[2]
+        assert len(outs[0]) == 7
 
     def test_minimum_above_maximum_exits_1(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"

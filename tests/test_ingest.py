@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -28,6 +29,7 @@ from evsite.ingest import (
     load_routes,
     load_stations,
     load_trips,
+    read_settings,
     save_fire_grid,
     save_lgas,
     save_pois,
@@ -822,3 +824,49 @@ class TestAssignLga:
                 ring = [(v.lon, v.lat) for v in lga.boundary.polygons[0].exterior]
                 assert oracles.min_edge_distance_deg(
                     dp.location.lon, dp.location.lat, [ring]) < 1e-9
+
+
+class TestReadSettings:
+    DEFAULTS = {"flag": True, "name": "x", "size": 1.5, "count": 2,
+                "box": (0.0, 0.0, 1.0, 1.0), "section": {}}
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("flag", False, False), ("name", "y", "y"), ("size", 3, 3.0),
+        ("size", -0.0, -0.0), ("count", 7, 7), ("count", 7.0, 7), ("count", 7e0, 7),
+        ("count", 2 ** 60 + 1, 2 ** 60 + 1), ("box", [1, 2.5, 3, 4], (1.0, 2.5, 3.0, 4.0)),
+        ("section", {"a": [1]}, {"a": [1]}),
+    ])
+    def test_value_of_its_default_kind_is_read(self, key, value, want):
+        got = read_settings({key: value}, self.DEFAULTS, "settings")
+        assert got == {key: want}
+        assert type(got[key]) is type(want)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("flag", 1, "s.flag must be a boolean, got 1"),
+        ("name", None, "s.name must be a string, got None"),
+        ("size", True, "s.size must be a finite number, got True"),
+        ("size", "1", "s.size must be a finite number"),
+        ("size", math.nan, "s.size must be a finite number"),
+        ("size", 10 ** 400, "s.size must be a finite number"),
+        ("count", 2.5, "s.count must be a finite integer, got 2.5"),
+        ("count", False, "s.count must be a finite integer"),
+        ("count", "2", "s.count must be a finite integer"),
+        ("count", -math.inf, "s.count must be a finite integer"),
+        ("count", 10 ** 400, "s.count must be a finite integer"),
+        ("box", [1, 2, 3], "s.box must be an array of 4 numbers"),
+        ("box", (1, 2, 3, 4), "s.box must be an array of 4 numbers"),
+        ("box", [1, 2, None, 4], "s.box[2] must be a finite number"),
+        ("section", [], "s.section must be a JSON object, got []"),
+    ])
+    def test_value_of_another_kind_is_refused_naming_the_key(self, key, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_settings({key: value}, self.DEFAULTS, "s")
+
+    def test_object_and_keys_are_checked_naming_where(self):
+        with pytest.raises(ValueError, match="^config x.json must be a JSON object$"):
+            read_settings([], self.DEFAULTS, "config x.json")
+        with pytest.raises(ValueError, match=r"unknown keys in s: \['a', 'b'\]"):
+            read_settings({"b": 1, "flag": True, "a": 2}, self.DEFAULTS, "s")
+        with pytest.raises(ValueError, match="^count must be a finite integer"):
+            read_settings({"count": 0.5}, self.DEFAULTS, "spec", "")
+        assert read_settings({}, self.DEFAULTS, "s") == {}

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from evsite.ingest import (
     load_trips,
 )
 from evsite.rng import Rng
-from evsite.synth import MAX_ROUTE_VERTICES, ScenarioSpec, generate
+from evsite.synth import MAX_GENERATED, ScenarioSpec, generate
 
 
 def read_all(d: Path) -> dict[str, bytes]:
@@ -108,6 +109,13 @@ class TestGenerate:
             ScenarioSpec(points_per_hotspot_min=10, points_per_hotspot_max=5)
         with pytest.raises(ValueError):
             ScenarioSpec.from_dict({"bogus_key": 1})
+        # built directly, a spec's bbox is checked too: NaN fails every bound
+        with pytest.raises(ValueError, match="bbox must be"):
+            ScenarioSpec(bbox=(math.nan, 149.0, -33.0, 151.0))
+        with pytest.raises(ValueError, match="bbox must be"):
+            ScenarioSpec(bbox=(-35.0, 149.0, -33.0, 180.5))
+        assert ScenarioSpec.from_dict({"lga_rows": 3.0, "bbox": [-35, 149, -33, 151]}) == \
+            ScenarioSpec(lga_rows=3)
 
     def test_route_grid_cap(self, tmp_path):
         # the benchmark's finest grid, about 201 lines x 101 vertices (the
@@ -118,5 +126,5 @@ class TestGenerate:
         assert manifest.layer_counts["routes"] == 201
         assert sum(len(r.lat) for r in load_routes(tmp_path / "routes.geojson")) == 201 * 100
         ScenarioSpec(route_spacing_deg=0.002, route_vertex_step_deg=0.004)
-        with pytest.raises(ValueError, match=f"more than {MAX_ROUTE_VERTICES}"):
+        with pytest.raises(ValueError, match=f"more than {MAX_GENERATED}"):
             ScenarioSpec(route_spacing_deg=0.001, route_vertex_step_deg=0.001)
