@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .constraints import ConstraintConfig
-from .ingest import load_json, read_settings
+from .ingest import load_json, read_settings, shown
 
 
 class ConfigError(ValueError):
@@ -74,7 +74,7 @@ def load_config(path) -> RunConfig:
     trips_format = layers_doc.get("trips_format", "csv")
     if trips_format not in ("csv", "geojson"):
         raise ConfigError("config layers.trips_format must be 'csv' or 'geojson', "
-                          f"got {trips_format!r}")
+                          f"got {shown(trips_format)}")
     base = path.parent
     layers = {k: (base / layers_doc[k] if not Path(layers_doc[k]).is_absolute()
                   else Path(layers_doc[k])) for k in LAYER_KEYS}

@@ -36,6 +36,13 @@ class IngestError(ValueError):
     """Schema or content violation in an input file."""
 
 
+def shown(value) -> str:
+    """What a message echoes of an input value: its repr, or, past 60
+    characters, the repr's first 60 and its length."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class TripRecord:
     trip_id: str
@@ -60,7 +67,7 @@ class StationRecord:
 
     def __post_init__(self):
         if self.kind not in STATION_KINDS:
-            raise IngestError(f"station {self.station_id}: unknown kind {self.kind!r}")
+            raise IngestError(f"station {self.station_id}: unknown kind {shown(self.kind)}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,7 @@ class PoiRecord:
 
     def __post_init__(self):
         if self.category not in POI_CATEGORIES:
-            raise IngestError(f"POI {self.poi_id}: unknown category {self.category!r}")
+            raise IngestError(f"POI {self.poi_id}: unknown category {shown(self.category)}")
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,7 @@ def _read_trip_csv(path: Path):
         except csv.Error as e:
             raise IngestError(f"{path}: header: {e}") from e
         if header != TRIPS_CSV_HEADER:
-            raise IngestError(f"{path}: expected header {TRIPS_CSV_HEADER}, got {header}")
+            raise IngestError(f"{path}: expected header {TRIPS_CSV_HEADER}, got {shown(header)}")
         for lineno in count(2):
             try:
                 row = next(reader)
@@ -215,7 +222,12 @@ def _read_trip_csv(path: Path):
                 if len(row) != 4:
                     raise ValueError(f"expected 4 columns, got {len(row)}")
                 trip_id, ts, lat, lon = row
-                fix = (_integer(ts, "timestamp"), GeoPoint(float(lat), float(lon)))
+                try:
+                    ts = int(ts)
+                except ValueError:
+                    pass  # not an integer numeral: the rule refuses the str
+                fix = (_json_number(ts, "timestamp", integral=True, bits64=True),
+                       GeoPoint(float(lat), float(lon)))
             except ValueError as e:
                 bad.append(f"{path}:{lineno}: {e}")
                 continue
@@ -232,7 +244,7 @@ def _read_trip_geojson(path: Path):
         if len(line) != len(timestamps):
             raise ValueError("timestamps length != coordinate count")
         # a malformed feature is dropped whole, none of its fixes kept
-        return trip_id, [(_json_integer(ts, "timestamp"), pt)
+        return trip_id, [(_json_number(ts, "timestamp", integral=True, bits64=True), pt)
                          for ts, pt in zip(timestamps, line)]
 
     by_trip: dict[str, list[tuple[int, GeoPoint]]] = {}
@@ -373,15 +385,16 @@ def _read_features(path, make, bad: list[str] | None = None) -> list:
 
 def load_json(path):
     """The JSON document at path, read as UTF-8 (RFC 8259 8.1): the one reader
-    of every JSON input. Bytes that are not UTF-8, malformed JSON and JSON
-    nested too deeply to parse raise IngestError naming path; a file that
-    cannot be opened raises OSError, which names it too."""
+    of every JSON input. Bytes that are not UTF-8, malformed JSON, an
+    integer literal past the interpreter's digit limit and JSON nested too
+    deeply to parse raise IngestError naming path; a file that cannot be
+    opened raises OSError, which names it too."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
     except UnicodeDecodeError as e:
         raise _not_utf8(path, e) from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # json.JSONDecodeError, or int()'s digit limit
         raise IngestError(f"{path}: not valid JSON: {e}") from e
     except RecursionError as e:
         raise IngestError(f"{path}: not valid JSON: nested too deeply") from e
@@ -427,13 +440,13 @@ _JSON_NUMBERS = {float, int}
 
 def _numbers(values: list, key: str) -> array:
     """A list of JSON numbers as doubles; else, at the first value that is
-    not one or has no double, the error _json_float raises naming key."""
+    not one or has no double, the error _json_number raises naming key."""
     if set(map(type, values)) <= _JSON_NUMBERS:
         try:
             return array("d", values)
         except OverflowError:
             pass
-    return array("d", [_json_float(v, key) for v in values])
+    return array("d", [_json_number(v, key) for v in values])
 
 
 def _columns(coords) -> tuple[array, array]:
@@ -466,8 +479,8 @@ def _checked_columns(coords) -> tuple[array, array]:
     lat, lon = array("d"), array("d")
     try:
         for c in coords:
-            y = _json_float(c[1], "latitude")
-            x = _json_float(c[0], "longitude")
+            y = _json_number(c[1], "latitude")
+            x = _json_number(c[0], "longitude")
             GeoPoint(y, x)  # for its checks, in their order
             lat.append(y)
             lon.append(x)
@@ -480,17 +493,6 @@ def _checked_columns(coords) -> tuple[array, array]:
 def _positions(coords) -> tuple[GeoPoint, ...]:
     """A list of GeoJSON positions as GeoPoints (see _columns)."""
     return tuple(map(GeoPoint, *_columns(coords)))
-
-
-def _json_float(value, key: str) -> float:
-    """A JSON number as a float: a float as it is, an int converted (one too
-    large for a float raises OverflowError). Anything else, a string or a
-    boolean among them, is a ValueError naming key."""
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        return float(value)
-    raise ValueError(f"{key} must be a JSON number, got {value!r}")
 
 
 def _point(feat: dict) -> GeoPoint:
@@ -521,7 +523,7 @@ def load_lgas(path) -> list[LgaRecord]:
     def lga(feat: dict) -> LgaRecord:
         name = str(_prop(feat, "lga_name"))
         if name in seen:
-            raise ValueError(f"duplicate lga_name {name!r}")
+            raise ValueError(f"duplicate lga_name {shown(name)}")
         seen.add(name)
         coords = _geometry(feat, "Polygon", "MultiPolygon")
         polygons = [coords] if feat["geometry"]["type"] == "Polygon" else coords
@@ -559,49 +561,45 @@ def load_fire_grid(path) -> FireRiskGrid:
         if not isinstance(cells, list):
             raise ValueError("cells must be an array")
         min_lon, min_lat, max_lon, max_lat = (
-            _number(v, f"bbox[{k}]") for k, v in enumerate(bbox))
+            _json_number(v, f"bbox[{k}]", finite=True) for k, v in enumerate(bbox))
+        if min_lon > max_lon:
+            # lookup_ffdi tests BoundingBox.contains, which cannot wrap
+            raise ValueError(f"bbox has min_lon {min_lon} > max_lon {max_lon}: a fire "
+                             "grid may not cross the antimeridian")
         return FireRiskGrid(BoundingBox(min_lat, min_lon, max_lat, max_lon),
-                            _json_integer(doc["n_rows"], "n_rows"),
-                            _json_integer(doc["n_cols"], "n_cols"),
-                            tuple(None if c is None else _number(c, f"cells[{k}]")
+                            _json_number(doc["n_rows"], "n_rows", integral=True, bits64=True),
+                            _json_number(doc["n_cols"], "n_cols", integral=True, bits64=True),
+                            tuple(None if c is None
+                                  else _json_number(c, f"cells[{k}]", finite=True)
                                   for k, c in enumerate(cells)))
     except _FEATURE_ERRORS as e:
         raise IngestError(f"{path}: {e}") from e
 
 
-def _number(value, key: str) -> float:
-    """value as a finite float when it is a JSON number, else ValueError naming
-    key (a string or a boolean is not a number, json reads NaN and Infinity,
-    and an integer too long for a float has no float value)."""
-    try:
-        x = math.nan if isinstance(value, (bool, str)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return x
-
-
-def _integer(value, key: str) -> int:
-    """value as an int when it is an integer, an integer numeral or a finite
-    integral float in the signed 64-bit range, else ValueError naming key."""
-    if isinstance(value, bool) or (isinstance(value, float) and not (
-            math.isfinite(value) and value.is_integer())):
-        raise ValueError(f"{key} must be a finite integer, got {value!r}")
-    try:
-        n = int(value)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{key} must be a finite integer, got {value!r}") from e
-    if not -2 ** 63 <= n < 2 ** 63:
-        raise ValueError(f"{key} must fit in a signed 64-bit integer, got {value!r}")
-    return n
-
-
-def _json_integer(value, key: str) -> int:
-    """_integer for a JSON value, where a string is not a number."""
-    if isinstance(value, str):
-        raise ValueError(f"{key} must be a finite integer, got {value!r}")
-    return _integer(value, key)
+def _json_number(value, key: str, *, finite=False, integral=False, bits64=False):
+    """value as a float, or as an int when integral, if it is a JSON number
+    (RFC 8259 6): an int or a float, never a bool or a str. The flags refuse
+    more: finite a NaN, an infinity and an int with no double; integral a
+    fraction too, and bits64 an integer outside the signed 64-bit range. A
+    refused value is a ValueError naming key; with no flag, NaN and infinity
+    pass and an int with no double raises OverflowError."""
+    kind = type(value)
+    if kind is int or kind is float:
+        if not (finite or integral):
+            return float(value)
+        if bits64 and (kind is int or math.isfinite(value) and value.is_integer()):
+            # the range test comes first: a timestamp is never made a float
+            if -2 ** 63 <= value < 2 ** 63:
+                return value if kind is int else int(value)
+            raise ValueError(f"{key} must fit in a signed 64-bit integer, got {shown(value)}")
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.nan
+        if math.isfinite(x) and (not integral or x.is_integer()):
+            return int(value) if integral else x
+    what = "a finite integer" if integral else "a finite number" if finite else "a JSON number"
+    raise ValueError(f"{key} must be {what}, got {shown(value)}")
 
 
 # what a setting of each of these kinds must be, in JSON
@@ -620,29 +618,22 @@ def read_settings(doc, defaults: dict, where: str, prefix: str | None = None) ->
         raise ValueError(f"{where} must be a JSON object")
     unknown = doc.keys() - defaults.keys()
     if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {where}: {shown(sorted(unknown))}")
     prefix = f"{where}." if prefix is None else prefix
     settings = {}
     for key, value in doc.items():
         name, default = prefix + key, defaults[key]
         kind = type(default)
-        if kind is float:
-            value = _number(value, name)
-        elif kind is int:
-            try:
-                integral = _number(value, name).is_integer()
-            except ValueError:
-                integral = False
-            if not integral:
-                raise ValueError(f"{name} must be a finite integer, got {value!r}")
-            value = int(value)
+        if kind is float or kind is int:
+            value = _json_number(value, name, finite=True, integral=kind is int)
         elif kind is tuple:
             if type(value) is not list or len(value) != len(default):
                 raise ValueError(f"{name} must be an array of {len(default)} numbers, "
-                                 f"got {value!r}")
-            value = tuple(_number(v, f"{name}[{k}]") for k, v in enumerate(value))
+                                 f"got {shown(value)}")
+            value = tuple(_json_number(v, f"{name}[{k}]", finite=True)
+                          for k, v in enumerate(value))
         elif type(value) is not kind:
-            raise ValueError(f"{name} must be {_SETTING_KINDS[kind]}, got {value!r}")
+            raise ValueError(f"{name} must be {_SETTING_KINDS[kind]}, got {shown(value)}")
         settings[key] = value
     return settings
 

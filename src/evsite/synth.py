@@ -29,6 +29,7 @@ from .ingest import (
     save_routes,
     save_stations,
     save_trips,
+    shown,
     write_json,
 )
 from .rng import Rng
@@ -81,13 +82,13 @@ class ScenarioSpec:
             for key in keys:
                 value = getattr(self, key)
                 if not ok(value):
-                    raise ValueError(f"{key} must be {text}, got {value!r}")
+                    raise ValueError(f"{key} must be {text}, got {shown(value)}")
         min_lat, min_lon, max_lat, max_lon = self.bbox
         if not (-90.0 <= min_lat <= max_lat <= 90.0
                 and -180.0 <= min_lon <= max_lon <= 180.0):
             raise ValueError("bbox must be [min_lat, min_lon, max_lat, max_lon] with "
                              "-90 <= min_lat <= max_lat <= 90 and "
-                             f"-180 <= min_lon <= max_lon <= 180, got {list(self.bbox)!r}")
+                             f"-180 <= min_lon <= max_lon <= 180, got {shown(list(self.bbox))}")
         if self.points_per_hotspot_min > self.points_per_hotspot_max:
             raise ValueError("points_per_hotspot_min must be <= points_per_hotspot_max")
         # what generate builds, the route grid give or take a line and a
@@ -201,9 +202,17 @@ def _hotspot_centers(spec: ScenarioSpec, tile: BoundingBox, rng: Rng) -> list[Ge
 
 
 def _scatter(rng: Rng, center: GeoPoint, sigma_m: float) -> GeoPoint:
+    """A Gaussian offset of center; a longitude past +-180 wraps by 360, and a
+    latitude off the globe is a ValueError naming the keys that put it there."""
     dlat = rng.normal(0.0, sigma_m) / METERS_PER_DEG
     dlon = rng.normal(0.0, sigma_m) / (METERS_PER_DEG * math.cos(math.radians(center.lat)))
-    return GeoPoint(center.lat + dlat, center.lon + dlon)
+    lat, lon = center.lat + dlat, center.lon + dlon
+    if not -180.0 <= lon <= 180.0 and math.isfinite(lon):
+        lon = math.remainder(lon, 360.0)
+    if not (-90.0 <= lat <= 90.0 and math.isfinite(lon)):
+        raise ValueError("hotspot_sigma_m and bbox scatter a point off the globe, "
+                         f"to latitude {lat}, longitude {lon}")
+    return GeoPoint(lat, lon)
 
 
 def generate(spec: ScenarioSpec, out_dir) -> ScenarioManifest:

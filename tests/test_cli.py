@@ -379,6 +379,31 @@ class TestValidate:
         assert result.exit_code == 1, result.output
         assert name in result.output and "not valid JSON: nested too deeply" in result.output
 
+    def test_integer_past_the_digit_limit_exits_1_naming_the_file(self, runner, scenario):
+        # json parses an integer literal with int(), which refuses more than
+        # sys.get_int_max_str_digits() digits (4300 by default) where it has a limit
+        _, _, dirs = scenario
+        path = dirs["scenario"] / "stations.geojson"
+        doc = json.loads(path.read_text())
+        doc["features"][1]["geometry"]["coordinates"][0] = "__HUGE__"
+        path.write_text(json.dumps(doc).replace('"__HUGE__"', "9" * 5000))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert "stations.geojson: " in result.output
+        assert len(result.output) < 500, result.output
+
+    def test_fire_grid_across_the_antimeridian_exits_1(self, runner, scenario):
+        # lookup_ffdi cannot wrap a bbox; such a grid once exited 1 naming no key
+        _, _, dirs = scenario
+        path = dirs["scenario"] / "fire_grid.json"
+        doc = json.loads(path.read_text())
+        doc["bbox"] = [170, -10, -170, 10]
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert "fire_grid.json: bbox has min_lon 170.0 > max_lon -170.0" in result.output
+        assert "a fire grid may not cross the antimeridian" in result.output
+
     def test_lga_ring_across_the_antimeridian_exits_1(self, runner, scenario):
         _, _, dirs = scenario
         path = dirs["scenario"] / "lgas.geojson"
@@ -608,6 +633,34 @@ class TestSynthCmd:
         assert result.exit_code == 1, result.output
         assert f"{spec_path}: {key} must be" in result.output
         assert not (tmp_path / "o").exists()
+
+    def test_count_past_a_float_is_echoed_in_60_characters(self, runner, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("hugerows.json").write_text('{"lga_rows": ' + "9" * 401 + "}")
+        result = runner.invoke(main, ["synth", "--spec", "hugerows.json", "--out", "o"])
+        assert result.exit_code == 1, result.output
+        assert "hugerows.json: lga_rows must be a finite integer, got 999" in result.output
+        assert len(result.output) < 200, result.output
+
+    @pytest.mark.parametrize("spec,code", [
+        ({"bbox": [89.9, 179.9, 90, 180]}, 0),
+        ({"hotspot_sigma_m": 1e300}, 1),
+    ], ids=["bbox-at-the-antimeridian", "sigma-off-the-globe"])
+    def test_scattered_points_stay_on_the_globe(self, runner, tmp_path, spec, code):
+        # both once exited 1 naming no key: a point past lon 180, and one
+        # past lat 90
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["synth", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == code, result.output
+        if code:
+            assert "hotspot_sigma_m and bbox" in result.output
+        else:
+            # points scattered past the antimeridian wrap to the west of it
+            trips, bad = load_trips(out / "trips.csv")
+            assert bad == [] and any(p.lon < 0 for t in trips for _, p in t.points)
 
     @pytest.mark.parametrize("spec", [
         {"route_vertex_step_deg": 1e-7}, {"route_spacing_deg": 1e-7},

@@ -857,10 +857,16 @@ class TestReadSettings:
         ("box", (1, 2, 3, 4), "s.box must be an array of 4 numbers"),
         ("box", [1, 2, None, 4], "s.box[2] must be a finite number"),
         ("section", [], "s.section must be a JSON object, got []"),
+        pytest.param("count", int("9" * 401), "s.count must be a finite integer, got 999",
+                     id="count-401-digits"),
+        pytest.param("name", list(range(10_000)), "s.name must be a string, got [0, 1, 2",
+                     id="name-10000-numbers"),
     ])
     def test_value_of_another_kind_is_refused_naming_the_key(self, key, value, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)) as e:
             read_settings({key: value}, self.DEFAULTS, "s")
+        # the message echoes no more than 60 characters of the value
+        assert len(repr(value)) <= 60 or repr(value)[:61] not in str(e.value)
 
     def test_object_and_keys_are_checked_naming_where(self):
         with pytest.raises(ValueError, match="^config x.json must be a JSON object$"):
