@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import product
+from itertools import pairwise, product
 
 EARTH_RADIUS_M = 6371008.8
 _DIAMETER_M = 2.0 * EARTH_RADIUS_M
 # great-circle meters per degree of latitude (constant on the sphere)
 METERS_PER_DEG = EARTH_RADIUS_M * math.pi / 180.0
+# radians per degree: d * _DEG is math.radians(d), the very same double
+# (CPython defines radians as x * (pi / 180)), without a call
+_DEG = math.pi / 180.0
 # Slack added to a cell's reach. Each computed haversine lies within about
 # 0.2 m of the true great-circle distance (the worst case, near the antipode,
 # where asin is steepest); whole-cell decisions compare three of them, so 1 m
@@ -88,46 +91,35 @@ def bbox_of_rings(rings) -> BoundingBox:
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in meters (mean Earth radius)."""
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
+    """Great-circle distance in meters (mean Earth radius). Every copy of the
+    formula clamps with s if s < 1.0 else 1.0: min(1.0, s) for every s, NaN
+    included, without a call."""
+    lat1 = a.lat * _DEG
+    lat2 = b.lat * _DEG
     dlat = lat2 - lat1
-    dlon = math.radians(b.lon - a.lon)
-    s = (math.sin(dlat / 2.0) ** 2
-         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2)
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
-
-
-def _on_segment(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> bool:
-    # collinearity + bbox check in the lon/lat plane
-    cross = (b.lon - a.lon) * (p.lat - a.lat) - (b.lat - a.lat) * (p.lon - a.lon)
-    if cross != 0.0:
-        return False
-    return (min(a.lon, b.lon) <= p.lon <= max(a.lon, b.lon)
-            and min(a.lat, b.lat) <= p.lat <= max(a.lat, b.lat))
-
-
-def _ring_crossings(p: GeoPoint, ring) -> int:
-    """Number of ring edges crossed by the eastward ray from p (even-odd)."""
-    n = 0
-    for i in range(len(ring) - 1):
-        a, b = ring[i], ring[i + 1]
-        if (a.lat > p.lat) != (b.lat > p.lat):
-            x = a.lon + (p.lat - a.lat) * (b.lon - a.lon) / (b.lat - a.lat)
-            if x > p.lon:
-                n += 1
-    return n
+    dlon = (b.lon - a.lon) * _DEG
+    s = math.sqrt(math.sin(dlat / 2.0) ** 2
+                  + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2)
+    return 2.0 * EARTH_RADIUS_M * math.asin(s if s < 1.0 else 1.0)
 
 
 def point_in_polygon(p: GeoPoint, poly: MultiPolygon) -> bool:
-    """Even-odd containment in the lon/lat plane; a point on any edge counts inside."""
+    """Even-odd containment in the lon/lat plane; a point on any edge counts
+    inside. One pass over each polygon's edges, its holes' included."""
+    x, y = p.lon, p.lat
     for polygon in poly.polygons:
+        inside = False
         for ring in polygon.rings():
-            for i in range(len(ring) - 1):
-                if _on_segment(p, ring[i], ring[i + 1]):
+            for a, b in pairwise(ring):
+                ax, ay, bx, by = a.lon, a.lat, b.lon, b.lat
+                # collinear with the edge and within its bounding box
+                if ((bx - ax) * (y - ay) - (by - ay) * (x - ax) == 0.0
+                        and (ax <= x <= bx or bx <= x <= ax)
+                        and (ay <= y <= by or by <= y <= ay)):
                     return True
-        crossings = sum(_ring_crossings(p, ring) for ring in polygon.rings())
-        if crossings % 2 == 1:
+                if (ay > y) != (by > y) and ax + (y - ay) * (bx - ax) / (by - ay) > x:
+                    inside = not inside
+        if inside:
             return True
     return False
 
@@ -251,11 +243,11 @@ class SpatialIndex:
         for operand over the index's columns, without a call per id."""
         lat1, cos1, lon1 = q
         rad_lat, cos_lat, lon = self._rad_lat, self._cos_lat, self._lon
-        sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
-        return [_DIAMETER_M * asin(min(1.0, sqrt(
-                    sin((rad_lat[i] - lat1) / 2.0) ** 2
-                    + cos1 * cos_lat[i] * sin(radians(lon[i] - lon1) / 2.0) ** 2)))
-                for i in ids]
+        sin, sqrt, asin = math.sin, math.sqrt, math.asin
+        return [_DIAMETER_M * asin(s if s < 1.0 else 1.0)
+                for i in ids
+                for s in [sqrt(sin((rad_lat[i] - lat1) / 2.0) ** 2
+                               + cos1 * cos_lat[i] * sin((lon[i] - lon1) * _DEG / 2.0) ** 2)]]
 
     def _hits(self, ids, q: tuple[float, float, float], radius_m: float) -> list[int]:
         """The ids whose points lie within radius_m of q, in the order given."""
@@ -384,16 +376,16 @@ class SpatialIndex:
 
 def _query_terms(p: GeoPoint) -> tuple[float, float, float]:
     """radians(lat), cos(lat) and lon of a query point, as _haversine_terms takes them."""
-    lat1 = math.radians(p.lat)
+    lat1 = p.lat * _DEG
     return lat1, math.cos(lat1), p.lon
 
 
 def _haversine_terms(lat1: float, cos1: float, lon1: float,
                      lat2: float, cos2: float, lon2: float) -> float:
     """haversine_distance from radians(lat), cos(lat) and lon of both ends."""
-    s = (math.sin((lat2 - lat1) / 2.0) ** 2
-         + cos1 * cos2 * math.sin(math.radians(lon2 - lon1) / 2.0) ** 2)
-    return _DIAMETER_M * math.asin(min(1.0, math.sqrt(s)))
+    s = math.sqrt(math.sin((lat2 - lat1) / 2.0) ** 2
+                  + cos1 * cos2 * math.sin((lon2 - lon1) * _DEG / 2.0) ** 2)
+    return _DIAMETER_M * math.asin(s if s < 1.0 else 1.0)
 
 
 def _ring_cells(center: tuple[int, int], ring: int):
@@ -411,40 +403,25 @@ def _ring_cells(center: tuple[int, int], ring: int):
 
 def segment_reaches(lat, lon) -> array:
     """For each segment of the polyline with vertex columns lat and lon,
-    vertex i to vertex i + 1, the larger haversine_distance from its two ends
-    to the midpoint of the lat/lon-linear path that project_segment
-    interpolates (t = 0.5, longitude wrapped as there), the very same double.
-    Distance from an end grows along that path, so every point of the segment
-    lies within this reach of one of its ends.
+    vertex i to vertex i + 1, a distance within which every point of it lies
+    of one of its ends: half an upper bound on the length of the lat/lon-linear
+    path that project_segment interpolates, plus _REACH_MARGIN_M.
 
-    The formula is inlined over columns of the ends' and midpoints' terms, so
-    that each vertex's radians and cosine are taken once. The distance grows
-    with the sum under the square root, so one asin of the larger sum gives
-    the larger distance."""
-    rad = [math.radians(x) for x in lat]
-    cos = [math.cos(r) for r in rad]
-    mid_rad = [math.radians(a + 0.5 * (b - a)) for a, b in zip(lat, lat[1:])]
-    mid_cos = [math.cos(r) for r in mid_rad]
-    # within [-180, 180] a midpoint needs no wrap of its own
-    mid_lon = [a + 0.5 * (b - a) if -180.0 <= b - a <= 180.0 else _midpoint_across(a, b)
-               for a, b in zip(lon, lon[1:])]
-    sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
-    return array("d", [_DIAMETER_M * asin(min(1.0, sqrt(max(
-                           sin((m - r1) / 2.0) ** 2 + c1 * mc * sin(radians(mo - o1) / 2.0) ** 2,
-                           sin((m - r2) / 2.0) ** 2 + c2 * mc * sin(radians(mo - o2) / 2.0) ** 2))))
-                       for r1, r2, c1, c2, o1, o2, m, mc, mo
-                       in zip(rad, rad[1:], cos, cos[1:], lon, lon[1:], mid_rad, mid_cos, mid_lon)])
-
-
-def _midpoint_across(a_lon: float, b_lon: float) -> float:
-    """The longitude halfway along the short way from a_lon to b_lon across
-    the antimeridian, wrapped as project_segment wraps it."""
-    dlon = b_lon - a_lon
-    dlon -= math.copysign(360.0, dlon)
-    m = a_lon + 0.5 * dlon
-    if not -180.0 <= m <= 180.0:
-        m -= math.copysign(360.0, m)
-    return m
+    A step of dlat and dlon degrees along that path is at most METERS_PER_DEG
+    * hypot(dlat, dlon * cos_max) long, cos_max being the largest cosine of a
+    latitude on it: 1 if the ends lie on opposite sides of the equator, else
+    the larger of theirs. dlon is the short way round, as project_segment
+    wraps it; only its size matters to hypot. A geodesic is no longer than
+    any path, so the point at t along the path lies within t of that length
+    of one end and 1 - t of the other. The margin covers the rounding of the
+    haversines a reach is compared with."""
+    cos = [math.cos(y * _DEG) for y in lat]
+    half, hypot = 0.5 * METERS_PER_DEG, math.hypot
+    return array("d", [half * hypot(y2 - y1, (w if w <= 180.0 else 360.0 - w) * cos_max)
+                       + _REACH_MARGIN_M
+                       for y1, y2, x1, x2, c1, c2 in zip(lat, lat[1:], lon, lon[1:], cos, cos[1:])
+                       for w in [abs(x2 - x1)]
+                       for cos_max in [1.0 if (y1 < 0.0) != (y2 < 0.0) else c1 if c1 > c2 else c2]])
 
 
 def project_to_polyline(p: GeoPoint, polyline) -> tuple[GeoPoint, float]:
@@ -497,7 +474,7 @@ def project_segment(lat: float, lon: float, rad_lat: float, cos_lat: float,
     c_lon = a_lon + t * dlon
     if not -180.0 <= c_lon <= 180.0:
         c_lon -= math.copysign(360.0, c_lon)
-    c_rad = math.radians(c_lat)
-    s = (math.sin((c_rad - rad_lat) / 2.0) ** 2
-         + cos_lat * math.cos(c_rad) * math.sin(math.radians(c_lon - lon) / 2.0) ** 2)
-    return c_lat, c_lon, _DIAMETER_M * math.asin(min(1.0, math.sqrt(s)))
+    c_rad = c_lat * _DEG
+    s = math.sqrt(math.sin((c_rad - rad_lat) / 2.0) ** 2
+                  + cos_lat * math.cos(c_rad) * math.sin((c_lon - lon) * _DEG / 2.0) ** 2)
+    return c_lat, c_lon, _DIAMETER_M * math.asin(s if s < 1.0 else 1.0)

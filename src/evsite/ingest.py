@@ -13,6 +13,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .geo import (
+    _DEG,
     _DIAMETER_M,
     BoundingBox,
     GeoPoint,
@@ -226,13 +227,29 @@ def _read_trip_csv(path: Path):
                     ts = int(ts)
                 except ValueError:
                     pass  # not an integer numeral: the rule refuses the str
-                fix = (_json_number(ts, "timestamp", integral=True, bits64=True),
-                       GeoPoint(float(lat), float(lon)))
+                ts = _json_number(ts, "timestamp", integral=True, bits64=True)
+                try:
+                    y, x = float(lat), float(lon)
+                except ValueError:
+                    # float()'s own message would echo the whole field
+                    raise _coordinate_error(lat, lon) from None
+                fix = (ts, GeoPoint(y, x))
             except ValueError as e:
                 bad.append(f"{path}:{lineno}: {e}")
                 continue
             by_trip.setdefault(trip_id, []).append(fix)
     return by_trip, bad
+
+
+def _coordinate_error(lat: str, lon: str) -> ValueError:
+    """The error for a CSV row whose lat or lon float() refuses: it names the
+    first such field and echoes it as shown does."""
+    key, text = "lon", lon
+    try:
+        float(lat)
+    except ValueError:
+        key, text = "lat", lat
+    return ValueError(f"{key} must be a number, got {shown(text)}")
 
 
 def _read_trip_geojson(path: Path):
@@ -266,7 +283,7 @@ def save_trips(path, trips: list[TripRecord]) -> None:
 def _haversine_columns(points) -> tuple[list[float], list[float], list[float]]:
     """radians(lat), cos(lat) and lon of each fix of a trip: the terms that
     haversine_distance takes of each end, taken once per fix."""
-    rad = [math.radians(p.lat) for _, p in points]
+    rad = [p.lat * _DEG for _, p in points]
     return rad, [math.cos(r) for r in rad], [p.lon for _, p in points]
 
 
@@ -281,7 +298,7 @@ def clean_trips(trips: list[TripRecord],
         raise IngestError("max_speed_mps must be > 0")
     summary = CleaningSummary()
     out = []
-    sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
+    sin, sqrt, asin = math.sin, math.sqrt, math.asin
     for trip in trips:
         pts = trip.points
         rad, cos_lat, lon = _haversine_columns(pts)
@@ -294,10 +311,10 @@ def clean_trips(trips: list[TripRecord],
                 summary.duplicate_fixes_removed += 1
                 continue
             dt = ts - prev_ts
-            if dt <= 0 or _DIAMETER_M * asin(min(1.0, sqrt(
+            if dt <= 0 or _DIAMETER_M * asin(s if (s := sqrt(
                     sin((rad[i] - rad[k]) / 2.0) ** 2
-                    + cos_lat[k] * cos_lat[i] * sin(radians(lon[i] - lon[k]) / 2.0) ** 2))
-                    ) / dt > max_speed_mps:
+                    + cos_lat[k] * cos_lat[i] * sin((lon[i] - lon[k]) * _DEG / 2.0) ** 2)
+                    ) < 1.0 else 1.0) / dt > max_speed_mps:
                 summary.speed_fixes_removed += 1
                 continue
             kept.append(fix)
@@ -324,7 +341,7 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
     if dwell_radius_m <= 0 or dwell_min_s <= 0:
         raise IngestError("dwell parameters must be > 0")
     raw: list[tuple[str, int, int, GeoPoint, str]] = []  # sort keys + payload
-    sin, sqrt, asin, radians = math.sin, math.sqrt, math.asin, math.radians
+    sin, sqrt, asin = math.sin, math.sqrt, math.asin
     for trip in trips:
         pts = trip.points
         n = len(pts)
@@ -335,10 +352,10 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
         while i < n:
             r1, c1, o1 = rad[i], cos_lat[i], lon[i]
             j = i
-            while j + 1 < n and _DIAMETER_M * asin(min(1.0, sqrt(
+            while j + 1 < n and _DIAMETER_M * asin(s if (s := sqrt(
                     sin((rad[j + 1] - r1) / 2.0) ** 2
-                    + c1 * cos_lat[j + 1] * sin(radians(lon[j + 1] - o1) / 2.0) ** 2))
-                    ) <= dwell_radius_m:
+                    + c1 * cos_lat[j + 1] * sin((lon[j + 1] - o1) * _DEG / 2.0) ** 2)
+                    ) < 1.0 else 1.0) <= dwell_radius_m:
                 j += 1
             if pts[j][0] - pts[i][0] >= dwell_min_s:
                 stay = pts[i:j + 1]

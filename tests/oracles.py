@@ -236,3 +236,54 @@ def per_position_reader(coords):
     except (IndexError, TypeError, KeyError) as e:
         raise ValueError("position must be [lon, lat, ...]") from e
     return out
+
+
+# The seed kernels are the package's first haversine and point-in-polygon,
+# frozen here verbatim (math.radians, min(1.0, ...), and a pass per edge of
+# _on_segment before the crossing count). The package's leaner kernels must
+# return their very same doubles and answers on every input.
+
+def seed_haversine(lat1, lon1, lat2, lon2):
+    """The first geo.haversine_distance, on plain coordinates."""
+    lat1 = math.radians(lat1)
+    lat2 = math.radians(lat2)
+    dlat = lat2 - lat1
+    dlon = math.radians(lon2 - lon1)
+    s = (math.sin(dlat / 2.0) ** 2
+         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2)
+    return 2.0 * R_EARTH * math.asin(min(1.0, math.sqrt(s)))
+
+
+def _seed_on_segment(p, a, b):
+    # collinearity + bbox check in the lon/lat plane
+    cross = (b.lon - a.lon) * (p.lat - a.lat) - (b.lat - a.lat) * (p.lon - a.lon)
+    if cross != 0.0:
+        return False
+    return (min(a.lon, b.lon) <= p.lon <= max(a.lon, b.lon)
+            and min(a.lat, b.lat) <= p.lat <= max(a.lat, b.lat))
+
+
+def _seed_ring_crossings(p, ring):
+    """Number of ring edges crossed by the eastward ray from p (even-odd)."""
+    n = 0
+    for i in range(len(ring) - 1):
+        a, b = ring[i], ring[i + 1]
+        if (a.lat > p.lat) != (b.lat > p.lat):
+            x = a.lon + (p.lat - a.lat) * (b.lon - a.lon) / (b.lat - a.lat)
+            if x > p.lon:
+                n += 1
+    return n
+
+
+def seed_point_in_polygon(p, poly):
+    """The first, two-pass geo.point_in_polygon: p has lat and lon, poly
+    polygons whose rings() are closed sequences of such points."""
+    for polygon in poly.polygons:
+        for ring in polygon.rings():
+            for i in range(len(ring) - 1):
+                if _seed_on_segment(p, ring[i], ring[i + 1]):
+                    return True
+        crossings = sum(_seed_ring_crossings(p, ring) for ring in polygon.rings())
+        if crossings % 2 == 1:
+            return True
+    return False

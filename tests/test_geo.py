@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 import oracles
 from evsite.geo import (
+    _DEG,
+    _REACH_MARGIN_M,
     EARTH_RADIUS_M,
     METERS_PER_DEG,
     GeoError,
     GeoPoint,
     MultiPolygon,
     Polygon,
+    _haversine_terms,
     haversine_distance,
     point_in_polygon,
     project_segment,
@@ -27,6 +30,37 @@ def ring(*latlons):
 
 
 UNIT_SQUARE = Polygon(ring((0, 0), (0, 1), (1, 1), (1, 0), (0, 0)))
+
+
+def _wrap_lon(lon):
+    return (lon + 180.0) % 360.0 - 180.0
+
+
+def _seed_pairs(rng, n):
+    """n (a, b) pairs: at every scale from 1e-7 to 180 degrees, near the
+    antipode (where the clamp of the square root fires), across +-180, and
+    on the poles and the antimeridian."""
+    pairs = []
+    for k in range(n):
+        a = GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0))
+        if k % 4 == 0:
+            scale = 10.0 ** rng.uniform(-7.0, math.log10(180.0))
+            b = GeoPoint(max(-90.0, min(90.0, a.lat + rng.uniform(-scale, scale))),
+                         _wrap_lon(a.lon + rng.uniform(-scale, scale)))
+        elif k % 4 == 1:
+            eps = 10.0 ** rng.uniform(-9.0, -1.0)
+            b = GeoPoint(max(-90.0, min(90.0, -a.lat + rng.uniform(-eps, eps))),
+                         _wrap_lon(a.lon + 180.0 + rng.uniform(-eps, eps)))
+        elif k % 4 == 2:
+            a = GeoPoint(a.lat, 180.0 - rng.uniform(0.0, 1.0))
+            b = GeoPoint(max(-90.0, min(90.0, a.lat + rng.uniform(-1.0, 1.0))),
+                         -180.0 + rng.uniform(0.0, 1.0))
+        else:
+            a = GeoPoint(rng.choice([a.lat, 90.0, -90.0]), rng.choice([a.lon, 180.0, -180.0]))
+            b = GeoPoint(rng.choice([-a.lat, rng.uniform(-90.0, 90.0)]),
+                         rng.choice([-a.lon, 180.0, -180.0, rng.uniform(-180.0, 180.0)]))
+        pairs.append((a, b))
+    return pairs
 
 
 class TestGeoPoint:
@@ -88,6 +122,34 @@ class TestHaversine:
             ac = haversine_distance(a, c)
             assert ac <= ab + bc + 1e-9 * (ab + bc + 1)
 
+    def test_kernels_return_the_seed_doubles(self):
+        pairs = _seed_pairs(random.Random(40), 10_000)
+        want = [oracles.seed_haversine(a.lat, a.lon, b.lat, b.lon) for a, b in pairs]
+        # some pairs reach the clamp: the square root at 1 or just above it
+        assert sum(d == 2.0 * EARTH_RADIUS_M * math.asin(1.0) for d in want) >= 100
+        assert [haversine_distance(a, b) for a, b in pairs] == want
+        ends = [b for _, b in pairs]
+        idx = index_of(ends, 1.0)
+        assert [idx.distances(a, [k])[0] for k, (a, _) in enumerate(pairs)] == want
+        a = pairs[0][0]
+        assert idx.distances(a, list(range(len(ends)))) == [
+            oracles.seed_haversine(a.lat, a.lon, b.lat, b.lon) for b in ends]
+        assert [_haversine_terms(math.radians(a.lat), math.cos(math.radians(a.lat)), a.lon,
+                                 math.radians(b.lat), math.cos(math.radians(b.lat)), b.lon)
+                for a, b in pairs] == want
+
+    def test_deg_is_radians(self):
+        # x * _DEG stands for math.radians(x) in every kernel: bit for bit,
+        # signed zeros, subnormals, the largest doubles and non-finite values
+        rng = random.Random(41)
+        xs = [rng.uniform(-360.0, 360.0) for _ in range(10_000)]
+        xs += [math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1024)) for _ in range(10_000)]
+        xs += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 90.0, -90.0,
+               180.0, -180.0, 360.0, 1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+               math.inf, -math.inf, math.nan, 7, -2 ** 53]
+        for x in xs:
+            assert math.radians(x).hex() == (x * _DEG).hex(), x
+
 
 class TestPointInPolygon:
     def test_center_of_square(self):
@@ -124,6 +186,9 @@ class TestPointInPolygon:
                 tuple(GeoPoint(lat, lon) for lon, lat in verts)),))
             p = GeoPoint(clat + rng.uniform(-2, 2), clon + rng.uniform(-2, 2))
             got = point_in_polygon(p, poly)
+            assert got == oracles.seed_point_in_polygon(p, poly)
+            for q in _edge_probes(verts):
+                assert point_in_polygon(q, poly) == oracles.seed_point_in_polygon(q, poly), q
             want = oracles.crossing_count_inside(p.lon, p.lat, [verts])
             if got == want:
                 agree += 1
@@ -131,6 +196,52 @@ class TestPointInPolygon:
                 assert oracles.min_edge_distance_deg(p.lon, p.lat, [verts]) < 1e-9
                 disagreements_near_edge += 1
         assert agree >= 999
+
+    def test_holes_and_two_polygons_match_the_seed_version(self):
+        # the seed's two-pass version answers every probe the same: random
+        # ones, the vertices, edge midpoints and points one ulp off them,
+        # about star polygons with a star hole, two to a MultiPolygon
+        rng = random.Random(42)
+
+        def star(clat, clon, r0, r1):
+            n = rng.randint(3, 9)
+            verts = []
+            for k in range(n):
+                ang, r = 2 * math.pi * k / n, rng.uniform(r0, r1)
+                verts.append((clon + r * math.cos(ang), clat + r * math.sin(ang)))
+            return verts + verts[:1]
+
+        def points(verts):
+            return tuple(GeoPoint(lat, lon) for lon, lat in verts)
+
+        for _ in range(100):
+            polygons, probes = [], []
+            for _ in range(2):
+                clat, clon = rng.uniform(-50, 50), rng.uniform(-50, 50)
+                exterior, hole = star(clat, clon, 0.2, 1.5), star(clat, clon, 0.02, 0.09)
+                polygons.append(Polygon(points(exterior), (points(hole),)))
+                # in and around the hole, and anywhere about the polygon
+                probes += [GeoPoint(clat + rng.uniform(-r, r), clon + rng.uniform(-r, r))
+                           for r in (0.1, 0.1, 0.1, 2.0, 2.0)]
+                probes += _edge_probes(exterior) + _edge_probes(hole)
+            poly = MultiPolygon(tuple(polygons))
+            for q in probes:
+                assert point_in_polygon(q, poly) == oracles.seed_point_in_polygon(q, poly), q
+
+
+def _edge_probes(verts):
+    """GeoPoints at each (lon, lat) vertex of a ring and the midpoint of each
+    of its edges, and one ulp off each of them along each axis and a diagonal."""
+    spots = list(verts) + [((x1 + x2) / 2, (y1 + y2) / 2)
+                           for (x1, y1), (x2, y2) in zip(verts, verts[1:])]
+    out = []
+    for lon, lat in spots:
+        for dx, dy in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]:
+            x = math.nextafter(lon, dx * math.inf) if dx else lon
+            y = math.nextafter(lat, dy * math.inf) if dy else lat
+            if -180.0 <= x <= 180.0 and -90.0 <= y <= 90.0:
+                out.append(GeoPoint(y, x))
+    return out
 
 
 def _clamp(x, lo, hi):
@@ -169,9 +280,11 @@ class TestPointInPolygonAtTheRim:
         poly = MultiPolygon((Polygon(tuple(GeoPoint(lat, lon) for lon, lat in verts)),))
         for dlon, dlat in probes:
             lon, lat = _clamp(clon + dlon, -180.0, 180.0), _clamp(clat + dlat, -90.0, 90.0)
+            got = point_in_polygon(GeoPoint(lat, lon), poly)
+            # the seed's version on every probe, near an edge or not
+            assert got == oracles.seed_point_in_polygon(GeoPoint(lat, lon), poly), (lon, lat)
             if oracles.min_edge_distance_deg(lon, lat, [verts]) > 1e-9:
-                assert point_in_polygon(GeoPoint(lat, lon), poly) == \
-                    oracles.crossing_count_inside(lon, lat, [verts]), (lon, lat)
+                assert got == oracles.crossing_count_inside(lon, lat, [verts]), (lon, lat)
         # the vertices, and the midpoint of each edge along a meridian or a
         # parallel (lon +-180 and lat +-90 among them), lie exactly on an edge
         on_edge = list(verts)
@@ -180,6 +293,8 @@ class TestPointInPolygonAtTheRim:
                 on_edge.append((x1 + (x2 - x1) / 2, y1 + (y2 - y1) / 2))
         for lon, lat in on_edge:
             assert point_in_polygon(GeoPoint(lat, lon), poly), (lon, lat)
+        for q in _edge_probes(verts):
+            assert point_in_polygon(q, poly) == oracles.seed_point_in_polygon(q, poly), q
 
     def test_ring_split_at_the_antimeridian(self):
         # lon 179.5 to -179.5 across the antimeridian, split there (RFC 7946 3.1.9)
@@ -544,22 +659,71 @@ class TestSegmentReaches:
                         GeoPoint(max(-90.0, min(90.0, lat + rng.uniform(-0.5, 0.5))), b_lon)))
         return out
 
-    def test_route_segment_reach_m_equals_haversine_bit_for_bit(self):
+    @staticmethod
+    def _crossing_segments(rng):
+        """Zero-length segments (on the poles and the antimeridian among
+        them), and segments across the equator and across +-180."""
+        out = []
+        for _ in range(100):
+            a = GeoPoint(rng.choice([rng.uniform(-90.0, 90.0), 90.0, -90.0]),
+                         rng.choice([rng.uniform(-180.0, 180.0), 180.0, -180.0]))
+            out.append((a, a))
+        for _ in range(100):
+            span = rng.choice([0.0005, 0.04, 2.0])
+            a = GeoPoint(-rng.uniform(0.0, span), rng.uniform(-179.0, 179.0))
+            b = GeoPoint(rng.uniform(0.0, span), a.lon + rng.uniform(-span, span))
+            out.append((a, b) if rng.random() < 0.5 else (b, a))
+        for _ in range(100):
+            span = rng.choice([0.0005, 0.04, 1.0])
+            lat = rng.uniform(-85.0, 85.0)
+            a = GeoPoint(lat, 180.0 - rng.uniform(0.0, span))
+            b = GeoPoint(lat + rng.uniform(-span, span), -180.0 + rng.uniform(0.0, span))
+            out.append((a, b) if rng.random() < 0.5 else (b, a))
+        return out
+
+    @staticmethod
+    def _path_reach(a, b):
+        """Half the bound on the length of the path from a to b, plus the
+        margin: the longitude difference wrapped as project_segment wraps
+        it, scaled by the largest cosine of a latitude on the path."""
+        dlon = b.lon - a.lon
+        if not -180.0 <= dlon <= 180.0:
+            dlon -= math.copysign(360.0, dlon)
+        if (a.lat < 0.0) != (b.lat < 0.0):
+            cos_max = 1.0
+        else:
+            cos_max = max(math.cos(math.radians(a.lat)), math.cos(math.radians(b.lat)))
+        return 0.5 * METERS_PER_DEG * math.hypot(b.lat - a.lat, dlon * cos_max) + _REACH_MARGIN_M
+
+    def test_route_segment_reach_m_is_half_the_path_length(self):
         rng = random.Random(33)
         for a, b in self._segments(rng):
             line = (a, b, b, GeoPoint(rng.uniform(-89.0, 89.0), rng.uniform(-180.0, 180.0)))
             route = route_of("r", line, [0.0] * len(line))
-            want = []
-            for u, v in zip(line, line[1:]):
-                m = self._along(u, v, 0.5)
-                want.append(max(haversine_distance(u, m), haversine_distance(v, m)))
-            assert list(route.segment_reach_m) == want
+            assert list(route.segment_reach_m) == [self._path_reach(u, v)
+                                                   for u, v in zip(line, line[1:])]
             assert route.segment_reach_m is route.segment_reach_m  # computed once
+            # at least half the path, measured as the sum of 4,096 sub-steps
+            # (the zero-length segment from b to b measures 0)
+            for u, v, reach in zip(line[::2], line[1::2], route.segment_reach_m[::2]):
+                assert self._sub_step_length(u, v, 4096) / 2 <= reach, (u, v)
+
+    @staticmethod
+    def _sub_step_length(a, b, n):
+        """The length of the path from a to b that project_segment
+        interpolates, as the sum of the haversine oracle over n steps."""
+        dlon = b.lon - a.lon
+        if not -180.0 <= dlon <= 180.0:
+            dlon -= math.copysign(360.0, dlon)
+        lat = [a.lat + k / n * (b.lat - a.lat) for k in range(n + 1)]
+        lon = [a.lon + k / n * dlon for k in range(n + 1)]
+        return sum(map(oracles.haversine_oracle, lat, lon, lat[1:], lon[1:]))
 
     def test_every_point_of_a_segment_lies_within_its_reach_of_an_end(self):
-        for a, b in self._segments(random.Random(34)):
+        rng = random.Random(34)
+        for a, b in self._segments(rng) + self._crossing_segments(rng):
             (reach,) = segment_reaches((a.lat, b.lat), (a.lon, b.lon))
-            assert reach <= haversine_distance(a, b) + 1e-6
+            assert reach <= haversine_distance(a, b) + _REACH_MARGIN_M + 1e-6
             for k in range(65):
                 c = self._along(a, b, k / 64)
                 assert min(haversine_distance(a, c), haversine_distance(b, c)) <= reach + 1e-6

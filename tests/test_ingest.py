@@ -70,6 +70,18 @@ class TestLoadTrips:
         assert len(trips) == 1 and len(trips[0].points) == 2
         assert len(bad) == 1 and "999" in bad[0]
 
+    @pytest.mark.parametrize("column", [2, 3])
+    def test_long_bad_coordinate_is_echoed_in_part(self, tmp_path, column):
+        f = tmp_path / "t.csv"
+        row = ["a", "150", "-33.55", "150.55"]
+        row[column] = "x" * 1000
+        write_csv(f, ["a,100,-33.5,150.5", ",".join(row), "a,200,-33.6,150.6"])
+        trips, bad = load_trips(f)
+        assert len(trips) == 1 and len(trips[0].points) == 2
+        key = ("lat", "lon")[column - 2]
+        assert len(bad) == 1 and bad[0].startswith(f"{f}:3: {key} must be a number, got 'xxx")
+        assert len(bad[0]) < 200, bad[0]
+
     def test_majority_malformed_is_corrupt(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, ["a,100,-33.5,150.5", "a,nonsense,999,x", "b,y,998,z"])
