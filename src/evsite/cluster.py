@@ -9,11 +9,12 @@ deterministic.
 The expansion asks the index only what it needs (SpatialIndex.claim_within):
 whether |N(q)| >= minpts(q), and which points of N(q) are not yet clustered.
 Unclustered ids are kept as one set per index cell. A step walks its window
-once: cells taken whole count with their size, and points are tested one by
-one only in partial cells that still hold unclustered ids, or while the count
-is short of minpts. Clustered points still count toward minpts; a step with
-nothing left to join ends without counting, since q's core status could not
-change a label.
+once: from the second step in a cell at one eps on, a window that the cell
+shares at that eps (SpatialIndex._shared_window). Cells taken whole count
+with their size, and points are tested one by one only in partial cells that
+still hold unclustered ids, or while the count is short of minpts. Clustered
+points still count toward minpts; a step with nothing left to join ends
+without counting, since q's core status could not change a label.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def dbscan_lga(points: list[DemandPoint], contexts: list[PointContext],
     eps = [params[i].eps_m for i in order]
     minpts = [params[i].minpts for i in order]
     # cells of half the smallest eps, but no finer than an eighth of the
-    # largest, so that a query window stays within about 17 x 17 cells
+    # largest, so that a query window stays within about 19 x 19 cells
     cell_m = max(min(eps) / 2, max(eps) / 8) if points else METERS_PER_DEG
     locations = [points[i].location for i in order]
     index = SpatialIndex([p.lat for p in locations], [p.lon for p in locations],

@@ -157,6 +157,12 @@ class SpatialIndex:
         # cell key -> (radians(lat), cos(lat), lon, reach) of the cell's
         # centre, filled on first use: see _disc
         self._discs: dict[tuple[int, int], tuple[float, float, float, float]] = {}
+        # (row, col, radius) of the query cells of _shared_window: those
+        # queried once, and the windows of those queried again
+        self._seen: set[tuple[int, int, float]] = set()
+        self._windows: dict[tuple[int, int, float], list[tuple[int, int]]] = {}
+        # no point of a cell lies farther than this from the cell's centre
+        self._half_diag_m = math.sqrt(0.5) * cell_size * METERS_PER_DEG + _REACH_MARGIN_M
 
     def _key(self, p: GeoPoint) -> tuple[int, int]:
         return (math.floor(p.lat / self.cell_size), math.floor(p.lon / self.cell_size))
@@ -218,6 +224,38 @@ class SpatialIndex:
         cols = {c for c0, c1 in spans for c in range(c0, c1 + 1)}
         return list(filter(cells.__contains__, product(range(r0, r1 + 1), cols)))
 
+    def _shared_window(self, p: GeoPoint, radius_m: float) -> list[tuple[int, int]]:
+        """A superset of _window(p, radius_m), shared by the query points of
+        p's cell at this radius from its second query on.
+
+        The shared window is _window at the cell's centre, at radius_m plus
+        _half_diag_m: the lat/lon-linear path from the centre to any point of
+        the cell is at most METERS_PER_DEG * cell_size * sqrt(2) / 2 long at
+        every latitude, and a geodesic is no longer, so by the triangle
+        inequality it holds every cell within radius_m of the cell's points.
+        A first query keeps the tighter per-point window, since most pairs
+        of a sparse index are queried once, and so does a cell whose centre
+        lies off the globe, past +-90 or +-180. neighbors_within keeps it
+        too: nearest calls it at a bound that changes with every query.
+        """
+        if radius_m < 0:
+            raise GeoError("radius must be >= 0")
+        cell = self.cell_size
+        row, col = math.floor(p.lat / cell), math.floor(p.lon / cell)
+        key = (row, col, radius_m)
+        keys = self._windows.get(key)
+        if keys is not None:
+            return keys
+        if key in self._seen:
+            lat, lon = (row + 0.5) * cell, (col + 0.5) * cell
+            if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+                keys = self._windows[key] = self._window(GeoPoint(lat, lon),
+                                                         radius_m + self._half_diag_m)
+                return keys
+        else:
+            self._seen.add(key)
+        return self._window(p, radius_m)
+
     def _split(self, keys, q: tuple[float, float, float],
                radius_m: float) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Of the cells keys, those whose points all lie within radius_m of the
@@ -269,7 +307,7 @@ class SpatialIndex:
 
     def any_within(self, p: GeoPoint, radius_m: float) -> bool:
         """Whether any indexed point lies at haversine distance <= radius_m."""
-        return self._count(self._window(p, radius_m), _query_terms(p), radius_m, 1) > 0
+        return self._count(self._shared_window(p, radius_m), _query_terms(p), radius_m, 1) > 0
 
     def _count(self, keys, q: tuple[float, float, float], radius_m: float,
                enough: float = math.inf) -> int:
@@ -299,15 +337,15 @@ class SpatialIndex:
         is left as it was.
 
         free maps each cell key to a subset of the cell's ids (see free_cells).
-        The window is walked once, over the cells where free holds ids: a cell
-        taken whole counts with len(cell), a partial one tests only its free
-        ids. The other points are tested only while the count is below
-        minpts, and not at all when no id in range is free, since then the
-        answer is [] either way.
+        The window (_shared_window's) is walked once, over the cells where
+        free holds ids: a cell taken whole counts with len(cell), a partial
+        one tests only its free ids. The other points are tested only while
+        the count is below minpts, and not at all when no id in range is
+        free, since then the answer is [] either way.
         """
         q = _query_terms(p)
         cells = self._cells
-        keys = self._window(p, radius_m)
+        keys = self._shared_window(p, radius_m)
         count = 0
         taken = []    # (a cell's free set, its ids in range)
         mixed = []    # (ids, free set) of partial cells that hold clustered ids too

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from array import array
@@ -199,8 +200,10 @@ def _read_trip_csv(path: Path):
     messages)."""
     by_trip: dict[str, list[tuple[int, GeoPoint]]] = {}
     bad = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+    with open(path, "rb") as f:
+        plain = _plain_file(f)
+        f.seek(0)
+        reader = csv.reader(io.TextIOWrapper(f, encoding="utf-8", newline=""))
         try:
             header = next(reader, None)
         except csv.Error as e:
@@ -223,12 +226,16 @@ def _read_trip_csv(path: Path):
                 if len(row) != 4:
                     raise ValueError(f"expected 4 columns, got {len(row)}")
                 trip_id, ts, lat, lon = row
-                try:
-                    ts = int(ts)
-                except ValueError:
-                    pass  # not an integer numeral: the rule refuses the str
+                if plain or _plain(ts):
+                    try:
+                        ts = int(ts)
+                    except ValueError:
+                        pass
+                # a str left here is no plain integer numeral: the rule refuses it
                 ts = _json_number(ts, "timestamp", integral=True, bits64=True)
                 try:
+                    if not (plain or (_plain(lat) and _plain(lon))):
+                        raise ValueError
                     y, x = float(lat), float(lon)
                 except ValueError:
                     # float()'s own message would echo the whole field
@@ -241,11 +248,41 @@ def _read_trip_csv(path: Path):
     return by_trip, bad
 
 
+# bytes that can put what _plain refuses into a CSV field, besides any byte
+# past ASCII: the underscore, every ASCII blank that does not end a line, and
+# the quote, since only a quoted field can hold a line's end
+_UNPLAIN_BYTES = b'_" \t\x0b\x0c\x1c\x1d\x1e\x1f'
+
+
+def _plain_file(f) -> bool:
+    """Whether the binary file f, read to its end, is all ASCII and holds no
+    byte of _UNPLAIN_BYTES after the header's first name, whose underscore
+    is no numeral's. Then every field of the CSV in it is plain, and none
+    need be tested: a few scans in C per 64 KiB instead of nine tests a row."""
+    block = f.read(1 << 16).removeprefix(b"trip_id,")
+    while block:
+        if not block.isascii() or any(b in block for b in _UNPLAIN_BYTES):
+            return False
+        block = f.read(1 << 16)
+    return True
+
+
+def _plain(text: str) -> bool:
+    """Whether a CSV numeral is written plainly: ASCII, with no digit-group
+    underscore and no blank at either end, all of which int() and float()
+    would take. The tests cost no regex and no copy: isascii reads a flag,
+    the membership test is one scan in C, and strip looks at the ends only
+    and returns text itself when there is nothing to strip."""
+    return text.isascii() and "_" not in text and text.strip() == text
+
+
 def _coordinate_error(lat: str, lon: str) -> ValueError:
-    """The error for a CSV row whose lat or lon float() refuses: it names the
-    first such field and echoes it as shown does."""
+    """The error for a CSV row whose lat or lon is not a plain numeral that
+    float() takes: it names the first such field and echoes it as shown does."""
     key, text = "lon", lon
     try:
+        if not _plain(lat):
+            raise ValueError
         float(lat)
     except ValueError:
         key, text = "lat", lat

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -156,6 +157,36 @@ class TestDbscanLga:
         assert result.assignment.cluster_count == want_c
         assert want_c >= 1 and NOISE in want
 
+
+    @pytest.mark.parametrize("lat0,lon0", [(-33.5, 150.5), (70.0, 180.0)])
+    @pytest.mark.parametrize("minpts", [20, 26, 30])
+    def test_many_points_per_cell_at_one_eps_match_brute_oracle(self, lat0, lon0, minpts):
+        # one eps of 100 m for every point, so cells are 50 m wide (17 m of
+        # longitude at 70 N) and many hold two points or more: most steps
+        # query a cell that an earlier step queried at the same eps. A point
+        # has about 26 others within eps, so one point missed can change
+        # whether it is core. At 70 N the square straddles the antimeridian.
+        cfg = ConstraintConfig(base_eps_m=100.0, base_minpts=minpts, eps_factor_poi=1.0,
+                               minpts_factor_poi=1.0, minpts_factor_route=1.0,
+                               minpts_factor_flood=1.0, minpts_factor_fire=1.0)
+        rng = random.Random(minpts)
+        m_lon = METERS_PER_DEG * math.cos(math.radians(lat0))
+        coords = []
+        for _ in range(300):
+            north_m, east_m = rng.uniform(-300, 300), rng.uniform(-300, 300)
+            lon = lon0 + east_m / m_lon
+            coords.append((lat0 + north_m / METERS_PER_DEG,
+                           lon - 360.0 if lon > 180.0 else lon))
+        cell = 50.0 / METERS_PER_DEG
+        per_cell = Counter((math.floor(lat / cell), math.floor(lon / cell))
+                           for lat, lon in coords)
+        assert sum(n for n in per_cell.values() if n >= 2) >= len(coords) / 3
+        result = dbscan_lga(demand(coords), [FAR_CTX] * len(coords), cfg)
+        want, want_c = oracles.brute_dbscan_per_point(
+            coords, [100.0] * len(coords), [minpts] * len(coords))
+        assert list(result.assignment.labels) == want
+        assert result.assignment.cluster_count == want_c
+        assert want_c >= 1 and NOISE in want
 
     def test_core_by_clustered_neighbours(self):
         # 0-3 form a cluster within their 100-m eps; 4 reaches them and 5 with

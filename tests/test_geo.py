@@ -522,6 +522,89 @@ class TestSpatialIndex:
             index_of([], 0.01).nearest(GeoPoint(0, 0))
 
 
+class TestSharedWindows:
+    """any_within and claim_within share one window per (query cell, radius)
+    from the pair's second query on. Here every cell is queried by many
+    points at one radius, so most queries take the shared window."""
+
+    @pytest.mark.parametrize("lat0,lon0,spread,cell", [
+        # cells of about 100 m; 180 starts a column of its own, centred at
+        # 180.0005
+        (-33.87, 151.21, 0.01, 0.001),
+        # across +-180; with 0.007-degree cells the columns that hold 180
+        # and -180 are centred past them
+        (0.0, 180.0, 0.01, 0.007),
+        (70.0, 180.0, 0.02, 0.007),
+        # round either pole; the rows that hold +-90 are centred past it
+        (89.99, 0.0, 180.0, 0.007),
+        (-89.99, 0.0, 180.0, 0.007),
+        # 90 starts a row of its own, centred at 90.005
+        (89.99, 0.0, 180.0, 0.01),
+    ])
+    def test_many_queries_per_cell_vs_linear_scan(self, lat0, lon0, spread, cell):
+        # a radius per cell that is a distance from the cell's last query
+        # point to a nearby indexed point, one step below it, and one radius
+        # for all cells
+        rng = random.Random(int(lat0 * 100 + lon0 + cell * 1000))
+
+        def near():
+            lat = max(-90.0, min(90.0, lat0 + rng.uniform(-0.01, 0.01)))
+            return GeoPoint(lat, _wrap_lon(lon0 + rng.uniform(-spread, spread)))
+
+        pts = [near() for _ in range(250)]
+        pts += [GeoPoint(lat0, 180.0), GeoPoint(lat0, -180.0), GeoPoint(90.0, 0.0),
+                GeoPoint(90.0, 45.0), GeoPoint(-90.0, 0.0), GeoPoint(-90.0, -135.0)]
+        pts = [p for p in pts if abs(p.lat - lat0) <= 0.02] + pts[:3]
+        idx = index_of(pts, cell)
+
+        def scan(q, r):
+            return [i for i, p in enumerate(pts) if haversine_distance(q, p) <= r]
+
+        def key(p):
+            return math.floor(p.lat / cell), math.floor(p.lon / cell)
+
+        def corners(row, col):
+            # the corners of the cell, the farthest points from its centre,
+            # clipped to the globe
+            return [GeoPoint(max(-90.0, min(90.0, lat)), max(-180.0, min(180.0, lon)))
+                    for lat in (row * cell, math.nextafter((row + 1) * cell, -math.inf))
+                    for lon in (col * cell, math.nextafter((col + 1) * cell, -math.inf))]
+
+        cells = sorted({key(p) for p in pts})
+        off_globe = [(row, col) for row, col in cells
+                     if abs((row + 0.5) * cell) > 90.0 or abs((col + 0.5) * cell) > 180.0]
+        assert off_globe
+        queries = pts + [near() for _ in range(100)]
+        for row, col in rng.sample(cells, min(30, len(cells))) + off_globe:
+            queries += corners(row, col)
+        groups: dict[tuple[int, int], list[GeoPoint]] = {}
+        for q in queries:
+            groups.setdefault(key(q), []).append(q)
+        for group in groups.values():
+            last = group[-1]
+            by_distance = sorted(pts, key=lambda p: haversine_distance(last, p))
+            d = haversine_distance(last, by_distance[rng.randrange(min(40, len(pts)))])
+            for r in (d, math.nextafter(d, 0.0), 150.0):
+                for q in group:
+                    want = scan(q, r)
+                    assert idx.any_within(q, r) == bool(want)
+                    assert sorted(idx.claim_within(q, r, len(want), idx.free_cells())) == want
+                    assert idx.claim_within(q, r, len(want) + 1, idx.free_cells()) == []
+        assert idx._windows, "no query took a shared window"
+
+    def test_negative_radius_raises_on_every_query(self):
+        # the second query of a pair would build the shared window, at the
+        # radius plus the cell's half-diagonal, which is not negative
+        p = GeoPoint(-33.87, 151.21)
+        idx = index_of([p], 0.01)
+        for _ in range(3):
+            assert idx.any_within(p, 10.0)
+            with pytest.raises(GeoError, match="radius must be >= 0"):
+                idx.any_within(p, -1.0)
+            with pytest.raises(GeoError, match="radius must be >= 0"):
+                idx.claim_within(p, -1.0, 1, idx.free_cells())
+
+
 class TestProjectToPolyline:
     def test_at_vertex(self):
         line = [GeoPoint(0, 0), GeoPoint(0, 1)]

@@ -36,13 +36,15 @@ from evsite.ingest import (
     save_routes,
     save_stations,
     save_trips,
+    shown,
     write_json,
 )
 from records import route_of
 
 
 def write_csv(path, rows):
-    path.write_text("trip_id,timestamp,lat,lon\n" + "".join(r + "\n" for r in rows))
+    path.write_text("trip_id,timestamp,lat,lon\n" + "".join(r + "\n" for r in rows),
+                    encoding="utf-8")
 
 
 def square_lga(name, lat0, lon0, size=1.0):
@@ -81,6 +83,57 @@ class TestLoadTrips:
         key = ("lat", "lon")[column - 2]
         assert len(bad) == 1 and bad[0].startswith(f"{f}:3: {key} must be a number, got 'xxx")
         assert len(bad[0]) < 200, bad[0]
+
+    @pytest.mark.parametrize("row,column", [
+        ("a,1_50,-33.55,150.55", 1),       # a digit-group underscore
+        ("a,\u0661\u0665\u0660,-33.55,150.55", 1),  # Arabic-Indic digits for 150
+        ("a, 150,-33.55,150.55", 1),       # a blank at either end
+        ("a,150\t,-33.55,150.55", 1),
+        ("a,150,-3_3.55,150.55", 2),
+        ("a,150,\t-33.55,150.55", 2),
+        ("a,150,-\u0663\u0663.55,150.55", 2),
+        ("a,150,-33.55, 150.55", 3),
+        ("a,150,-33.55,150.55 ", 3),
+        ("a,150,-33.55,\uff11\uff15\uff10.55", 3),  # fullwidth digits
+        ("a,1_50,-3_3.55, 150.55", 1),     # the first field refused is named
+        ("a,150,-3_3.55, 150.55", 2),
+    ])
+    def test_numeral_that_is_not_plain_is_a_malformed_row(self, tmp_path, row, column):
+        # int() and float() take all of these; the reader refuses them
+        f = tmp_path / "t.csv"
+        write_csv(f, ["a,100,-33.5,150.5", row, "a,200,-33.6,150.6"])
+        trips, bad = load_trips(f)
+        assert trips[0].points == ((100, GeoPoint(-33.5, 150.5)),
+                                   (200, GeoPoint(-33.6, 150.6)))
+        field = row.split(",")[column]
+        want = ("timestamp must be a finite integer" if column == 1
+                else f"{('lat', 'lon')[column - 2]} must be a number")
+        assert bad == [f"{f}:3: {want}, got {shown(field)}"]
+
+    @pytest.mark.parametrize("trip_id", ["a", "trip_1", "trip 1", "\u00e9"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_plain_rows_load_whatever_else_the_file_holds(self, tmp_path, trip_id, newline):
+        # an underscore, a blank or a byte past ASCII in a trip id makes the
+        # reader test each row's numerals, and plain ones pass
+        f = tmp_path / "t.csv"
+        rows = ["trip_id,timestamp,lat,lon", f"{trip_id},100,-33.5,150.5",
+                f"{trip_id},200,-33.6,150.6", ""]
+        f.write_bytes(newline.join(rows).encode())
+        trips, bad = load_trips(f)
+        assert bad == []
+        assert trips == [TripRecord(trip_id, ((100, GeoPoint(-33.5, 150.5)),
+                                              (200, GeoPoint(-33.6, 150.6))))]
+
+    def test_quoted_numeral_holding_a_line_end_is_a_malformed_row(self, tmp_path):
+        # only a quoted field can hold a line's end, which int() takes as a
+        # blank
+        f = tmp_path / "t.csv"
+        write_csv(f, ["a,100,-33.5,150.5", 'a,"150\r\n",-33.55,150.55', "a,200,-33.6,150.6"])
+        trips, bad = load_trips(f)
+        assert trips[0].points == ((100, GeoPoint(-33.5, 150.5)),
+                                   (200, GeoPoint(-33.6, 150.6)))
+        field = "150\r\n"
+        assert bad == [f"{f}:3: timestamp must be a finite integer, got {shown(field)}"]
 
     def test_majority_malformed_is_corrupt(self, tmp_path):
         f = tmp_path / "t.csv"
