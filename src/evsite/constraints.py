@@ -7,14 +7,10 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .geo import (_REACH_MARGIN_M, METERS_PER_DEG, GeoPoint, SpatialIndex, haversine_distance,
-                  project_segment)
-# tracing patches this here by name; locate_all calls project_segment instead
-from .geo import project_to_polyline  # noqa: F401
+from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex, cell_groups, project_segment
+# tracing patches these here by name; nothing here calls either
+from .geo import haversine_distance, project_to_polyline  # noqa: F401
 from .ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord
-
-# side of the grid cells by which context queries are grouped, in degrees
-_GROUP_CELL_DEG = 0.005
 
 
 class ConstraintError(ValueError):
@@ -92,12 +88,12 @@ class RouteLocator:
     segments need projecting.
 
     Queries are answered a group of nearby points at a time (see
-    _cell_groups). For a group with centre c and reach rho, and D the distance
-    from c to its nearest vertex, every member's nearest vertex and closest
-    on-route point lie within D + 2 rho of c. One radius query around c, at
-    an upper bound on D plus 2 rho plus the longest reach, gives D and the
-    segments with an end within D + 2 rho plus their reach; each member scans
-    only those segments and their ends.
+    geo.cell_groups). For a group with centre c and reach rho, and D the
+    distance from c to its nearest vertex, every member's nearest vertex and
+    closest on-route point lie within D + 2 rho of c. One radius query around
+    c, at an upper bound on D plus 2 rho plus the longest reach, gives D and
+    the segments with an end within D + 2 rho plus their reach; each member
+    scans only those segments and their ends.
     """
 
     def __init__(self, routes: list[RouteRecord]):
@@ -118,12 +114,10 @@ class RouteLocator:
         cell = max(2.0 * self.max_reach_m, 500.0) / METERS_PER_DEG
         self._index = SpatialIndex(self._lat, self._lon, cell) if self._lat else None
 
-    def __bool__(self) -> bool:
-        return self._index is not None
-
     def altitude_at(self, p: GeoPoint) -> float:
+        """Altitude of the route vertex nearest p; nan when no routes."""
         if self._index is None:
-            raise ConstraintError("no altitude source")
+            return math.nan
         vid, _ = self._index.nearest(p)
         return self._altitudes[vid]
 
@@ -140,7 +134,7 @@ class RouteLocator:
         v_lat, v_lon = self._lat, self._lon
         reach_m, route_ids = self._reach_m, self._route_ids
         out: list = [None] * len(points)
-        for c, rho, members in _cell_groups(points):
+        for c, rho, members in cell_groups(points):
             near = index.neighbors_within(
                 c, index.nearest_bound(c) + 2.0 * rho + self.max_reach_m)
             h = dict(zip(near, index.distances(c, near)))
@@ -199,10 +193,9 @@ class PoiIndex:
     POIs are indexed in poi_id order, so a distance tie goes to the smallest
     poi_id. Cells are the POIs' extent over the square root of their count,
     at least 0.01 degrees, so that nearest finds a POI within a ring or two
-    instead of walking rings of empty cells. Queries are answered a group of
-    nearby points at a time, as in RouteLocator: every member's nearest POI
-    lies within D + 2 rho of the group's centre, so within a radius query at
-    an upper bound on D plus 2 rho.
+    instead of walking rings of empty cells. Queries go through
+    SpatialIndex.nearest_all, a group of nearby points at a time (see
+    geo.cell_groups).
     """
 
     def __init__(self, pois: list[PoiRecord]):
@@ -215,42 +208,13 @@ class PoiIndex:
             extent = max(max(lats) - min(lats), max(lons) - min(lons))
             self._index = SpatialIndex(lats, lons, max(extent / math.sqrt(len(pois)), 0.01))
 
-    def nearest(self, p: GeoPoint) -> tuple[PoiRecord | None, float]:
-        """(closest POI, distance); None and inf when there are no POIs."""
-        return self.nearest_all([p])[0]
-
     def nearest_all(self, points: list[GeoPoint]) -> list[tuple[PoiRecord | None, float]]:
-        """nearest for every point, parallel to the input list."""
-        index = self._index
-        if index is None:
+        """(closest POI, distance) for every point, parallel to the input list;
+        None and inf when there are no POIs."""
+        if self._index is None:
             return [(None, math.inf)] * len(points)
-        out: list = [None] * len(points)
-        for c, rho, members in _cell_groups(points):
-            cands = index.neighbors_within(c, index.nearest_bound(c) + 2.0 * rho)
-            for i in members:
-                d, j = min(zip(index.distances(points[i], cands), cands))
-                out[i] = (self.pois[j], d)
-        return out
-
-
-def _cell_groups(points: list[GeoPoint]):
-    """(centre, reach, member ids) for the points of each occupied cell of a
-    fixed _GROUP_CELL_DEG grid.
-
-    The centre is the cell's first point and the reach the largest distance
-    from it to a member plus _REACH_MARGIN_M, which keeps bounds built from a
-    few rounded haversines on the safe side. Any grouping gives exact
-    answers; this one keeps groups small enough that their shared candidate
-    lists stay short.
-    """
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(points):
-        cells.setdefault((math.floor(p.lat / _GROUP_CELL_DEG),
-                          math.floor(p.lon / _GROUP_CELL_DEG)), []).append(i)
-    for members in cells.values():
-        c = points[members[0]]
-        reach = max(haversine_distance(c, points[i]) for i in members)
-        yield c, reach + _REACH_MARGIN_M, members
+        pois = self.pois
+        return [(pois[j], d) for j, d in self._index.nearest_all(points)]
 
 
 def annotate_context(points: list[DemandPoint], pois: PoiIndex,

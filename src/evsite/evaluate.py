@@ -116,8 +116,8 @@ def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],
     gained = sum(1 for dp in uncovered if rec_index.any_within(dp.location, coverage_radius_m))
     cov_after = (len(demand_points) - len(uncovered) + gained) / len(demand_points)
 
-    dists = sorted(station_index.nearest(r.location)[1]
-                   for r in recs_final) if stations else []
+    dists = sorted(d for _, d in station_index.nearest_all(
+        [r.location for r in recs_final])) if stations else []
     if dists:
         n = len(dists)
         median = (dists[n // 2] if n % 2 == 1

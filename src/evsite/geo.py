@@ -19,6 +19,8 @@ _DEG = math.pi / 180.0
 # where asin is steepest); whole-cell decisions compare three of them, so 1 m
 # keeps every decision on the side a per-point check would take.
 _REACH_MARGIN_M = 1.0
+# side of the grid cells by which batched nearest queries are grouped, in degrees
+_GROUP_CELL_DEG = 0.005
 
 
 class GeoError(ValueError):
@@ -406,10 +408,41 @@ class SpatialIndex:
 
     def nearest(self, p: GeoPoint) -> tuple[int, float]:
         """(id, distance) of the closest indexed point; ties broken by smallest id."""
-        # an exact radius query at an upper bound settles the argmin and tie-break
-        ids = self.neighbors_within(p, self.nearest_bound(p))
-        d, best_id = min(zip(self.distances(p, ids), ids))
-        return best_id, d
+        return self.nearest_all([p])[0]
+
+    def nearest_all(self, points: list[GeoPoint]) -> list[tuple[int, float]]:
+        """nearest for every point, parallel to the input list, a group at a
+        time (see cell_groups). With D the distance from a group's centre c to
+        its nearest point and rho its reach, every member's nearest point lies
+        within D + 2 rho of c: one radius query at an upper bound on D plus
+        2 rho settles each member's argmin and tie-break."""
+        out: list = [None] * len(points)
+        for c, rho, members in cell_groups(points):
+            ids = self.neighbors_within(c, self.nearest_bound(c) + 2.0 * rho)
+            for i in members:
+                d, best_id = min(zip(self.distances(points[i], ids), ids))
+                out[i] = (best_id, d)
+        return out
+
+
+def cell_groups(points: list[GeoPoint]):
+    """(centre, reach, member ids) for the points of each occupied cell of a
+    fixed _GROUP_CELL_DEG grid.
+
+    The centre is the cell's first point and the reach the largest distance
+    from it to a member plus _REACH_MARGIN_M, which keeps bounds built from a
+    few rounded haversines on the safe side. Any grouping gives exact
+    answers; this one keeps groups small enough that their shared candidate
+    lists stay short.
+    """
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, p in enumerate(points):
+        cells.setdefault((math.floor(p.lat / _GROUP_CELL_DEG),
+                          math.floor(p.lon / _GROUP_CELL_DEG)), []).append(i)
+    for members in cells.values():
+        c = points[members[0]]
+        reach = max(haversine_distance(c, points[i]) for i in members)
+        yield c, reach + _REACH_MARGIN_M, members
 
 
 def _query_terms(p: GeoPoint) -> tuple[float, float, float]:

@@ -9,7 +9,6 @@ import math
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import count
 from operator import itemgetter
 from pathlib import Path
 
@@ -210,7 +209,8 @@ def _read_trip_csv(path: Path):
             raise IngestError(f"{path}: header: {e}") from e
         if header != TRIPS_CSV_HEADER:
             raise IngestError(f"{path}: expected header {TRIPS_CSV_HEADER}, got {shown(header)}")
-        for lineno in count(2):
+        while True:
+            lineno = reader.line_num + 1    # where the next record starts
             try:
                 row = next(reader)
             except StopIteration:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .cluster import NOISE, LgaClusterResult
+from .cluster import LgaClusterResult
 from .constraints import ConstraintConfig, PoiIndex, RouteLocator, lookup_ffdi
 from .geo import GeoPoint, SpatialIndex, haversine_distance
 from .ingest import DemandPoint, FireRiskGrid, RouteRecord
@@ -58,19 +58,21 @@ def cluster_location(member_points: list[GeoPoint]) -> GeoPoint:
                     math.degrees(math.atan2(y, x)))
 
 
-def snap(location: GeoPoint, pois: PoiIndex, locator: RouteLocator,
-         poi_snap_m: float, route_snap_m: float) -> tuple[GeoPoint, str, float]:
-    """Nearest POI within poi_snap_m, else nearest route projection within
-    route_snap_m, else unsnapped at the original location."""
+def snap(locations: list[GeoPoint], pois: PoiIndex, locator: RouteLocator,
+         poi_snap_m: float, route_snap_m: float) -> list[tuple[GeoPoint, str, float]]:
+    """(location, target, distance) for every location, parallel to the input
+    list: the nearest POI within poi_snap_m, else the nearest route
+    projection within route_snap_m, else unsnapped at the location itself."""
     if poi_snap_m <= 0 or route_snap_m <= 0:
         raise RecommendError("snap radii must be > 0")
-    poi, d = pois.nearest(location)
-    if poi is not None and d <= poi_snap_m:
-        return poi.location, f"poi:{poi.poi_id}", d
-    pt, d, route_id, _ = locator.locate(location)
-    if d <= route_snap_m:
-        return pt, f"route:{route_id}", d
-    return location, UNSNAPPED, math.inf
+    out = [(poi.location, f"poi:{poi.poi_id}", d) if poi is not None and d <= poi_snap_m
+           else None for poi, d in pois.nearest_all(locations)]
+    rest = [i for i, hit in enumerate(out) if hit is None]
+    located = locator.locate_all([locations[i] for i in rest])
+    for i, (pt, d, route_id, _) in zip(rest, located):
+        out[i] = ((pt, f"route:{route_id}", d) if d <= route_snap_m
+                  else (locations[i], UNSNAPPED, math.inf))
+    return out
 
 
 def dedup(recs: list[Recommendation], stations: SpatialIndex,
@@ -82,14 +84,14 @@ def dedup(recs: list[Recommendation], stations: SpatialIndex,
     return sorted(kept, key=lambda r: r.rec_id)
 
 
-def classify_charger(rec: Recommendation, poi_categories: dict[str, str],
-                     corridor_span_m: float) -> str:
+def classify_charger(snap_target: str, cluster_span_m: float,
+                     poi_categories: dict[str, str], corridor_span_m: float) -> str:
     """Fast for fuel-POI anchors and long corridor clusters, destination otherwise."""
-    if rec.snap_target.startswith("poi:"):
-        if poi_categories.get(rec.snap_target[4:]) == "fuel":
+    if snap_target.startswith("poi:"):
+        if poi_categories.get(snap_target[4:]) == "fuel":
             return "fast"
         return "destination"
-    if rec.snap_target.startswith("route:") and rec.cluster_span_m >= corridor_span_m:
+    if snap_target.startswith("route:") and cluster_span_m >= corridor_span_m:
         return "fast"
     return "destination"
 
@@ -101,12 +103,6 @@ def risk_flags(altitude_m: float, ffdi: float | None, flood_alt_m: float,
     return altitude_m < flood_alt_m, None if ffdi is None else ffdi >= ffdi_threshold
 
 
-def annotate_risk(rec: Recommendation, flood_alt_m: float,
-                  ffdi_threshold: float) -> Recommendation:
-    flood, fire = risk_flags(rec.altitude_m, rec.ffdi_delta, flood_alt_m, ffdi_threshold)
-    return replace(rec, flood_flag=flood, fire_flag=fire)
-
-
 def propose_all(cluster_results: list[LgaClusterResult],
                 buckets: dict[str, list[DemandPoint]],
                 pois: PoiIndex, routes: list[RouteRecord],
@@ -114,26 +110,28 @@ def propose_all(cluster_results: list[LgaClusterResult],
                 poi_snap_m: float, route_snap_m: float,
                 corridor_span_m: float) -> list[Recommendation]:
     """One annotated, classified recommendation per cluster, before dedup."""
-    locator = RouteLocator(routes)
-    recs = []
+    clusters = []    # (rec id, LGA name, member locations, centre)
     for result in cluster_results:
         points = buckets[result.lga_name]
         for c in range(result.assignment.cluster_count):
             members = [points[i].location
                        for i, lab in enumerate(result.assignment.labels) if lab == c]
-            center = cluster_location(members)
-            loc, target, dist = snap(center, pois, locator, poi_snap_m, route_snap_m)
-            span = max(haversine_distance(center, m) for m in members)
-            altitude = locator.altitude_at(loc) if locator else math.nan
-            ffdi = lookup_ffdi(loc, grid) if grid is not None else None
-            rec = Recommendation(
-                rec_id=f"{result.lga_name}-{c}", location=loc,
-                lga_name=result.lga_name, charger_kind="destination",
-                cluster_size=len(members), snap_target=target, snap_dist_m=dist,
-                altitude_m=altitude, ffdi_delta=ffdi,
-                flood_flag=False, fire_flag=None, cluster_span_m=span)
-            rec = annotate_risk(rec, cfg.flood_alt_m, cfg.ffdi_threshold)
-            rec = replace(rec, charger_kind=classify_charger(rec, pois.categories, corridor_span_m))
-            recs.append(rec)
+            clusters.append((f"{result.lga_name}-{c}", result.lga_name, members,
+                             cluster_location(members)))
+    locator = RouteLocator(routes)
+    snapped = snap([center for *_, center in clusters], pois, locator,
+                   poi_snap_m, route_snap_m)
+    recs = []
+    for (rec_id, lga_name, members, center), (loc, target, dist) in zip(clusters, snapped):
+        span = max(haversine_distance(center, m) for m in members)
+        altitude = locator.altitude_at(loc)
+        ffdi = lookup_ffdi(loc, grid) if grid is not None else None
+        flood, fire = risk_flags(altitude, ffdi, cfg.flood_alt_m, cfg.ffdi_threshold)
+        recs.append(Recommendation(
+            rec_id=rec_id, location=loc, lga_name=lga_name,
+            charger_kind=classify_charger(target, span, pois.categories, corridor_span_m),
+            cluster_size=len(members), snap_target=target, snap_dist_m=dist,
+            altitude_m=altitude, ffdi_delta=ffdi, flood_flag=flood, fire_flag=fire,
+            cluster_span_m=span))
     return sorted(recs, key=lambda r: r.rec_id)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from evsite.constraints import (
-    _GROUP_CELL_DEG,
     AdjustedParams,
     ConstraintConfig,
     ConstraintError,
@@ -19,6 +18,7 @@ from evsite.constraints import (
     lookup_ffdi,
 )
 from evsite.geo import (
+    _GROUP_CELL_DEG,
     METERS_PER_DEG,
     BoundingBox,
     GeoPoint,
@@ -60,8 +60,8 @@ class TestEstimateAltitude:
         assert self.altitudes(GeoPoint(0.0, 0.0), [route]) == (want, want)
 
     def test_no_routes_errors(self):
-        with pytest.raises(ConstraintError, match="no altitude source"):
-            RouteLocator([]).altitude_at(GeoPoint(0, 0))
+        # no altitude source: both give nan
+        assert math.isnan(RouteLocator([]).altitude_at(GeoPoint(0, 0)))
         assert math.isnan(RouteLocator([]).locate(GeoPoint(0, 0))[3])
 
     def test_random_vs_linear_scan(self):
@@ -454,7 +454,7 @@ class TestRouteLocator:
             assert altitude == alts[oracles.linear_nearest(coords, p.lat, p.lon)[0]]
         poi_index = PoiIndex(pois)
         nearest = poi_index.nearest_all(locations)
-        assert nearest == [poi_index.nearest(p) for p in locations]
+        assert nearest == [poi_index.nearest_all([p])[0] for p in locations]
         for p, (poi, d) in zip(locations, nearest):
             assert (d, poi.poi_id) == min((haversine_distance(p, q.location), q.poi_id)
                                           for q in pois)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from evsite.geo import (
     _DEG,
+    _GROUP_CELL_DEG,
     _REACH_MARGIN_M,
     EARTH_RADIUS_M,
     METERS_PER_DEG,
@@ -520,6 +521,73 @@ class TestSpatialIndex:
     def test_nearest_empty_errors(self):
         with pytest.raises(GeoError, match="empty index"):
             index_of([], 0.01).nearest(GeoPoint(0, 0))
+
+
+class TestNearestAll:
+    """nearest_all answers a batch a group cell at a time; every answer is
+    the linear scan's, ties going to the smallest id."""
+
+    @staticmethod
+    def assert_linear(idx, pts, queries):
+        coords = [(p.lat, p.lon) for p in pts]
+        got = idx.nearest_all(queries)
+        assert len(got) == len(queries)
+        for q, (got_id, got_d) in zip(queries, got):
+            want_id, want_d = oracles.linear_nearest(coords, q.lat, q.lon)
+            assert got_id == want_id
+            assert got_d == haversine_distance(q, pts[want_id])
+            assert got_d == pytest.approx(want_d)
+        assert got == [idx.nearest(q) for q in queries]
+
+    @pytest.mark.parametrize("cell", [0.001, 0.01, 0.2])
+    def test_many_points_in_one_group_cell(self, cell):
+        rng = random.Random(31)
+        lat0, lon0 = -33.87, 151.21    # about the corner of a group cell
+        pts = [GeoPoint(lat0 + rng.uniform(-0.03, 0.03), lon0 + rng.uniform(-0.03, 0.03))
+               for _ in range(300)]
+        queries = [GeoPoint(lat0 + 0.0002 + rng.uniform(0, 0.0046),
+                            lon0 + 0.0002 + rng.uniform(0, 0.0046)) for _ in range(200)]
+        assert len({(math.floor(q.lat / _GROUP_CELL_DEG), math.floor(q.lon / _GROUP_CELL_DEG))
+                    for q in queries}) == 1
+        self.assert_linear(index_of(pts, cell), pts, queries)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_equidistant_points_go_to_the_smallest_id(self, flip):
+        # ids 1 and 2 lie 2**-7 degrees either side of every query's meridian
+        west, east = GeoPoint(-33.497, 150.0 - 2 ** -7), GeoPoint(-33.497, 150.0 + 2 ** -7)
+        pts = [GeoPoint(-33.3, 150.0), *((east, west) if flip else (west, east))]
+        queries = [GeoPoint(-33.4999 + 0.0005 * k, 150.0) for k in range(9)]
+        got = index_of(pts, 0.01).nearest_all(queries)
+        for q, (got_id, got_d) in zip(queries, got):
+            assert haversine_distance(q, west) == haversine_distance(q, east) == got_d
+            assert got_id == 1
+
+    @pytest.mark.parametrize("lat_range,lon_range", [
+        ((-0.05, 0.05), (179.95, 180.0)),     # either side of the antimeridian
+        ((89.0, 90.0), (-180.0, 180.0)),      # about the north pole
+        ((-90.0, -89.2), (-180.0, 180.0)),    # about the south pole
+    ])
+    def test_across_a_wrap(self, lat_range, lon_range):
+        rng = random.Random(32)
+
+        def point():
+            lon = rng.uniform(*lon_range) * rng.choice((-1, 1))
+            return GeoPoint(rng.uniform(*lat_range), lon)
+
+        pts = [point() for _ in range(200)]
+        queries = [point() for _ in range(100)]
+        # a few in one group cell, next to an indexed point
+        queries += [GeoPoint(pts[0].lat, pts[0].lon), GeoPoint(
+            pts[0].lat, math.copysign(min(abs(pts[0].lon) + 1e-4, 180.0), pts[0].lon))]
+        self.assert_linear(index_of(pts, 0.05), pts, queries)
+
+    def test_empty_batch(self):
+        assert index_of([GeoPoint(0, 0)], 0.01).nearest_all([]) == []
+        assert index_of([], 0.01).nearest_all([]) == []
+
+    def test_empty_index_errors(self):
+        with pytest.raises(GeoError, match="empty index"):
+            index_of([], 0.01).nearest_all([GeoPoint(0, 0)])
 
 
 class TestSharedWindows:

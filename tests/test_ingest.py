@@ -1,4 +1,5 @@
 import copy
+import csv
 import itertools
 import json
 import math
@@ -134,6 +135,24 @@ class TestLoadTrips:
                                    (200, GeoPoint(-33.6, 150.6)))
         field = "150\r\n"
         assert bad == [f"{f}:3: timestamp must be a finite integer, got {shown(field)}"]
+
+    def test_messages_name_the_line_a_record_starts_on(self, tmp_path):
+        # a record over lines 3-4, a blank line 6 and a field past the csv
+        # module's size limit on line 8: each later message still names the
+        # physical line, not the record's count
+        f = tmp_path / "t.csv"
+        write_csv(f, ["a,100,-33.5,150.5", 'a,"150\n",-33.55,150.55', "t,zz,-33.5,150.5",
+                      "", "t,yy,-33.5,150.5", "t," + "9" * 21 + ",-33.5,150.5",
+                      "t,xx,-33.5,150.5", "a,200,-33.6,150.6", "a,300,-33.6,150.6",
+                      "a,400,-33.6,150.6", "a,500,-33.6,150.6", "a,600,-33.6,150.6"])
+        limit = csv.field_size_limit(20)
+        try:
+            trips, bad = load_trips(f)
+        finally:
+            csv.field_size_limit(limit)
+        assert [m.split(": ")[0] for m in bad] == [f"{f}:{n}" for n in (3, 5, 7, 8, 9)]
+        assert "field larger than field limit" in bad[3]
+        assert len(trips[0].points) == 6
 
     def test_majority_malformed_is_corrupt(self, tmp_path):
         f = tmp_path / "t.csv"

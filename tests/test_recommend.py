@@ -6,17 +6,24 @@ import pytest
 import oracles
 from evsite.cluster import dbscan_lga
 from evsite.constraints import ConstraintConfig, PoiIndex, PointContext, RouteLocator
-from evsite.geo import METERS_PER_DEG, GeoPoint, haversine_distance
+from evsite.geo import (
+    _GROUP_CELL_DEG,
+    METERS_PER_DEG,
+    GeoPoint,
+    haversine_distance,
+    project_to_polyline,
+)
 from evsite.ingest import DemandPoint, PoiRecord, StationRecord
+from evsite import recommend
 from evsite.recommend import (
     Recommendation,
     RecommendError,
     UNSNAPPED,
-    annotate_risk,
     classify_charger,
     cluster_location,
     dedup,
     propose_all,
+    risk_flags,
     snap,
 )
 import records
@@ -89,8 +96,8 @@ class TestSnap:
 
     def test_poi_at_location(self):
         loc = GeoPoint(-33.5, 150.5)
-        got_loc, target, d = snap(loc, PoiIndex(self.POIS), RouteLocator(self.ROUTES),
-                                  300.0, 1000.0)
+        got_loc, target, d = snap([loc], PoiIndex(self.POIS), RouteLocator(self.ROUTES),
+                                  300.0, 1000.0)[0]
         assert (got_loc, target, d) == (loc, "poi:p1", 0.0)
 
     def test_equidistant_pois_snap_to_smaller_id(self):
@@ -99,12 +106,12 @@ class TestSnap:
                 PoiRecord("p1", "tourism", GeoPoint(-33.5, -0.001))]
         d2, d1 = (haversine_distance(loc, p.location) for p in pois)
         assert d1 == d2
-        got_loc, target, d = snap(loc, PoiIndex(pois), RouteLocator([]), 300.0, 1000.0)
+        got_loc, target, d = snap([loc], PoiIndex(pois), RouteLocator([]), 300.0, 1000.0)[0]
         assert (got_loc, target, d) == (pois[1].location, "poi:p1", d1)
 
     def test_nothing_to_snap(self):
         loc = GeoPoint(-30.0, 145.0)
-        got_loc, target, d = snap(loc, PoiIndex([]), RouteLocator([]), 300.0, 1000.0)
+        got_loc, target, d = snap([loc], PoiIndex([]), RouteLocator([]), 300.0, 1000.0)[0]
         assert (got_loc, target) == (loc, UNSNAPPED)
         assert d == math.inf
 
@@ -113,8 +120,8 @@ class TestSnap:
         loc = GeoPoint(-33.60045, 150.5045)
         pois = [PoiRecord("p1", "fuel", GeoPoint(-33.596, 150.5))]
         assert haversine_distance(loc, pois[0].location) > 300.0
-        got_loc, target, d = snap(loc, PoiIndex(pois), RouteLocator(self.ROUTES),
-                                  300.0, 1000.0)
+        got_loc, target, d = snap([loc], PoiIndex(pois), RouteLocator(self.ROUTES),
+                                  300.0, 1000.0)[0]
         assert target == "route:r1"
         _, want_d = oracles.dense_projection(loc.lat, loc.lon,
                                              [(-33.6, 150.0), (-33.6, 151.0)])
@@ -123,7 +130,64 @@ class TestSnap:
 
     def test_bad_radii(self):
         with pytest.raises(RecommendError):
-            snap(GeoPoint(0, 0), PoiIndex([]), RouteLocator([]), 0.0, 100.0)
+            snap([GeoPoint(0, 0)], PoiIndex([]), RouteLocator([]), 0.0, 100.0)
+
+    @staticmethod
+    def _scan(p, pois, routes, poi_snap_m, route_snap_m):
+        """snap's answer for one centre from every POI and every route: the
+        nearest POI by distance and then id, else the closest projection onto
+        any route, the smaller route id winning a tie."""
+        if pois:
+            d, poi_id, loc = min((haversine_distance(p, q.location), q.poi_id, q.location)
+                                 for q in pois)
+            if d <= poi_snap_m:
+                return loc, f"poi:{poi_id}", d
+        if routes:
+            d, route_id, pt = min((d, r.route_id, pt) for r in routes
+                                  for pt, d in [project_to_polyline(p, records.vertices_of(r))])
+            if d <= route_snap_m:
+                return pt, f"route:{route_id}", d
+        return p, UNSNAPPED, math.inf
+
+    def test_batch_matches_a_scan_per_centre(self):
+        # twin meridian routes 2**-7 degrees either side of 150.0, so that
+        # centres on that meridian tie; one east-west route; two POIs
+        lats = [-33.605 + 0.01 * k for k in range(21)]
+        routes = [records.route_of("rb", [GeoPoint(y, 150.0 - 2 ** -7) for y in lats],
+                                   [1.0] * 21),
+                  records.route_of("ra", [GeoPoint(y, 150.0 + 2 ** -7) for y in lats],
+                                   [2.0] * 21),
+                  records.route_of("rc", (GeoPoint(-33.45, 150.3), GeoPoint(-33.45, 150.7)),
+                                   (3.0, 4.0))]
+        pois = [PoiRecord("p2", "tourism", GeoPoint(-33.52, 150.5)),
+                PoiRecord("p1", "fuel", GeoPoint(-33.5, 150.5))]
+        centres = [GeoPoint(-33.5, 150.5),         # on p1
+                   GeoPoint(-33.498, 150.5),       # p1 at the POI radius, same group cell
+                   GeoPoint(-33.4985, 150.5035),   # same group cell, out of reach of p1
+                   GeoPoint(-33.5, 150.0),         # the twin routes at the route radius
+                   GeoPoint(-33.49, 150.0),
+                   GeoPoint(-33.451, 150.5),       # near rc
+                   GeoPoint(-33.521, 150.5),       # near p2
+                   GeoPoint(-33.0, 149.0)]         # out of reach of everything
+        cell = {(math.floor(c.lat / _GROUP_CELL_DEG), math.floor(c.lon / _GROUP_CELL_DEG))
+                for c in centres[:3]}
+        assert len(cell) == 1
+        poi_r = haversine_distance(centres[1], pois[1].location)
+        route_r = self._scan(centres[3], [], routes, 0.0, math.inf)[2]
+        # each radius exactly at its boundary distance, and one ulp below it,
+        # which leaves that distance at nextafter(radius, inf)
+        for poi_snap_m in (poi_r, math.nextafter(poi_r, 0.0)):
+            for route_snap_m in (route_r, math.nextafter(route_r, 0.0)):
+                got = snap(centres, PoiIndex(pois), RouteLocator(routes),
+                           poi_snap_m, route_snap_m)
+                assert got == [self._scan(c, pois, routes, poi_snap_m, route_snap_m)
+                               for c in centres]
+                targets = [t for _, t, _ in got]
+                assert targets[0] == "poi:p1" and targets[6] == "poi:p2"
+                assert targets[1] == ("poi:p1" if poi_snap_m == poi_r else UNSNAPPED)
+                assert targets[2] == targets[7] == UNSNAPPED
+                assert targets[3] == ("route:ra" if route_snap_m == route_r else UNSNAPPED)
+                assert targets[5] == "route:rc"
 
 
 class TestDedup:
@@ -168,47 +232,36 @@ class TestClassifyCharger:
     POIS = {"fuel1": "fuel", "food1": "fast_food"}
 
     def test_fuel_poi_is_fast(self):
-        rec = rec_at(-33.5, 150.5, snap_target="poi:fuel1", snap_dist_m=0.0)
-        assert classify_charger(rec, self.POIS, 10000.0) == "fast"
+        assert classify_charger("poi:fuel1", 100.0, self.POIS, 10000.0) == "fast"
 
     def test_fast_food_small_span_is_destination(self):
-        rec = rec_at(-33.6, 150.6, snap_target="poi:food1", snap_dist_m=0.0,
-                     cluster_span_m=200.0)
-        assert classify_charger(rec, self.POIS, 10000.0) == "destination"
+        assert classify_charger("poi:food1", 200.0, self.POIS, 10000.0) == "destination"
 
     def test_route_long_corridor_is_fast(self):
-        rec = rec_at(-33.6, 150.6, snap_target="route:r1", snap_dist_m=5.0,
-                     cluster_span_m=12000.0)
-        assert classify_charger(rec, self.POIS, 10000.0) == "fast"
+        assert classify_charger("route:r1", 12000.0, self.POIS, 10000.0) == "fast"
 
     def test_route_short_span_is_destination(self):
-        rec = rec_at(-33.6, 150.6, snap_target="route:r1", snap_dist_m=5.0,
-                     cluster_span_m=900.0)
-        assert classify_charger(rec, self.POIS, 10000.0) == "destination"
+        assert classify_charger("route:r1", 900.0, self.POIS, 10000.0) == "destination"
 
     def test_unsnapped_is_destination(self):
-        rec = rec_at(-33.6, 150.6, cluster_span_m=50000.0)
-        assert classify_charger(rec, self.POIS, 10000.0) == "destination"
+        assert classify_charger(UNSNAPPED, 50000.0, self.POIS, 10000.0) == "destination"
 
 
 class TestAnnotateRisk:
     def test_low_altitude_floods(self):
-        got = annotate_risk(rec_at(-33.5, 150.5, altitude_m=1.0), 5.0, 2.0)
-        assert got.flood_flag is True
+        assert risk_flags(1.0, None, 5.0, 2.0)[0] is True
 
     def test_missing_ffdi_is_unknown(self):
-        got = annotate_risk(rec_at(-33.5, 150.5, ffdi_delta=None), 5.0, 2.0)
-        assert got.fire_flag is None
+        assert risk_flags(50.0, None, 5.0, 2.0)[1] is None
 
     def test_batch_matches_recomputation(self):
         rng = random.Random(23)
         for _ in range(50):
             alt = rng.uniform(-10, 100)
             ffdi = rng.choice([None, rng.uniform(0, 5)])
-            got = annotate_risk(rec_at(-33.5, 150.5, altitude_m=alt,
-                                       ffdi_delta=ffdi), 5.0, 2.0)
-            assert got.flood_flag == (alt < 5.0)
-            assert got.fire_flag == (None if ffdi is None else ffdi >= 2.0)
+            flood, fire = risk_flags(alt, ffdi, 5.0, 2.0)
+            assert flood == (alt < 5.0)
+            assert fire == (None if ffdi is None else ffdi >= 2.0)
 
 
 class TestProposeAll:
@@ -259,3 +312,23 @@ class TestProposeAll:
                 assert r.snap_dist_m <= 300.0
             else:
                 assert r.snap_target == UNSNAPPED
+
+    def test_snaps_every_centre_in_one_call(self, monkeypatch):
+        calls = []
+
+        def counted(locations, *args):
+            calls.append(len(locations))
+            return snap(locations, *args)
+
+        monkeypatch.setattr(recommend, "snap", counted)
+        pts_a = self._blob(GeoPoint(-33.5, 150.5)) + self._blob(GeoPoint(-33.8, 150.8),
+                                                                start_id=50)
+        pts_b = self._blob(GeoPoint(-33.2, 150.2), start_id=100)
+        results = [self._cluster(pts_a),
+                   dbscan_lga(pts_b, [PointContext(50.0, math.inf, math.inf, None)] * 12,
+                              self.CFG, lga_name="B")]
+        recs = propose_all(results, {"A": pts_a, "B": pts_b},
+                           PoiIndex([PoiRecord("p1", "fuel", GeoPoint(-33.5, 150.5))]),
+                           [], None, self.CFG, 300.0, 1000.0, 10000.0)
+        assert calls == [3]
+        assert [r.rec_id for r in recs] == ["A-0", "A-1", "B-0"]
