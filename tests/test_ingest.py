@@ -255,6 +255,192 @@ class TestLoadTrips:
             assert cleaned[0].points == want[:2] + want[3:]
 
 
+class TestMalformedGolden:
+    """Every kind of malformed trip row in one file, and the whole list of
+    messages the reader gives for it, word for word and in order."""
+
+    # rows of trips.csv from line 2 on: the header is line 1
+    CSV_ROWS = [
+        "good,100,-33.5,150.5",                     # 2
+        "good,105,-33.5",                           # 3
+        "good,105,-33.5,150.5,7",                   # 4
+        "",                                         # 5: a blank line, skipped
+        "good,1_00,-33.5,150.5",                    # 6
+        "good, 100,-33.5,150.5",                    # 7
+        "good,1.5,-33.5,150.5",                     # 8
+        "good,9223372036854775808,-33.5,150.5",     # 9
+        "good,-9223372036854775809,-33.5,150.5",    # 10
+        "good,110,95,150.5",                        # 11
+        "good,120,-33.5,-181",                      # 12
+        "good,130,nan,150.5",                       # 13
+        "good,140,-33.5,inf",                       # 14
+        "good,150,1e400,150.5",                     # 15
+        "good,160," + "x" * 1000 + ",150.5",        # 16
+        "good,170," + "1" * 1000 + ",150.5",        # 17
+        '"multi\nline",100,-33.5,150.5',            # 18-19: one record
+        "good,yy,-33.5,150.5",                      # 20
+        "good,180,-33.5," + "9" * 200_000,          # 21: past the csv field limit
+        "lonely,100,-33.6,150.6",                   # 22
+        "lonely,200,-33.6,north",                   # 23
+        "tie,100,-33.7,150.7",                      # 24
+        "tie,100,-33.8,150.7",                      # 25
+    ] + [f"good,{200 + 10 * k},-33.5,{150.5 + k / 1000!r}" for k in range(1, 21)]
+
+    @staticmethod
+    def csv_bad(f):
+        return [
+            f"{f}:3: expected 4 columns, got 3",
+            f"{f}:4: expected 4 columns, got 5",
+            f"{f}:6: timestamp must be a finite integer, got '1_00'",
+            f"{f}:7: timestamp must be a finite integer, got ' 100'",
+            f"{f}:8: timestamp must be a finite integer, got '1.5'",
+            f"{f}:9: timestamp must fit in a signed 64-bit integer, got 9223372036854775808",
+            f"{f}:10: timestamp must fit in a signed 64-bit integer, got -9223372036854775809",
+            f"{f}:11: latitude out of range: 95.0",
+            f"{f}:12: longitude out of range: -181.0",
+            f"{f}:13: non-finite coordinate: (nan, 150.5)",
+            f"{f}:14: non-finite coordinate: (-33.5, inf)",
+            f"{f}:15: non-finite coordinate: (inf, 150.5)",
+            f"{f}:16: lat must be a number, got '" + "x" * 59 + "... (1002 characters)",
+            f"{f}:17: non-finite coordinate: (inf, 150.5)",
+            f"{f}:20: timestamp must be a finite integer, got 'yy'",
+            f"{f}:21: field larger than field limit (131072)",
+            f"{f}:23: lon must be a number, got 'north'",
+            "trip lonely: fewer than 2 valid points, dropped",
+            "trip multi\nline: fewer than 2 valid points, dropped",
+            "trip tie: timestamps not strictly increasing, dropped",
+        ]
+
+    GOOD = ((100, GeoPoint(-33.5, 150.5)),) + tuple(
+        (200 + 10 * k, GeoPoint(-33.5, 150.5 + k / 1000)) for k in range(1, 21))
+
+    def test_csv_messages_verbatim(self, tmp_path):
+        f = tmp_path / "trips.csv"
+        write_csv(f, self.CSV_ROWS)
+        trips, bad = load_trips(f)
+        assert bad == self.csv_bad(f)
+        assert [(t.trip_id, t.points) for t in trips] == [("good", self.GOOD)]
+
+    def test_plain_csv_messages_verbatim(self, tmp_path):
+        # without the rows that hold an underscore, a blank or a quote, the
+        # file is plain and its numerals are not tested one by one; the
+        # messages for the other rows are the same
+        f = tmp_path / "trips.csv"
+        unplain = {"good,1_00,-33.5,150.5", "good, 100,-33.5,150.5",
+                   '"multi\nline",100,-33.5,150.5'}
+        write_csv(f, [r for r in self.CSV_ROWS if r not in unplain])
+        trips, bad = load_trips(f)
+        assert bad == [
+            f"{f}:3: expected 4 columns, got 3",
+            f"{f}:4: expected 4 columns, got 5",
+            f"{f}:6: timestamp must be a finite integer, got '1.5'",
+            f"{f}:7: timestamp must fit in a signed 64-bit integer, got 9223372036854775808",
+            f"{f}:8: timestamp must fit in a signed 64-bit integer, got -9223372036854775809",
+            f"{f}:9: latitude out of range: 95.0",
+            f"{f}:10: longitude out of range: -181.0",
+            f"{f}:11: non-finite coordinate: (nan, 150.5)",
+            f"{f}:12: non-finite coordinate: (-33.5, inf)",
+            f"{f}:13: non-finite coordinate: (inf, 150.5)",
+            f"{f}:14: lat must be a number, got '" + "x" * 59 + "... (1002 characters)",
+            f"{f}:15: non-finite coordinate: (inf, 150.5)",
+            f"{f}:16: timestamp must be a finite integer, got 'yy'",
+            f"{f}:17: field larger than field limit (131072)",
+            f"{f}:19: lon must be a number, got 'north'",
+            "trip lonely: fewer than 2 valid points, dropped",
+            "trip tie: timestamps not strictly increasing, dropped",
+        ]
+        assert [(t.trip_id, t.points) for t in trips] == [("good", self.GOOD)]
+
+    @staticmethod
+    def feature(trip_id, coords, timestamps, **props):
+        return {"type": "Feature",
+                "geometry": {"type": "LineString", "coordinates": coords},
+                "properties": {"trip_id": trip_id, "timestamps": timestamps, **props}}
+
+    def test_geojson_messages_verbatim(self, tmp_path):
+        line = [[150.5, -33.5], [150.6, -33.6]]
+        feat = self.feature
+        features = [
+            feat("good", [[150.5, -33.5], [150.51, -33.5]], [100, 200]),      # 0
+            "not a feature",                                                  # 1
+            {"type": "Feature", "geometry": {"type": "LineString", "coordinates": line},
+             "properties": {"timestamps": [1, 2]}},                            # 2
+            {"type": "Feature", "geometry": {"type": "LineString", "coordinates": line},
+             "properties": ["trip_id", "x"]},                                  # 3
+            {"type": "Feature", "geometry": {"type": "Point", "coordinates": line[0]},
+             "properties": {"trip_id": "p", "timestamps": [1]}},              # 4
+            {"type": "Feature", "geometry": {"type": "LineString"},
+             "properties": {"trip_id": "n", "timestamps": [1, 2]}},           # 5
+            feat("good", line, [300, 400, 500]),                              # 6
+            feat("good", [[150.5, -33.5], [150.6, 95]], [300, 400]),           # 7
+            feat("good", [[150.5, -33.5], [-181, -33.6]], [300, 400]),         # 8
+            feat("good", [[150.5, math.nan], [150.6, -33.6]], [300, 400]),     # 9
+            feat("good", [["151.2", -33.5], [150.6, -33.6]], [300, 400]),      # 10
+            feat("good", [[150.5, -33.5], [150.6]], [300, 400]),               # 11
+            feat("good", [[150.5, 10 ** 400], [150.6, -33.6]], [300, 400]),    # 12
+            feat("good", line, [300, 1.5]),                                   # 13
+            feat("good", line, [300, 2 ** 63]),                               # 14
+            feat("good", line, [-2 ** 63 - 1, 300]),                          # 15
+            feat("good", line, [300, True]),                                  # 16
+            feat("good", line, ["300", 400]),                                 # 17
+            feat("good", line, 5),                                            # 18
+            feat("lonely", [[150.6, -33.6]], [100]),                          # 19
+            feat("tie", [[150.7, -33.7], [150.7, -33.8]], [100, 100]),         # 20
+            feat("good", [[150.5 + k / 1000, -33.5] for k in range(2, 22)],
+                 [200 + 10 * k for k in range(2, 22)]),                       # 21
+        ]
+        f = tmp_path / "trips.geojson"
+        f.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        trips, bad = load_trips(f, format="geojson")
+        assert bad == [
+            f"{f}: feature 1: not a GeoJSON Feature",
+            f"{f}: feature 2: missing property 'trip_id'",
+            f"{f}: feature 3: properties must be an object",
+            f"{f}: feature 4: geometry must be LineString",
+            f"{f}: feature 5: LineString geometry has no coordinates",
+            f"{f}: feature 6: timestamps length != coordinate count",
+            f"{f}: feature 7: latitude out of range: 95.0",
+            f"{f}: feature 8: longitude out of range: -181.0",
+            f"{f}: feature 9: non-finite coordinate: (nan, 150.5)",
+            f"{f}: feature 10: longitude must be a JSON number, got '151.2'",
+            f"{f}: feature 11: position must be [lon, lat, ...]",
+            f"{f}: feature 12: int too large to convert to float",
+            f"{f}: feature 13: timestamp must be a finite integer, got 1.5",
+            f"{f}: feature 14: timestamp must fit in a signed 64-bit integer, "
+            "got 9223372036854775808",
+            f"{f}: feature 15: timestamp must fit in a signed 64-bit integer, "
+            "got -9223372036854775809",
+            f"{f}: feature 16: timestamp must be a finite integer, got True",
+            f"{f}: feature 17: timestamp must be a finite integer, got '300'",
+            f"{f}: feature 18: object of type 'int' has no len()",
+            "trip lonely: fewer than 2 valid points, dropped",
+            "trip tie: timestamps not strictly increasing, dropped",
+        ]
+        want = ((100, GeoPoint(-33.5, 150.5)), (200, GeoPoint(-33.5, 150.51))) + tuple(
+            (200 + 10 * k, GeoPoint(-33.5, 150.5 + k / 1000)) for k in range(2, 22))
+        assert [(t.trip_id, t.points) for t in trips] == [("good", want)]
+
+    @pytest.mark.parametrize("n_bad,corrupt", [(2, False), (3, True)])
+    @pytest.mark.parametrize("format", ["csv", "geojson"])
+    def test_more_than_half_malformed_is_corrupt(self, tmp_path, format, n_bad, corrupt):
+        # two valid fixes and n_bad malformed rows (features, in GeoJSON)
+        f = tmp_path / "trips"
+        if format == "csv":
+            write_csv(f, ["a,100,-33.5,150.5"] + ["a,x,-33.5,150.5"] * n_bad
+                      + ["a,200,-33.6,150.6"])
+        else:
+            f.write_text(json.dumps({"type": "FeatureCollection", "features": [
+                self.feature("a", [[150.5, -33.5], [150.6, -33.6]], [100, 200])] + [
+                self.feature("a", [[150.5, -33.5], [150.6, -33.6]], [1.5, 2])] * n_bad}))
+        if corrupt:
+            with pytest.raises(IngestError) as e:
+                load_trips(f, format=format)
+            assert str(e.value) == f"corrupt input {f}: 3 of 5 rows malformed"
+        else:
+            trips, bad = load_trips(f, format=format)
+            assert len(trips) == 1 and len(bad) == 2
+
+
 class TestCleanTrips:
     def test_teleporting_fix_removed(self):
         trip = TripRecord("a", ((0, GeoPoint(-33.0, 150.0)),
