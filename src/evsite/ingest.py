@@ -9,7 +9,8 @@ import math
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import islice, repeat
+from operator import le, lt
 from pathlib import Path
 
 from .geo import (
@@ -46,18 +47,35 @@ def shown(value) -> str:
 
 @dataclass(frozen=True)
 class TripRecord:
+    """A trip as parallel list columns: fix i was at (lat[i], lon[i]) at
+    timestamps[i], in epoch seconds. The readers check each fix as a
+    GeoPoint does; the record checks the fix count and the order."""
+
     trip_id: str
-    points: tuple[tuple[int, GeoPoint], ...]  # (epoch seconds, location)
+    timestamps: list[int]
+    lat: list[float]
+    lon: list[float]
 
     def __post_init__(self):
-        if len(self.points) < 2:
+        ts = self.timestamps
+        if len(ts) < 2:
             raise IngestError(f"trip {self.trip_id}: needs >= 2 points")
-        for (ta, pa), (tb, pb) in zip(self.points, self.points[1:]):
+        if all(map(lt, ts, islice(ts, 1, None))):
+            return
+        lat, lon = self.lat, self.lon
+        for i in range(1, len(ts)):
             # strictly increasing, except exact duplicate fixes, which the
             # cleaning pass removes
-            if tb < ta or (tb == ta and pb != pa):
+            if ts[i] < ts[i - 1] or (ts[i] == ts[i - 1] and (
+                    lat[i] != lat[i - 1] or lon[i] != lon[i - 1])):
                 raise IngestError(
                     f"trip {self.trip_id}: timestamps not strictly increasing")
+
+    @property
+    def points(self) -> tuple[tuple[int, GeoPoint], ...]:
+        """The fixes as (timestamp, GeoPoint) pairs, built on each call: for
+        callers outside the trip path, which reads the columns."""
+        return tuple(zip(self.timestamps, map(GeoPoint, self.lat, self.lon)))
 
 
 @dataclass(frozen=True)
@@ -172,32 +190,34 @@ def load_trips(path, format: str = "csv") -> tuple[list[TripRecord], list[str]]:
     else:
         raise IngestError(f"unknown trips format {format!r}")
 
-    total = sum(map(len, by_trip.values())) + len(bad)
+    total = sum(len(ts) for ts, _, _ in by_trip.values()) + len(bad)
     if total and len(bad) > total / 2:
         raise IngestError(
             f"corrupt input {path}: {len(bad)} of {total} rows malformed")
 
     trips = []
-    by_time = itemgetter(0)
     for trip_id in sorted(by_trip):
-        pts = by_trip[trip_id]
-        if len(pts) < 2:
+        ts, lat, lon = by_trip[trip_id]
+        if len(ts) < 2:
             bad.append(f"trip {trip_id}: fewer than 2 valid points, dropped")
             continue
-        # by timestamp alone: fixes that share one are either all equal, and
-        # interchangeable, or make TripRecord fail whatever their order
-        pts.sort(key=by_time)
+        if not all(map(le, ts, islice(ts, 1, None))):
+            # a stable sort by timestamp alone: fixes that share one are
+            # either all equal, and interchangeable, or make TripRecord fail
+            # whatever their order
+            order = sorted(range(len(ts)), key=ts.__getitem__)
+            ts, lat, lon = ([c[i] for i in order] for c in (ts, lat, lon))
         try:
-            trips.append(TripRecord(trip_id, tuple(pts)))
+            trips.append(TripRecord(trip_id, ts, lat, lon))
         except IngestError as e:
             bad.append(f"{e}, dropped")
     return trips, bad
 
 
 def _read_trip_csv(path: Path):
-    """(trip_id -> [(timestamp, location), ...] in row order, malformed-row
+    """(trip_id -> (timestamps, lats, lons) in row order, malformed-row
     messages)."""
-    by_trip: dict[str, list[tuple[int, GeoPoint]]] = {}
+    by_trip: dict[str, tuple[list[int], list[float], list[float]]] = {}
     bad = []
     with open(path, "rb") as f:
         plain = _plain_file(f)
@@ -240,11 +260,17 @@ def _read_trip_csv(path: Path):
                 except ValueError:
                     # float()'s own message would echo the whole field
                     raise _coordinate_error(lat, lon) from None
-                fix = (ts, GeoPoint(y, x))
+                if not (-90.0 <= y <= 90.0 and -180.0 <= x <= 180.0):
+                    GeoPoint(y, x)  # raises, with GeoPoint's own message
             except ValueError as e:
                 bad.append(f"{path}:{lineno}: {e}")
                 continue
-            by_trip.setdefault(trip_id, []).append(fix)
+            columns = by_trip.get(trip_id)
+            if columns is None:
+                columns = by_trip[trip_id] = ([], [], [])
+            columns[0].append(ts)
+            columns[1].append(y)
+            columns[2].append(x)
     return by_trip, bad
 
 
@@ -291,20 +317,22 @@ def _coordinate_error(lat: str, lon: str) -> ValueError:
 
 def _read_trip_geojson(path: Path):
     """As _read_trip_csv, a feature's fixes counting as rows."""
-    def fixes(feat: dict) -> tuple[str, list[tuple[int, GeoPoint]]]:
+    def fixes(feat: dict) -> tuple[str, list[int], list[float], list[float]]:
         trip_id = str(_prop(feat, "trip_id"))
         timestamps = _prop(feat, "timestamps")
-        line = _positions(_geometry(feat, "LineString"))
-        if len(line) != len(timestamps):
+        lat, lon = _columns(_geometry(feat, "LineString"))
+        if len(lat) != len(timestamps):
             raise ValueError("timestamps length != coordinate count")
         # a malformed feature is dropped whole, none of its fixes kept
-        return trip_id, [(_json_number(ts, "timestamp", integral=True, bits64=True), pt)
-                         for ts, pt in zip(timestamps, line)]
+        return trip_id, [_json_number(ts, "timestamp", integral=True, bits64=True)
+                         for ts in timestamps], lat.tolist(), lon.tolist()
 
-    by_trip: dict[str, list[tuple[int, GeoPoint]]] = {}
+    by_trip: dict[str, tuple[list[int], list[float], list[float]]] = {}
     bad = []
-    for trip_id, read in _read_features(path, fixes, bad):
-        by_trip.setdefault(trip_id, []).extend(read)
+    for trip_id, *read in _read_features(path, fixes, bad):
+        columns = by_trip.setdefault(trip_id, ([], [], []))
+        for column, values in zip(columns, read):
+            column.extend(values)
     return by_trip, bad
 
 
@@ -313,15 +341,8 @@ def save_trips(path, trips: list[TripRecord]) -> None:
         w = csv.writer(f)
         w.writerow(TRIPS_CSV_HEADER)
         for trip in trips:
-            for ts, pt in trip.points:
-                w.writerow([trip.trip_id, ts, repr(pt.lat), repr(pt.lon)])
-
-
-def _haversine_columns(points) -> tuple[list[float], list[float], list[float]]:
-    """radians(lat), cos(lat) and lon of each fix of a trip: the terms that
-    haversine_distance takes of each end, taken once per fix."""
-    rad = [p.lat * _DEG for _, p in points]
-    return rad, [math.cos(r) for r in rad], [p.lon for _, p in points]
+            w.writerows(zip(repeat(trip.trip_id), trip.timestamps,
+                            map(repr, trip.lat), map(repr, trip.lon)))
 
 
 def clean_trips(trips: list[TripRecord],
@@ -329,41 +350,57 @@ def clean_trips(trips: list[TripRecord],
     """Drop duplicate consecutive fixes and physically implausible jumps.
 
     The speed test measures from the last kept fix with haversine_distance
-    inlined over the trip's columns, the very same doubles. A trip that keeps
-    every fix is passed on as it is."""
+    inlined over the trip's columns, the very same doubles: radians(lat) and
+    cos(lat) are taken once per fix. A trip that keeps every fix is passed
+    on as it is; any other is rebuilt from the indices of the fixes kept."""
     if max_speed_mps <= 0:
         raise IngestError("max_speed_mps must be > 0")
     summary = CleaningSummary()
     out = []
-    sin, sqrt, asin = math.sin, math.sqrt, math.asin
+    sin, cos, sqrt, asin = math.sin, math.cos, math.sqrt, math.asin
     for trip in trips:
-        pts = trip.points
-        rad, cos_lat, lon = _haversine_columns(pts)
-        kept = [pts[0]]
+        ts, lat, lon = trip.timestamps, trip.lat, trip.lon
+        rad = [y * _DEG for y in lat]
+        cos_lat = list(map(cos, rad))
+        kept = [0]
         k = 0  # index of the last kept fix
-        prev_ts, prev_pt = pts[0]
-        for i in range(1, len(pts)):
-            ts, pt = fix = pts[i]
-            if ts == prev_ts and pt == prev_pt:
+        prev_ts = ts[0]
+        for i in range(1, len(ts)):
+            t = ts[i]
+            if t == prev_ts and lat[i] == lat[k] and lon[i] == lon[k]:
                 summary.duplicate_fixes_removed += 1
                 continue
-            dt = ts - prev_ts
+            dt = t - prev_ts
             if dt <= 0 or _DIAMETER_M * asin(s if (s := sqrt(
                     sin((rad[i] - rad[k]) / 2.0) ** 2
                     + cos_lat[k] * cos_lat[i] * sin((lon[i] - lon[k]) * _DEG / 2.0) ** 2)
                     ) < 1.0 else 1.0) / dt > max_speed_mps:
                 summary.speed_fixes_removed += 1
                 continue
-            kept.append(fix)
+            kept.append(i)
             k = i
-            prev_ts, prev_pt = fix
-        if len(kept) == len(pts):
+            prev_ts = t
+        if len(kept) == len(ts):
             out.append(trip)
         elif len(kept) < 2:
             summary.trips_dropped += 1
         else:
-            out.append(TripRecord(trip.trip_id, tuple(kept)))
+            out.append(TripRecord(trip.trip_id, *([c[i] for i in kept]
+                                                  for c in (ts, lat, lon))))
     return out, summary
+
+
+def _stay_lon(lon: list[float]) -> float:
+    """The mean longitude of a stay. When the longitudes span more than 180
+    degrees the stay crosses the antimeridian: they are taken into the 360
+    degrees centred on the first, averaged, and the mean wrapped back into
+    [-180, 180]. Otherwise it is their plain mean."""
+    if max(lon) - min(lon) <= 180.0:
+        return sum(lon) / len(lon)
+    first = lon[0]
+    mean = sum(x - 360.0 if x - first > 180.0 else x + 360.0 if x - first < -180.0 else x
+               for x in lon) / len(lon)
+    return mean if -180.0 <= mean <= 180.0 else math.remainder(mean, 360.0)
 
 
 def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
@@ -373,18 +410,20 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
     A stay is a maximal subsequence whose points all lie within dwell_radius_m
     of the subsequence's first point and which spans at least dwell_min_s;
     that distance is haversine_distance inlined over the trip's columns, the
-    very same doubles. Ids are dense 0..n-1 in (trip_id, timestamp) order.
+    very same doubles. A stay's centroid is its mean latitude and _stay_lon.
+    Ids are dense 0..n-1 in (trip_id, timestamp) order.
     """
     if dwell_radius_m <= 0 or dwell_min_s <= 0:
         raise IngestError("dwell parameters must be > 0")
-    raw: list[tuple[str, int, int, GeoPoint, str]] = []  # sort keys + payload
-    sin, sqrt, asin = math.sin, math.sqrt, math.asin
+    raw: list[tuple[str, int, int, float, float, str]] = []  # sort keys + payload
+    sin, cos, sqrt, asin = math.sin, math.cos, math.sqrt, math.asin
     for trip in trips:
-        pts = trip.points
-        n = len(pts)
-        rad, cos_lat, lon = _haversine_columns(pts)
-        raw.append((trip.trip_id, pts[0][0], 0, pts[0][1], "origin"))
-        raw.append((trip.trip_id, pts[-1][0], 2, pts[-1][1], "destination"))
+        trip_id, ts, lat, lon = trip.trip_id, trip.timestamps, trip.lat, trip.lon
+        n = len(ts)
+        rad = [y * _DEG for y in lat]
+        cos_lat = list(map(cos, rad))
+        raw.append((trip_id, ts[0], 0, lat[0], lon[0], "origin"))
+        raw.append((trip_id, ts[-1], 2, lat[-1], lon[-1], "destination"))
         i = 0
         while i < n:
             r1, c1, o1 = rad[i], cos_lat[i], lon[i]
@@ -394,15 +433,13 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
                     + c1 * cos_lat[j + 1] * sin((lon[j + 1] - o1) * _DEG / 2.0) ** 2)
                     ) < 1.0 else 1.0) <= dwell_radius_m:
                 j += 1
-            if pts[j][0] - pts[i][0] >= dwell_min_s:
-                stay = pts[i:j + 1]
-                centroid = GeoPoint(sum(p.lat for _, p in stay) / len(stay),
-                                    sum(p.lon for _, p in stay) / len(stay))
-                raw.append((trip.trip_id, pts[i][0], 1, centroid, "dwell"))
+            if ts[j] - ts[i] >= dwell_min_s:
+                raw.append((trip_id, ts[i], 1, sum(lat[i:j + 1]) / (j + 1 - i),
+                            _stay_lon(lon[i:j + 1]), "dwell"))
             i = j + 1
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
-    return [DemandPoint(i, loc, trip_id, kind)
-            for i, (trip_id, _, _, loc, kind) in enumerate(raw)]
+    return [DemandPoint(i, GeoPoint(y, x), trip_id, kind)
+            for i, (trip_id, _, _, y, x, kind) in enumerate(raw)]
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,8 @@ def generate(spec: ScenarioSpec, out_dir) -> ScenarioManifest:
                 a = _scatter(rng, center, spec.hotspot_sigma_m)
                 b = _scatter(rng, center, spec.hotspot_sigma_m)
                 t0 = 1_600_000_000 + trip_seq * 10_000
-                trips.append(TripRecord(f"trip-{trip_seq:06d}",
-                                        ((t0, a), (t0 + 600, b))))
+                trips.append(TripRecord(f"trip-{trip_seq:06d}", [t0, t0 + 600],
+                                        [a.lat, b.lat], [a.lon, b.lon]))
                 trip_seq += 1
             has_poi = rng.random() < spec.poi_per_hotspot_prob
             if has_poi:
@@ -264,7 +264,8 @@ def generate(spec: ScenarioSpec, out_dir) -> ScenarioManifest:
         t0 = 1_600_000_000 + trip_seq * 100_000
         # duration long enough that the implied speed survives cleaning
         dt = max(600, int(haversine_distance(a, b) / 25.0) + 1)
-        trips.append(TripRecord(f"trip-{trip_seq:06d}", ((t0, a), (t0 + dt, b))))
+        trips.append(TripRecord(f"trip-{trip_seq:06d}", [t0, t0 + dt],
+                                [a.lat, b.lat], [a.lon, b.lon]))
         trip_seq += 1
 
     routes = _build_routes(spec, hotspots)

@@ -198,11 +198,29 @@ def per_fix_demand_points(trips, dwell_radius_m, dwell_min_s):
             if pts[j][0] - pts[i][0] >= dwell_min_s:
                 stay = [p for _, p in pts[i:j + 1]]
                 raw.append((trip_id, pts[i][0], 1, "dwell",
-                            sum(p.lat for p in stay) / len(stay),
-                            sum(p.lon for p in stay) / len(stay)))
+                            sum(p.lat for p in stay) / len(stay), _stay_lon(stay)))
             i = j + 1
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
     return [(trip_id, kind, lat, lon) for trip_id, _, _, kind, lat, lon in raw]
+
+
+def _stay_lon(stay):
+    """The mean longitude of a stay's points; one whose longitudes span more
+    than 180 degrees crosses the antimeridian, and each longitude is first
+    moved by 360 degrees to within 180 of the first point's, the mean then
+    wrapped back into [-180, 180]."""
+    lons = [p.lon for p in stay]
+    if max(lons) - min(lons) > 180.0:
+        first = lons[0]
+        for k, x in enumerate(lons):
+            if x - first > 180.0:
+                lons[k] = x - 360.0
+            elif x - first < -180.0:
+                lons[k] = x + 360.0
+    mean = sum(lons) / len(lons)
+    if mean > 180.0 or mean < -180.0:
+        mean = math.remainder(mean, 360.0)
+    return mean
 
 
 # The position oracle is the first, per-position reader of GeoJSON positions

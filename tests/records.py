@@ -3,7 +3,7 @@
 from array import array
 
 from evsite.geo import GeoPoint, SpatialIndex
-from evsite.ingest import RouteRecord
+from evsite.ingest import RouteRecord, TripRecord
 
 
 def route_of(route_id, points, altitudes):
@@ -20,3 +20,9 @@ def vertices_of(route):
 def index_of(points, cell_size):
     """A SpatialIndex over the GeoPoints points."""
     return SpatialIndex([p.lat for p in points], [p.lon for p in points], cell_size)
+
+
+def trip_of(trip_id, fixes):
+    """The TripRecord through the (timestamp, GeoPoint) pairs fixes."""
+    return TripRecord(trip_id, [ts for ts, _ in fixes], [p.lat for _, p in fixes],
+                      [p.lon for _, p in fixes])

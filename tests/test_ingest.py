@@ -20,7 +20,6 @@ from evsite.ingest import (
     LgaRecord,
     PoiRecord,
     StationRecord,
-    TripRecord,
     assign_lga,
     clean_trips,
     extract_demand_points,
@@ -40,7 +39,7 @@ from evsite.ingest import (
     shown,
     write_json,
 )
-from records import route_of
+from records import route_of, trip_of
 
 
 def write_csv(path, rows):
@@ -122,8 +121,8 @@ class TestLoadTrips:
         f.write_bytes(newline.join(rows).encode())
         trips, bad = load_trips(f)
         assert bad == []
-        assert trips == [TripRecord(trip_id, ((100, GeoPoint(-33.5, 150.5)),
-                                              (200, GeoPoint(-33.6, 150.6))))]
+        assert trips == [trip_of(trip_id, ((100, GeoPoint(-33.5, 150.5)),
+                                           (200, GeoPoint(-33.6, 150.6))))]
 
     def test_quoted_numeral_holding_a_line_end_is_a_malformed_row(self, tmp_path):
         # only a quoted field can hold a line's end, which int() takes as a
@@ -443,16 +442,16 @@ class TestMalformedGolden:
 
 class TestCleanTrips:
     def test_teleporting_fix_removed(self):
-        trip = TripRecord("a", ((0, GeoPoint(-33.0, 150.0)),
-                                (10, GeoPoint(-24.0, 150.0)),   # ~1000 km in 10 s
-                                (20, GeoPoint(-33.001, 150.0))))
+        trip = trip_of("a", ((0, GeoPoint(-33.0, 150.0)),
+                             (10, GeoPoint(-24.0, 150.0)),   # ~1000 km in 10 s
+                             (20, GeoPoint(-33.001, 150.0))))
         cleaned, summary = clean_trips([trip], 60.0)
         assert summary.speed_fixes_removed == 1
         assert len(cleaned[0].points) == 2
 
     def test_clean_trip_unchanged(self):
-        trip = TripRecord("a", ((0, GeoPoint(-33.0, 150.0)),
-                                (60, GeoPoint(-33.001, 150.0))))
+        trip = trip_of("a", ((0, GeoPoint(-33.0, 150.0)),
+                             (60, GeoPoint(-33.001, 150.0))))
         cleaned, summary = clean_trips([trip], 60.0)
         assert cleaned == [trip]
         assert summary.as_dict() == CleaningSummary().as_dict()
@@ -460,7 +459,7 @@ class TestCleanTrips:
     def test_duplicate_fix_removed(self):
         p = GeoPoint(-33.0, 150.0)
         q = GeoPoint(-33.001, 150.0)
-        dirty = TripRecord("a", ((0, p), (0, p), (60, q)))
+        dirty = trip_of("a", ((0, p), (0, p), (60, q)))
         cleaned, summary = clean_trips([dirty], 60.0)
         assert summary.duplicate_fixes_removed == 1
         assert cleaned[0].points == ((0, p), (60, q))
@@ -468,7 +467,7 @@ class TestCleanTrips:
     def test_corruption_is_removed_exactly(self):
         rng = random.Random(8)
         base_pts = [(k * 60, GeoPoint(-33.0 + k * 0.0005, 150.0)) for k in range(20)]
-        clean = TripRecord("a", tuple(base_pts))
+        clean = trip_of("a", tuple(base_pts))
         # corrupt: inject teleport fixes between clean ones
         dirty_pts = []
         injected = 0
@@ -477,23 +476,23 @@ class TestCleanTrips:
             if rng.random() < 0.3 and ts + 30 < base_pts[-1][0]:
                 dirty_pts.append((ts + 30, GeoPoint(50.0, 50.0)))
                 injected += 1
-        dirty = TripRecord("a", tuple(sorted(dirty_pts)))
+        dirty = trip_of("a", tuple(sorted(dirty_pts)))
         cleaned, summary = clean_trips([dirty], 60.0)
         assert cleaned == [clean]
         assert summary.speed_fixes_removed == injected
 
     def test_idempotent(self):
-        trips = [TripRecord("a", ((0, GeoPoint(-33.0, 150.0)),
-                                  (10, GeoPoint(-24.0, 150.0)),
-                                  (600, GeoPoint(-33.001, 150.0))))]
+        trips = [trip_of("a", ((0, GeoPoint(-33.0, 150.0)),
+                               (10, GeoPoint(-24.0, 150.0)),
+                               (600, GeoPoint(-33.001, 150.0))))]
         once, _ = clean_trips(trips, 60.0)
         twice, summary = clean_trips(once, 60.0)
         assert twice == once
         assert summary.as_dict() == CleaningSummary().as_dict()
 
     def test_short_trip_dropped(self):
-        trip = TripRecord("a", ((0, GeoPoint(-33.0, 150.0)),
-                                (1, GeoPoint(-30.0, 150.0))))
+        trip = trip_of("a", ((0, GeoPoint(-33.0, 150.0)),
+                             (1, GeoPoint(-30.0, 150.0))))
         cleaned, summary = clean_trips([trip], 60.0)
         assert cleaned == []
         assert summary.trips_dropped == 1
@@ -501,15 +500,15 @@ class TestCleanTrips:
 
 class TestExtractDemandPoints:
     def test_two_point_trip(self):
-        trip = TripRecord("a", ((0, GeoPoint(-33.0, 150.0)),
-                                (60, GeoPoint(-33.1, 150.1))))
+        trip = trip_of("a", ((0, GeoPoint(-33.0, 150.0)),
+                             (60, GeoPoint(-33.1, 150.1))))
         dps = extract_demand_points([trip], 100.0, 600.0)
         assert [(d.point_id, d.kind) for d in dps] == [(0, "origin"),
                                                        (1, "destination")]
 
     def test_stationary_trip_has_dwell(self):
         p = GeoPoint(-33.0, 150.0)
-        trip = TripRecord("a", tuple((k * 300, p) for k in range(5)))
+        trip = trip_of("a", tuple((k * 300, p) for k in range(5)))
         dps = extract_demand_points([trip], 100.0, 600.0)
         kinds = sorted(d.kind for d in dps)
         assert kinds == ["destination", "dwell", "origin"]
@@ -517,8 +516,8 @@ class TestExtractDemandPoints:
         assert dwell.location == p
 
     def test_ids_dense_and_stable(self):
-        trips = [TripRecord(t, ((0, GeoPoint(-33.0, 150.0)),
-                                (60, GeoPoint(-33.1, 150.1))))
+        trips = [trip_of(t, ((0, GeoPoint(-33.0, 150.0)),
+                             (60, GeoPoint(-33.1, 150.1))))
                  for t in ("b", "a", "c")]
         dps = extract_demand_points(trips, 100.0, 600.0)
         assert [d.point_id for d in dps] == list(range(6))
@@ -540,7 +539,7 @@ class TestExtractDemandPoints:
             for step in range(3):
                 fixes.append((ts, GeoPoint(c.lat - 0.01 * (step + 1), c.lon)))
                 ts += 200
-        trip = TripRecord("a", tuple(fixes))
+        trip = trip_of("a", tuple(fixes))
         dps = extract_demand_points([trip], 100.0, 600.0)
         dwells = [d for d in dps if d.kind == "dwell"]
         assert len(dps) == 5  # origin + destination + 3 dwells
@@ -660,8 +659,8 @@ class TestLayerLoaders:
             load_fire_grid(f)
 
     def test_trips_csv_roundtrip(self, tmp_path):
-        trips = [TripRecord("a", ((100, GeoPoint(-33.5, 150.5)),
-                                  (200, GeoPoint(-33.6, 150.6))))]
+        trips = [trip_of("a", ((100, GeoPoint(-33.5, 150.5)),
+                               (200, GeoPoint(-33.6, 150.6))))]
         save_trips(tmp_path / "t.csv", trips)
         loaded, bad = load_trips(tmp_path / "t.csv")
         assert bad == []
@@ -932,7 +931,10 @@ def trip_rows(draw):
     pair's exact distance, so that thresholds sit on the boundary of a test."""
     rows, pairs = [], []
     for t in range(draw(st.integers(1, 4))):
-        lat, lon = draw(st.floats(-60.0, 60.0)), draw(st.floats(-179.0, 179.0))
+        # some trips start within 0.01 degrees of +-180 and cross it
+        lat = draw(st.floats(-60.0, 60.0))
+        lon = draw(st.one_of(st.floats(-179.0, 179.0), st.floats(179.99, 180.0),
+                             st.floats(-180.0, -179.99)))
         ts = draw(st.integers(0, 10 ** 6))
         fixes = []
         for _ in range(draw(st.integers(2, 12))):
@@ -950,6 +952,8 @@ def trip_rows(draw):
                 ts += draw(st.integers(10, 120))
             else:
                 ts += draw(st.integers(5, 30))
+            if not -180.0 <= lon <= 180.0:
+                lon = math.remainder(lon, 360.0)
             fixes.append((ts, lat + 0.1, lon) if step == "glitch" else (ts, lat, lon))
         rows += [(f"t{t}", *fix) for fix in fixes]
         pairs += [(a, b) for k, a in enumerate(fixes) for b in fixes[k + 1:]]
@@ -1022,24 +1026,39 @@ class TestTripPathOracle:
             d = haversine_distance(a, b)
             if d == 0.0:
                 continue
-            trip = TripRecord("a", ((0, a), (1, b)))
+            trip = trip_of("a", ((0, a), (1, b)))
             assert clean_trips([trip], d)[0] == [trip], (a, b)
             assert clean_trips([trip], math.nextafter(d, 0.0))[0] == [], (a, b)
-            trip = TripRecord("a", ((0, a), (600, b)))
+            trip = trip_of("a", ((0, a), (600, b)))
             assert len(extract_demand_points([trip], d, 600)) == 3, (a, b)
             assert len(extract_demand_points([trip], math.nextafter(d, 0.0), 600)) == 2, (a, b)
 
     def test_speed_limit_at_the_exact_speed_keeps_the_fix(self):
         a, b, c = GeoPoint(-33.0, 150.0), GeoPoint(-33.01, 150.013), GeoPoint(-33.02, 150.02)
-        trip = TripRecord("a", ((0, a), (70, b), (140, c)))
+        trip = trip_of("a", ((0, a), (70, b), (140, c)))
         limit = haversine_distance(a, b) / 70
         assert clean_trips([trip], limit)[0][0].points[1] == (70, b)
         below = math.nextafter(limit, 0.0)
         assert (70, b) not in clean_trips([trip], below)[0][0].points
 
+    @pytest.mark.parametrize("lons,want", [
+        ((179.9998, -179.9998, 179.9999), 539.9999 / 3),
+        ((-179.9999, 179.9998, 179.9998), -540.0003 / 3 + 360.0),
+    ], ids=["east-first", "west-first"])
+    def test_stay_centroid_across_the_antimeridian(self, lons, want):
+        # three fixes within 43 m of each other, on both sides of +-180: the
+        # plain mean of their longitudes lies near lon 60, 12,800 km away
+        trip = trip_of("a", tuple((ts, GeoPoint(-16.5, lon))
+                                  for ts, lon in zip((0, 300, 700), lons)))
+        dwell, = [d for d in extract_demand_points([trip], 100.0, 600.0)
+                  if d.kind == "dwell"]
+        assert dwell.location.lat == -16.5
+        assert abs(dwell.location.lon - want) < 1e-9
+        assert -180.0 <= dwell.location.lon <= 180.0
+
     def test_dwell_radius_at_the_exact_distance_holds_the_fix(self):
         a, b, c = GeoPoint(-33.0, 150.0), GeoPoint(-33.0003, 150.0004), GeoPoint(-33.1, 150.0)
-        trip = TripRecord("a", ((0, a), (700, b), (800, c)))
+        trip = trip_of("a", ((0, a), (700, b), (800, c)))
         radius = haversine_distance(a, b)
         dwell = [d for d in extract_demand_points([trip], radius, 600) if d.kind == "dwell"]
         assert [d.location for d in dwell] == [GeoPoint((a.lat + b.lat) / 2, (a.lon + b.lon) / 2)]
