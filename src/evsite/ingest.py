@@ -9,8 +9,8 @@ import math
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import islice, repeat
-from operator import le, lt
+from itertools import compress, count, islice, repeat
+from operator import ge, le
 from pathlib import Path
 
 from .geo import (
@@ -60,14 +60,12 @@ class TripRecord:
         ts = self.timestamps
         if len(ts) < 2:
             raise IngestError(f"trip {self.trip_id}: needs >= 2 points")
-        if all(map(lt, ts, islice(ts, 1, None))):
-            return
         lat, lon = self.lat, self.lon
-        for i in range(1, len(ts)):
-            # strictly increasing, except exact duplicate fixes, which the
-            # cleaning pass removes
-            if ts[i] < ts[i - 1] or (ts[i] == ts[i - 1] and (
-                    lat[i] != lat[i - 1] or lon[i] != lon[i - 1])):
+        # strictly increasing, except exact duplicate fixes, which the
+        # cleaning pass removes: only the fixes i not later than fix i - 1,
+        # picked out in C, are looked at one by one
+        for i in compress(count(1), map(ge, ts, islice(ts, 1, None))):
+            if ts[i] < ts[i - 1] or lat[i] != lat[i - 1] or lon[i] != lon[i - 1]:
                 raise IngestError(
                     f"trip {self.trip_id}: timestamps not strictly increasing")
 
