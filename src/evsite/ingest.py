@@ -9,8 +9,8 @@ import math
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import compress, count, islice, repeat
-from operator import ge, le
+from itertools import islice, repeat
+from operator import le, lt
 from pathlib import Path
 
 from .geo import (
@@ -60,12 +60,14 @@ class TripRecord:
         ts = self.timestamps
         if len(ts) < 2:
             raise IngestError(f"trip {self.trip_id}: needs >= 2 points")
+        if all(map(lt, ts, islice(ts, 1, None))):
+            return
         lat, lon = self.lat, self.lon
-        # strictly increasing, except exact duplicate fixes, which the
-        # cleaning pass removes: only the fixes i not later than fix i - 1,
-        # picked out in C, are looked at one by one
-        for i in compress(count(1), map(ge, ts, islice(ts, 1, None))):
-            if ts[i] < ts[i - 1] or lat[i] != lat[i - 1] or lon[i] != lon[i - 1]:
+        for i in range(1, len(ts)):
+            # strictly increasing, except exact duplicate fixes, which the
+            # cleaning pass removes
+            if ts[i] < ts[i - 1] or (ts[i] == ts[i - 1] and (
+                    lat[i] != lat[i - 1] or lon[i] != lon[i - 1])):
                 raise IngestError(
                     f"trip {self.trip_id}: timestamps not strictly increasing")
 
@@ -389,12 +391,11 @@ def clean_trips(trips: list[TripRecord],
 
 
 def _stay_lon(lon: list[float]) -> float:
-    """The mean longitude of a stay. When the longitudes span more than 180
-    degrees the stay crosses the antimeridian: they are taken into the 360
-    degrees centred on the first, averaged, and the mean wrapped back into
-    [-180, 180]. Otherwise it is their plain mean."""
-    if max(lon) - min(lon) <= 180.0:
-        return sum(lon) / len(lon)
+    """The mean longitude of a stay, across the antimeridian too: each
+    longitude is taken into the 360 degrees centred on the first, they are
+    averaged, and a mean outside [-180, 180] is wrapped back into it. A stay
+    whose longitudes span at most 180 degrees moves none of them, so its
+    mean is their plain mean."""
     first = lon[0]
     mean = sum(x - 360.0 if x - first > 180.0 else x + 360.0 if x - first < -180.0 else x
                for x in lon) / len(lon)
