@@ -99,7 +99,7 @@ def evaluate(config_path, out_dir):
     _guarded(run)
 
 
-@main.command()
+@main.command(name="synth")
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def synth_cmd(spec_path, out_dir):
@@ -113,10 +113,6 @@ def synth_cmd(spec_path, out_dir):
         manifest = synth.generate(spec, out_dir)
         click.echo(json.dumps(manifest.layer_counts, sort_keys=True))
     _guarded(run)
-
-
-# click derives "synth-cmd" from the function name; keep the documented name
-synth_cmd.name = "synth"
 
 
 @main.command(name="export-map")

@@ -231,24 +231,33 @@ def annotate_context(points: list[DemandPoint], pois: PoiIndex,
     return out
 
 
+def risk_flags(altitude_m: float, ffdi: float | None, flood_alt_m: float,
+               ffdi_threshold: float) -> tuple[bool, bool | None]:
+    """(flood, fire): flood below flood_alt_m, never for a NaN (unknown)
+    altitude; fire at or above ffdi_threshold, None for an unknown FFDI. The
+    one flood/fire rule: adjust_params and the station flags both apply it."""
+    return altitude_m < flood_alt_m, None if ffdi is None else ffdi >= ffdi_threshold
+
+
 def adjust_params(ctx: PointContext, cfg: ConstraintConfig) -> AdjustedParams:
     """Threshold-gated multiplicative adjustment with clamps.
 
     POI or route proximity eases cluster formation (tighter radius, lower
-    density threshold); flood-prone altitude and high fire-risk cells demand
-    more evidence (higher density threshold).
+    density threshold); flood-prone altitude and high fire-risk cells, as
+    risk_flags flags them, demand more evidence (higher density threshold).
     """
     eps = cfg.base_eps_m
-    if ctx.dist_poi_m <= cfg.poi_near_m:
-        eps *= cfg.eps_factor_poi
     m = float(cfg.base_minpts)
     if ctx.dist_poi_m <= cfg.poi_near_m:
+        eps *= cfg.eps_factor_poi
         m *= cfg.minpts_factor_poi
     if ctx.dist_route_m <= cfg.route_near_m:
         m *= cfg.minpts_factor_route
-    if not math.isnan(ctx.altitude_m) and ctx.altitude_m < cfg.flood_alt_m:
+    flood, fire = risk_flags(ctx.altitude_m, ctx.ffdi_delta, cfg.flood_alt_m,
+                             cfg.ffdi_threshold)
+    if flood:
         m *= cfg.minpts_factor_flood
-    if ctx.ffdi_delta is not None and ctx.ffdi_delta >= cfg.ffdi_threshold:
+    if fire:
         m *= cfg.minpts_factor_fire
     eps = min(cfg.eps_max_m, max(cfg.eps_min_m, eps))
     minpts = max(cfg.minpts_min, math.ceil(m))

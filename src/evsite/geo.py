@@ -86,12 +86,6 @@ class BoundingBox:
                 and self.min_lon <= p.lon <= self.max_lon)
 
 
-def bbox_of_rings(rings) -> BoundingBox:
-    lats = [v.lat for ring in rings for v in ring]
-    lons = [v.lon for ring in rings for v in ring]
-    return BoundingBox(min(lats), min(lons), max(lats), max(lons))
-
-
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in meters (mean Earth radius). Every copy of the
     formula clamps with s if s < 1.0 else 1.0: min(1.0, s) for every s, NaN
@@ -135,7 +129,7 @@ class SpatialIndex:
         if cell_size <= 0:
             raise GeoError("cell_size must be > 0")
         self.cell_size = cell_size
-        # the cells as _key computes them, without a call per point
+        # a point's cell as every query takes it: floor(lat / cell), floor(lon / cell)
         cell, floor = cell_size, math.floor
         cells: dict[tuple[int, int], list[int]] = {}
         for i, (y, x) in enumerate(zip(lat, lon)):
@@ -165,9 +159,6 @@ class SpatialIndex:
         self._windows: dict[tuple[int, int, float], list[tuple[int, int]]] = {}
         # no point of a cell lies farther than this from the cell's centre
         self._half_diag_m = math.sqrt(0.5) * cell_size * METERS_PER_DEG + _REACH_MARGIN_M
-
-    def _key(self, p: GeoPoint) -> tuple[int, int]:
-        return (math.floor(p.lat / self.cell_size), math.floor(p.lon / self.cell_size))
 
     def _disc(self, key: tuple[int, int]) -> tuple[float, float, float, float]:
         """A disc around the cell's centre that holds all of its points.
@@ -393,7 +384,7 @@ class SpatialIndex:
         if not self._lon:
             raise GeoError("empty index")
         cells = self._cells
-        key = self._key(p)
+        key = (math.floor(p.lat / self.cell_size), math.floor(p.lon / self.cell_size))
         max_ring = max(abs(self._row_range[0] - key[0]), abs(self._row_range[1] - key[0]),
                        abs(self._col_range[0] - key[1]), abs(self._col_range[1] - key[1]))
         for ring in range(max_ring + 1):

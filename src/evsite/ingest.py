@@ -20,7 +20,6 @@ from .geo import (
     GeoPoint,
     MultiPolygon,
     Polygon,
-    bbox_of_rings,
     point_in_polygon,
     segment_reaches,
 )
@@ -135,7 +134,10 @@ class LgaRecord:
 
     @cached_property
     def bbox(self) -> BoundingBox:
-        return bbox_of_rings([r for p in self.boundary.polygons for r in p.rings()])
+        vertices = [v for p in self.boundary.polygons for r in p.rings() for v in r]
+        lats = [v.lat for v in vertices]
+        lons = [v.lon for v in vertices]
+        return BoundingBox(min(lats), min(lons), max(lats), max(lons))
 
 
 @dataclass(frozen=True)
@@ -253,13 +255,19 @@ def _read_trip_csv(path: Path):
                         pass
                 # a str left here is no plain integer numeral: the rule refuses it
                 ts = _json_number(ts, "timestamp", integral=True, bits64=True)
+                # float()'s own message would echo the whole field
                 try:
-                    if not (plain or (_plain(lat) and _plain(lon))):
+                    if not (plain or _plain(lat)):
                         raise ValueError
-                    y, x = float(lat), float(lon)
+                    y = float(lat)
                 except ValueError:
-                    # float()'s own message would echo the whole field
-                    raise _coordinate_error(lat, lon) from None
+                    raise ValueError(f"lat must be a number, got {shown(lat)}") from None
+                try:
+                    if not (plain or _plain(lon)):
+                        raise ValueError
+                    x = float(lon)
+                except ValueError:
+                    raise ValueError(f"lon must be a number, got {shown(lon)}") from None
                 if not (-90.0 <= y <= 90.0 and -180.0 <= x <= 180.0):
                     GeoPoint(y, x)  # raises, with GeoPoint's own message
             except ValueError as e:
@@ -300,19 +308,6 @@ def _plain(text: str) -> bool:
     the membership test is one scan in C, and strip looks at the ends only
     and returns text itself when there is nothing to strip."""
     return text.isascii() and "_" not in text and text.strip() == text
-
-
-def _coordinate_error(lat: str, lon: str) -> ValueError:
-    """The error for a CSV row whose lat or lon is not a plain numeral that
-    float() takes: it names the first such field and echoes it as shown does."""
-    key, text = "lon", lon
-    try:
-        if not _plain(lat):
-            raise ValueError
-        float(lat)
-    except ValueError:
-        key, text = "lat", lat
-    return ValueError(f"{key} must be a number, got {shown(text)}")
 
 
 def _read_trip_geojson(path: Path):
@@ -545,27 +540,24 @@ def _columns(coords) -> tuple[array, array]:
     ignored (RFC 7946 3.1.1). Each member must be a JSON number, and each
     position a valid GeoPoint.
 
-    The columns are read and checked whole; when any check fails,
-    _checked_columns reads the positions again one at a time, so the error
-    raised is the first in position order."""
+    The columns are read and checked whole; when any check fails, or a
+    position cannot be indexed, the positions are read again one at a time,
+    each checked in full before the next, so the error raised is the first
+    in position order."""
     try:
         lat = [c[1] for c in coords]
         lon = [c[0] for c in coords]
     except (IndexError, TypeError, KeyError):
-        return _checked_columns(coords)
-    # an int outside the ranges fails them before the sum could overflow, NaN
-    # fails the sum's test, whatever min and max make of it, and an empty
-    # list is read the slow way too
-    if (lat and {*map(type, lat), *map(type, lon)} <= _JSON_NUMBERS
-            and -90.0 <= min(lat) and max(lat) <= 90.0
-            and -180.0 <= min(lon) and max(lon) <= 180.0
-            and math.isfinite(sum(lat) + sum(lon))):
-        return array("d", lat), array("d", lon)
-    return _checked_columns(coords)
-
-
-def _checked_columns(coords) -> tuple[array, array]:
-    """_columns one position at a time, each checked in full before the next."""
+        pass
+    else:
+        # an int outside the ranges fails them before the sum could overflow,
+        # NaN fails the sum's test, whatever min and max make of it, and an
+        # empty list is read the slow way too
+        if (lat and {*map(type, lat), *map(type, lon)} <= _JSON_NUMBERS
+                and -90.0 <= min(lat) and max(lat) <= 90.0
+                and -180.0 <= min(lon) and max(lon) <= 180.0
+                and math.isfinite(sum(lat) + sum(lon))):
+            return array("d", lat), array("d", lon)
     lat, lon = array("d"), array("d")
     try:
         for c in coords:
@@ -580,13 +572,9 @@ def _checked_columns(coords) -> tuple[array, array]:
     return lat, lon
 
 
-def _positions(coords) -> tuple[GeoPoint, ...]:
-    """A list of GeoJSON positions as GeoPoints (see _columns)."""
-    return tuple(map(GeoPoint, *_columns(coords)))
-
-
 def _point(feat: dict) -> GeoPoint:
-    return _positions([_geometry(feat, "Point")])[0]
+    (lat,), (lon,) = _columns([_geometry(feat, "Point")])
+    return GeoPoint(lat, lon)
 
 
 def _polygon(rings) -> Polygon:
@@ -596,7 +584,8 @@ def _polygon(rings) -> Polygon:
     crosses the antimeridian must be split there (RFC 7946 3.1.9)."""
     if not isinstance(rings, list) or not rings:
         raise ValueError("polygon needs a list of rings")
-    polygon = Polygon(_positions(rings[0]), tuple(map(_positions, rings[1:])))
+    exterior, *holes = (tuple(map(GeoPoint, *_columns(ring))) for ring in rings)
+    polygon = Polygon(exterior, tuple(holes))
     for ring in polygon.rings():
         for a, b in zip(ring, ring[1:]):
             if abs(b.lon - a.lon) > 180.0:

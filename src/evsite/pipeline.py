@@ -130,7 +130,7 @@ def station_features(result: PipelineResult, cfg: RunConfig) -> list[dict]:
     for s in sorted(result.layers.stations, key=lambda s: s.station_id):
         altitude = locator.altitude_at(s.location)
         ffdi = constraints.lookup_ffdi(s.location, result.layers.fire_grid)
-        flood, fire = recommend.risk_flags(altitude, ffdi, c.flood_alt_m, c.ffdi_threshold)
+        flood, fire = constraints.risk_flags(altitude, ffdi, c.flood_alt_m, c.ffdi_threshold)
         features.append({"id": s.station_id, **ingest._point_feature(s.location, {
             "kind": s.kind,
             "color": KIND_COLORS[s.kind],

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .cluster import LgaClusterResult
-from .constraints import ConstraintConfig, PoiIndex, RouteLocator, lookup_ffdi
+from .constraints import ConstraintConfig, PoiIndex, RouteLocator, lookup_ffdi, risk_flags
 from .geo import GeoPoint, SpatialIndex, haversine_distance
 from .ingest import DemandPoint, FireRiskGrid, RouteRecord
 
@@ -30,7 +30,6 @@ class Recommendation:
     ffdi_delta: float | None
     flood_flag: bool
     fire_flag: bool | None       # None = unknown (missing fire-risk value)
-    cluster_span_m: float
 
 
 def cluster_location(member_points: list[GeoPoint]) -> GeoPoint:
@@ -96,13 +95,6 @@ def classify_charger(snap_target: str, cluster_span_m: float,
     return "destination"
 
 
-def risk_flags(altitude_m: float, ffdi: float | None, flood_alt_m: float,
-               ffdi_threshold: float) -> tuple[bool, bool | None]:
-    """(flood, fire): flood below flood_alt_m, never for a NaN (unknown)
-    altitude; fire at or above ffdi_threshold, None for an unknown FFDI."""
-    return altitude_m < flood_alt_m, None if ffdi is None else ffdi >= ffdi_threshold
-
-
 def propose_all(cluster_results: list[LgaClusterResult],
                 buckets: dict[str, list[DemandPoint]],
                 pois: PoiIndex, routes: list[RouteRecord],
@@ -131,7 +123,6 @@ def propose_all(cluster_results: list[LgaClusterResult],
             rec_id=rec_id, location=loc, lga_name=lga_name,
             charger_kind=classify_charger(target, span, pois.categories, corridor_span_m),
             cluster_size=len(members), snap_target=target, snap_dist_m=dist,
-            altitude_m=altitude, ffdi_delta=ffdi, flood_flag=flood, fire_flag=fire,
-            cluster_span_m=span))
+            altitude_m=altitude, ffdi_delta=ffdi, flood_flag=flood, fire_flag=fire))
     return sorted(recs, key=lambda r: r.rec_id)
 

@@ -224,9 +224,11 @@ def _stay_lon(stay):
 
 
 # The position oracle is the first, per-position reader of GeoJSON positions
-# (ingest._positions before the column reader), with GeoPoint's checks
-# written out. The column reader must accept exactly what it accepts, with
-# the same doubles, and raise its first error with the same message.
+# (the package's own, before ingest._columns read them as columns), with
+# GeoPoint's checks written out. ingest._columns, the one position reader of
+# route LineStrings, station and POI Points and LGA rings, must accept exactly
+# what it accepts, with the same doubles, and raise its first error with the
+# same message.
 
 def per_position_reader(coords):
     """[(lat, lon), ...] of a list of [lon, lat, ...] positions, each member a

@@ -148,6 +148,15 @@ class TestConfig:
             load_config(p)
 
 
+class TestCommandNames:
+    def test_help_lists_the_documented_names(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        assert "synth" in result.output.split()
+        assert "export-map" in result.output.split()
+        assert "synth-cmd" not in result.output
+
+
 class TestValidate:
     def test_ok_counts_match_manifest(self, runner, scenario):
         manifest, _, dirs = scenario

@@ -16,6 +16,7 @@ from evsite.constraints import (
     adjust_params,
     annotate_context,
     lookup_ffdi,
+    risk_flags,
 )
 from evsite.geo import (
     _GROUP_CELL_DEG,
@@ -244,6 +245,26 @@ class TestAdjustParams:
         cfg = ConstraintConfig(minpts_factor_fire=5.0)
         ctx = PointContext(100.0, math.inf, math.inf, None)
         assert adjust_params(ctx, cfg).minpts == cfg.base_minpts
+
+    # factors whose products tell apart which of the two applied
+    RISK = ConstraintConfig(minpts_factor_flood=3.0, minpts_factor_fire=5.0)
+
+    @pytest.mark.parametrize("altitude,ffdi,flags", [
+        (RISK.flood_alt_m, None, (False, None)),
+        (math.nextafter(RISK.flood_alt_m, -math.inf), None, (True, None)),
+        (math.nan, None, (False, None)),
+        (100.0, RISK.ffdi_threshold, (False, True)),
+        (100.0, None, (False, None)),
+    ], ids=["altitude-at-threshold", "altitude-just-below", "altitude-nan",
+            "ffdi-at-threshold", "ffdi-none"])
+    def test_risk_factors_follow_the_flags_of_risk_flags(self, altitude, ffdi, flags):
+        cfg = self.RISK
+        flood, fire = risk_flags(altitude, ffdi, cfg.flood_alt_m, cfg.ffdi_threshold)
+        assert (flood, fire) == flags
+        want = (cfg.base_minpts * (cfg.minpts_factor_flood if flood else 1.0)
+                * (cfg.minpts_factor_fire if fire else 1.0))
+        ctx = PointContext(altitude, math.inf, math.inf, ffdi)
+        assert adjust_params(ctx, cfg).minpts == math.ceil(want)
 
     def test_config_invariants_enforced(self):
         with pytest.raises(ConstraintError):

@@ -283,7 +283,12 @@ class TestMalformedGolden:
         "lonely,200,-33.6,north",                   # 23
         "tie,100,-33.7,150.7",                      # 24
         "tie,100,-33.8,150.7",                      # 25
-    ] + [f"good,{200 + 10 * k},-33.5,{150.5 + k / 1000!r}" for k in range(1, 21)]
+    ] + [f"good,{200 + 10 * k},-33.5,{150.5 + k / 1000!r}" for k in range(1, 21)] + [
+        # the coordinate that a message names, when one or both are bad
+        "good,410,north,east",                      # 46: both bad, lat named
+        "good,420,-3_3.5,north",                    # 47: unplain lat, bad lon
+        "good,430,-33.5, 150.5",                    # 48: good lat, unplain lon
+    ]
 
     @staticmethod
     def csv_bad(f):
@@ -305,6 +310,9 @@ class TestMalformedGolden:
             f"{f}:20: timestamp must be a finite integer, got 'yy'",
             f"{f}:21: field larger than field limit (131072)",
             f"{f}:23: lon must be a number, got 'north'",
+            f"{f}:46: lat must be a number, got 'north'",
+            f"{f}:47: lat must be a number, got '-3_3.5'",
+            f"{f}:48: lon must be a number, got ' 150.5'",
             "trip lonely: fewer than 2 valid points, dropped",
             "trip multi\nline: fewer than 2 valid points, dropped",
             "trip tie: timestamps not strictly increasing, dropped",
@@ -326,7 +334,8 @@ class TestMalformedGolden:
         # messages for the other rows are the same
         f = tmp_path / "trips.csv"
         unplain = {"good,1_00,-33.5,150.5", "good, 100,-33.5,150.5",
-                   '"multi\nline",100,-33.5,150.5'}
+                   '"multi\nline",100,-33.5,150.5', "good,420,-3_3.5,north",
+                   "good,430,-33.5, 150.5"}
         write_csv(f, [r for r in self.CSV_ROWS if r not in unplain])
         trips, bad = load_trips(f)
         assert bad == [
@@ -345,6 +354,7 @@ class TestMalformedGolden:
             f"{f}:16: timestamp must be a finite integer, got 'yy'",
             f"{f}:17: field larger than field limit (131072)",
             f"{f}:19: lon must be a number, got 'north'",
+            f"{f}:42: lat must be a number, got 'north'",
             "trip lonely: fewer than 2 valid points, dropped",
             "trip tie: timestamps not strictly increasing, dropped",
         ]
@@ -756,6 +766,73 @@ class TestPositionReader:
         # repr tells -0.0 from 0.0
         assert [(repr(lat), repr(lon)) for lat, lon in zip(route.lat, route.lon)] == [
             (repr(lat), repr(lon)) for lat, lon in want]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(coords=route_coordinates())
+    @example(coords=[[150, 95], ["x", -33]])
+    @example(coords=[[-0.0, 0], [180, -90.0, "ignored"], [1.0], None])
+    def test_points_load_what_the_per_position_oracle_reads(self, tmp_path, coords):
+        # each position as the one Point of a station layer and of a POI layer
+        f = tmp_path / "p.geojson"
+        for load, properties in ((load_stations, {"station_id": "s1", "kind": "approved"}),
+                                 (load_pois, {"poi_id": "p1", "category": "fuel"})):
+            for position in coords:
+                f.write_text(json.dumps({"type": "FeatureCollection", "features": [
+                    {"type": "Feature", "geometry": {"type": "Point", "coordinates": position},
+                     "properties": properties}]}))
+                try:
+                    (lat, lon), = oracles.per_position_reader([position])
+                except (ValueError, OverflowError) as e:
+                    with pytest.raises(IngestError) as got:
+                        load(f)
+                    assert str(got.value) == f"{f}: feature 0: {e}"
+                    continue
+                record, = load(f)
+                assert (repr(record.location.lat), repr(record.location.lon)) == (
+                    repr(lat), repr(lon))
+
+    # a valid exterior around any hole: no edge spans more than 180 degrees
+    WORLD = [[-180.0, -90.0], [0.0, -90.0], [180.0, -90.0], [180.0, 90.0], [0.0, 90.0],
+             [-180.0, 90.0], [-180.0, -90.0]]
+
+    @staticmethod
+    def _lga_outcome(f, rings):
+        """What load_lgas makes of one LGA of one polygon with these rings:
+        the (lat, lon) reprs of its rings' vertices, or the message it raises."""
+        f.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": rings},
+             "properties": {"lga_name": "A"}}]}))
+        try:
+            lga, = load_lgas(f)
+        except IngestError as e:
+            return str(e)
+        return [[(repr(v.lat), repr(v.lon)) for v in ring]
+                for ring in lga.boundary.polygons[0].rings()]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(coords=route_coordinates(), hole=st.booleans())
+    @example(coords=[[150, 95], ["x", -33]], hole=True)
+    @example(coords=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], hole=False)
+    @example(coords=[[0.0, 0.0], [1.0, 0], [-0.0, 1.0, 7.0]], hole=True)
+    def test_rings_load_what_the_per_position_oracle_reads(self, tmp_path, coords, hole):
+        # the positions, closed, as an exterior ring or as a hole in WORLD
+        ring = coords + coords[:1]
+        rings = [self.WORLD, ring] if hole else [ring]
+        f = tmp_path / "l.geojson"
+        try:
+            want = [oracles.per_position_reader(r) for r in rings]
+        except (ValueError, OverflowError) as e:
+            assert self._lga_outcome(f, rings) == f"{f}: feature 0: {e}"
+            return
+        # the polygon's own checks see the oracle's doubles: the same rings
+        # written as plain [lon, lat] floats load the same or fail the same
+        plain = [[[lon, lat] for lat, lon in r] for r in want]
+        got = self._lga_outcome(f, rings)
+        assert got == self._lga_outcome(f, plain)
+        if isinstance(got, list):
+            assert got == [[(repr(lat), repr(lon)) for lat, lon in r] for r in want]
 
     def test_routes_keep_their_bytes_through_load_and_save(self, scenario, tmp_path):
         _, _, dirs = scenario

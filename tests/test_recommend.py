@@ -37,8 +37,7 @@ def index_of(points, cell_m=1000.0):
 def rec_at(lat, lon, rec_id="A-0", **kw):
     defaults = dict(lga_name="A", charger_kind="destination", cluster_size=10,
                     snap_target=UNSNAPPED, snap_dist_m=math.inf, altitude_m=50.0,
-                    ffdi_delta=None, flood_flag=False, fire_flag=None,
-                    cluster_span_m=100.0)
+                    ffdi_delta=None, flood_flag=False, fire_flag=None)
     defaults.update(kw)
     return Recommendation(rec_id=rec_id, location=GeoPoint(lat, lon), **defaults)
 
