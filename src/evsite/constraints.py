@@ -218,16 +218,14 @@ class PoiIndex:
 
 
 def annotate_context(points: list[DemandPoint], pois: PoiIndex,
-                     routes: list[RouteRecord],
-                     grid: FireRiskGrid | None) -> list[PointContext]:
+                     routes: list[RouteRecord], grid: FireRiskGrid) -> list[PointContext]:
     """Context for every demand point, parallel to the input list."""
     locations = [dp.location for dp in points]
     nearest_pois = pois.nearest_all(locations)
     located = RouteLocator(routes).locate_all(locations)
     out = []
     for p, (_, dist_poi), (_, dist_route, _, altitude) in zip(locations, nearest_pois, located):
-        ffdi = lookup_ffdi(p, grid) if grid is not None else None
-        out.append(PointContext(altitude, dist_poi, dist_route, ffdi))
+        out.append(PointContext(altitude, dist_poi, dist_route, lookup_ffdi(p, grid)))
     return out
 
 
@@ -235,7 +233,7 @@ def risk_flags(altitude_m: float, ffdi: float | None, flood_alt_m: float,
                ffdi_threshold: float) -> tuple[bool, bool | None]:
     """(flood, fire): flood below flood_alt_m, never for a NaN (unknown)
     altitude; fire at or above ffdi_threshold, None for an unknown FFDI. The
-    one flood/fire rule: adjust_params and the station flags both apply it."""
+    one flood/fire rule: adjust_params and the written sites' flags both apply it."""
     return altitude_m < flood_alt_m, None if ffdi is None else ffdi >= ffdi_threshold
 
 

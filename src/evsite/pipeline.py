@@ -9,7 +9,7 @@ from pathlib import Path
 from . import cluster, constraints, evaluate, ingest, recommend
 from .config import RunConfig
 from .constraints import RouteLocator
-from .geo import METERS_PER_DEG, SpatialIndex
+from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex
 from .ingest import write_json
 
 KIND_COLORS = {
@@ -87,9 +87,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     bucket_ctx = {name: [contexts_all[i] for i in ids] for name, ids in bucket_ids.items()}
 
     results = cluster.cluster_all(buckets, bucket_ctx, c)
-    recs_pre = recommend.propose_all(
-        results, buckets, poi_index, layers.routes, layers.fire_grid, c,
-        cfg.poi_snap_m, cfg.route_snap_m, cfg.corridor_span_m)
+    recs_pre = recommend.propose_all(results, buckets, poi_index, layers.routes,
+                                     cfg.poi_snap_m, cfg.route_snap_m, cfg.corridor_span_m)
     if cfg.dedup_enabled:
         recs_final = recommend.dedup(recs_pre, station_index, cfg.min_sep_m)
     else:
@@ -104,45 +103,41 @@ def _json_value(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def recommendations_features(recs: list[recommend.Recommendation]) -> list[dict]:
-    features = []
-    for r in recs:
-        kind = f"recommended_{r.charger_kind}"
-        features.append({"id": r.rec_id, **ingest._point_feature(r.location, {
-            "kind": kind,
-            "color": KIND_COLORS[kind],
-            "altitude_m": _json_value(r.altitude_m),
-            "ffdi_delta": r.ffdi_delta,
-            "flood_flag": r.flood_flag,
-            "fire_flag": r.fire_flag,
-            "cluster_size": r.cluster_size,
-            "snap_target": r.snap_target,
-            "snap_dist_m": _json_value(r.snap_dist_m),
-            "lga_name": r.lga_name,
-        })})
-    return features
-
-
-def station_features(result: PipelineResult, cfg: RunConfig) -> list[dict]:
-    locator = RouteLocator(result.layers.routes)
+def _site_feature(site_id: str, location: GeoPoint, kind: str, lga_name: str,
+                  layers: Layers, cfg: RunConfig, locator: RouteLocator, **props) -> dict:
+    """The GeoJSON feature of a recommended or existing site: props plus its
+    kind, LGA, the altitude and FFDI at its location and the flood and fire
+    flags that constraints.risk_flags gives them."""
     c = cfg.constraints
-    features = []
-    for s in sorted(result.layers.stations, key=lambda s: s.station_id):
-        altitude = locator.altitude_at(s.location)
-        ffdi = constraints.lookup_ffdi(s.location, result.layers.fire_grid)
-        flood, fire = constraints.risk_flags(altitude, ffdi, c.flood_alt_m, c.ffdi_threshold)
-        features.append({"id": s.station_id, **ingest._point_feature(s.location, {
-            "kind": s.kind,
-            "color": KIND_COLORS[s.kind],
-            "altitude_m": _json_value(altitude),
-            "ffdi_delta": ffdi,
-            "flood_flag": flood,
-            "fire_flag": fire,
-            "cluster_size": None,
-            "snap_target": None,
-            "lga_name": evaluate.locate_lga(s.location, result.layers.lgas),
-        })})
-    return features
+    altitude = locator.altitude_at(location)
+    ffdi = constraints.lookup_ffdi(location, layers.fire_grid)
+    flood, fire = constraints.risk_flags(altitude, ffdi, c.flood_alt_m, c.ffdi_threshold)
+    return {"id": site_id, **ingest._point_feature(location, {
+        "kind": kind,
+        "color": KIND_COLORS[kind],
+        "altitude_m": _json_value(altitude),
+        "ffdi_delta": ffdi,
+        "flood_flag": flood,
+        "fire_flag": fire,
+        "lga_name": lga_name,
+        **props,
+    })}
+
+
+def recommendations_features(result: PipelineResult, cfg: RunConfig,
+                             locator: RouteLocator) -> list[dict]:
+    return [_site_feature(r.rec_id, r.location, f"recommended_{r.charger_kind}", r.lga_name,
+                          result.layers, cfg, locator, cluster_size=r.cluster_size,
+                          snap_target=r.snap_target, snap_dist_m=_json_value(r.snap_dist_m))
+            for r in result.recs_final]
+
+
+def station_features(result: PipelineResult, cfg: RunConfig,
+                     locator: RouteLocator) -> list[dict]:
+    return [_site_feature(s.station_id, s.location, s.kind,
+                          evaluate.locate_lga(s.location, result.layers.lgas),
+                          result.layers, cfg, locator, cluster_size=None, snap_target=None)
+            for s in sorted(result.layers.stations, key=lambda s: s.station_id)]
 
 
 def write_outputs(result: PipelineResult, cfg: RunConfig, out_dir) -> dict:
@@ -152,9 +147,12 @@ def write_outputs(result: PipelineResult, cfg: RunConfig, out_dir) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # one locator gives every written site its altitude
+    locator = RouteLocator(result.layers.routes)
     ingest.write_feature_collection(out / "recommendations.geojson",
-                                    recommendations_features(result.recs_final))
-    ingest.write_feature_collection(out / "stations.geojson", station_features(result, cfg))
+                                    recommendations_features(result, cfg, locator))
+    ingest.write_feature_collection(out / "stations.geojson",
+                                    station_features(result, cfg, locator))
     summary = {
         "config": cfg.raw,
         "cleaning": result.cleaning.as_dict(),

@@ -1,4 +1,4 @@
-"""Turn clusters into station proposals: locate, snap, deduplicate, classify, flag risk."""
+"""Turn clusters into station proposals: locate, snap, deduplicate, classify."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass
 
 from .cluster import LgaClusterResult
-from .constraints import ConstraintConfig, PoiIndex, RouteLocator, lookup_ffdi, risk_flags
+from .constraints import PoiIndex, RouteLocator
 from .geo import GeoPoint, SpatialIndex, haversine_distance
-from .ingest import DemandPoint, FireRiskGrid, RouteRecord
+from .ingest import DemandPoint, RouteRecord
 
 UNSNAPPED = "unsnapped"
 
@@ -26,10 +26,6 @@ class Recommendation:
     cluster_size: int
     snap_target: str             # "poi:<id>" | "route:<id>" | "unsnapped"
     snap_dist_m: float
-    altitude_m: float
-    ffdi_delta: float | None
-    flood_flag: bool
-    fire_flag: bool | None       # None = unknown (missing fire-risk value)
 
 
 def cluster_location(member_points: list[GeoPoint]) -> GeoPoint:
@@ -98,10 +94,9 @@ def classify_charger(snap_target: str, cluster_span_m: float,
 def propose_all(cluster_results: list[LgaClusterResult],
                 buckets: dict[str, list[DemandPoint]],
                 pois: PoiIndex, routes: list[RouteRecord],
-                grid: FireRiskGrid | None, cfg: ConstraintConfig,
                 poi_snap_m: float, route_snap_m: float,
                 corridor_span_m: float) -> list[Recommendation]:
-    """One annotated, classified recommendation per cluster, before dedup."""
+    """One snapped, classified recommendation per cluster, before dedup."""
     clusters = []    # (rec id, LGA name, member locations, centre)
     for result in cluster_results:
         points = buckets[result.lga_name]
@@ -110,19 +105,14 @@ def propose_all(cluster_results: list[LgaClusterResult],
                        for i, lab in enumerate(result.assignment.labels) if lab == c]
             clusters.append((f"{result.lga_name}-{c}", result.lga_name, members,
                              cluster_location(members)))
-    locator = RouteLocator(routes)
-    snapped = snap([center for *_, center in clusters], pois, locator,
+    snapped = snap([center for *_, center in clusters], pois, RouteLocator(routes),
                    poi_snap_m, route_snap_m)
     recs = []
     for (rec_id, lga_name, members, center), (loc, target, dist) in zip(clusters, snapped):
         span = max(haversine_distance(center, m) for m in members)
-        altitude = locator.altitude_at(loc)
-        ffdi = lookup_ffdi(loc, grid) if grid is not None else None
-        flood, fire = risk_flags(altitude, ffdi, cfg.flood_alt_m, cfg.ffdi_threshold)
         recs.append(Recommendation(
             rec_id=rec_id, location=loc, lga_name=lga_name,
             charger_kind=classify_charger(target, span, pois.categories, corridor_span_m),
-            cluster_size=len(members), snap_target=target, snap_dist_m=dist,
-            altitude_m=altitude, ffdi_delta=ffdi, flood_flag=flood, fire_flag=fire))
+            cluster_size=len(members), snap_target=target, snap_dist_m=dist))
     return sorted(recs, key=lambda r: r.rec_id)
 

@@ -2,8 +2,11 @@
 
 from array import array
 
-from evsite.geo import GeoPoint, SpatialIndex
-from evsite.ingest import RouteRecord, TripRecord
+from evsite.geo import BoundingBox, GeoPoint, SpatialIndex
+from evsite.ingest import FireRiskGrid, RouteRecord, TripRecord
+
+# a fire grid with no values: every lookup on it gives None
+NO_FIRE = FireRiskGrid(BoundingBox(0, 0, 0, 0), 1, 1, (None,))
 
 
 def route_of(route_id, points, altitudes):

@@ -27,7 +27,7 @@ from evsite.geo import (
     project_to_polyline,
 )
 from evsite.ingest import DemandPoint, FireRiskGrid, PoiRecord
-from records import route_of, vertices_of
+from records import NO_FIRE, route_of, vertices_of
 
 NEUTRAL = ConstraintConfig(eps_factor_poi=1.0, minpts_factor_poi=1.0,
                            minpts_factor_route=1.0, minpts_factor_flood=1.0,
@@ -120,7 +120,7 @@ class TestAnnotateContext:
         pois = [PoiRecord("p1", "fuel", loc)]
         routes = [make_route("r1", [(-33.5, 150.0, 10.0), (-33.5, 151.0, 20.0)])]
         ctx, = annotate_context([DemandPoint(0, loc, "t", "origin")],
-                                PoiIndex(pois), routes, None)
+                                PoiIndex(pois), routes, NO_FIRE)
         assert ctx.dist_poi_m == 0.0
         assert ctx.dist_route_m < 1e-6
         assert ctx.ffdi_delta is None
@@ -128,12 +128,12 @@ class TestAnnotateContext:
     def test_empty_poi_layer(self):
         routes = [make_route("r1", [(-33.5, 150.0, 10.0), (-33.5, 151.0, 20.0)])]
         ctx, = annotate_context([DemandPoint(0, GeoPoint(-33.5, 150.5), "t", "origin")],
-                                PoiIndex([]), routes, None)
+                                PoiIndex([]), routes, NO_FIRE)
         assert ctx.dist_poi_m == math.inf
 
     def test_no_routes_gives_inf_and_nan(self):
         ctx, = annotate_context([DemandPoint(0, GeoPoint(-33.5, 150.5), "t", "origin")],
-                                PoiIndex([]), [], None)
+                                PoiIndex([]), [], NO_FIRE)
         assert ctx.dist_route_m == math.inf
         assert math.isnan(ctx.altitude_m)
 
@@ -180,7 +180,7 @@ class TestAnnotateContext:
                      for _ in range(200)]
         locations += [poi.location for poi in pois[:3]]
         points = [DemandPoint(i, loc, "t", "origin") for i, loc in enumerate(locations)]
-        contexts = annotate_context(points, PoiIndex(pois), [], None)
+        contexts = annotate_context(points, PoiIndex(pois), [], NO_FIRE)
         for dp, ctx in zip(points, contexts):
             assert ctx.dist_poi_m == min(haversine_distance(dp.location, poi.location)
                                          for poi in pois)
@@ -480,7 +480,7 @@ class TestRouteLocator:
             assert (d, poi.poi_id) == min((haversine_distance(p, q.location), q.poi_id)
                                           for q in pois)
         points = [DemandPoint(i, p, "t", "origin") for i, p in enumerate(locations)]
-        contexts = annotate_context(points, PoiIndex(pois), routes, None)
+        contexts = annotate_context(points, PoiIndex(pois), routes, NO_FIRE)
         assert [(c.dist_route_m, c.altitude_m, c.dist_poi_m) for c in contexts] == [
             (d, altitude, dist_poi)
             for (_, d, _, altitude), (_, dist_poi) in zip(located, nearest)]

@@ -11,7 +11,7 @@ from evsite.evaluate import (
     build_report,
     coverage,
 )
-from evsite.constraints import ConstraintConfig
+from evsite.constraints import ConstraintConfig, RouteLocator
 from evsite.geo import BoundingBox, GeoPoint, haversine_distance
 from evsite.ingest import UNASSIGNED_LGA, DemandPoint, FireRiskGrid, StationRecord, assign_lga
 from evsite.pipeline import station_features
@@ -165,7 +165,8 @@ class TestBuildReport:
         grid = FireRiskGrid(BoundingBox(0.0, 0.0, 1.0, 1.0), 1, 1, (None,))
         layers = SimpleNamespace(routes=[], stations=[s], lgas=lgas, fire_grid=grid)
         [feature] = station_features(SimpleNamespace(layers=layers),
-                                     SimpleNamespace(constraints=ConstraintConfig()))
+                                     SimpleNamespace(constraints=ConstraintConfig()),
+                                     RouteLocator([]))
         assert feature["properties"]["lga_name"] == "A"
         buckets, _ = assign_lga([DemandPoint(0, edge, "t", "origin")], lgas)
         assert buckets == {"A": [0], "B": []}

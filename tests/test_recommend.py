@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from evsite.cluster import dbscan_lga
-from evsite.constraints import ConstraintConfig, PoiIndex, PointContext, RouteLocator
+from evsite.constraints import ConstraintConfig, PoiIndex, PointContext, RouteLocator, risk_flags
 from evsite.geo import (
     _GROUP_CELL_DEG,
     METERS_PER_DEG,
@@ -23,7 +23,6 @@ from evsite.recommend import (
     cluster_location,
     dedup,
     propose_all,
-    risk_flags,
     snap,
 )
 import records
@@ -36,8 +35,7 @@ def index_of(points, cell_m=1000.0):
 
 def rec_at(lat, lon, rec_id="A-0", **kw):
     defaults = dict(lga_name="A", charger_kind="destination", cluster_size=10,
-                    snap_target=UNSNAPPED, snap_dist_m=math.inf, altitude_m=50.0,
-                    ffdi_delta=None, flood_flag=False, fire_flag=None)
+                    snap_target=UNSNAPPED, snap_dist_m=math.inf)
     defaults.update(kw)
     return Recommendation(rec_id=rec_id, location=GeoPoint(lat, lon), **defaults)
 
@@ -284,7 +282,7 @@ class TestProposeAll:
                                    (10.0, 20.0))]
         pts = self._blob(center)
         result = self._cluster(pts)
-        recs = propose_all([result], {"A": pts}, PoiIndex(pois), routes, None, self.CFG,
+        recs = propose_all([result], {"A": pts}, PoiIndex(pois), routes,
                            300.0, 1000.0, 10000.0)
         assert len(recs) == 1
         assert recs[0].rec_id == "A-0"
@@ -301,7 +299,7 @@ class TestProposeAll:
         assert result.assignment.cluster_count == 2
         routes = [records.route_of("r1", (GeoPoint(-33.5, 150.0), GeoPoint(-33.5, 151.0)),
                                    (10.0, 20.0))]
-        recs = propose_all([result], {"A": pts}, PoiIndex([]), routes, None, self.CFG,
+        recs = propose_all([result], {"A": pts}, PoiIndex([]), routes,
                            300.0, 1000.0, 10000.0)
         assert len(recs) == 2
         for r in recs:
@@ -328,6 +326,6 @@ class TestProposeAll:
                               self.CFG, lga_name="B")]
         recs = propose_all(results, {"A": pts_a, "B": pts_b},
                            PoiIndex([PoiRecord("p1", "fuel", GeoPoint(-33.5, 150.5))]),
-                           [], None, self.CFG, 300.0, 1000.0, 10000.0)
+                           [], 300.0, 1000.0, 10000.0)
         assert calls == [3]
         assert [r.rec_id for r in recs] == ["A-0", "A-1", "B-0"]
