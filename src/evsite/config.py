@@ -24,6 +24,12 @@ DEFAULTS = {
     "evaluate": {"align_m": 1000.0, "coverage_radius_m": 3000.0},
 }
 
+# the settings of DEFAULTS that have a range: > 0, or >= 0 for min_sep_m
+RANGES = {**dict.fromkeys(("cleaning.max_speed_mps", "demand.dwell_radius_m",
+                           "demand.dwell_min_s", "snap.poi_snap_m", "snap.route_snap_m",
+                           "evaluate.align_m", "evaluate.coverage_radius_m"), "> 0"),
+          "dedup.min_sep_m": ">= 0"}
+
 
 @dataclass
 class RunConfig:
@@ -66,6 +72,12 @@ def load_config(path) -> RunConfig:
     # accepted for older configs; clustering runs on one thread whatever it says
     if top.get("workers", 1) < 1:
         raise ConfigError("config workers must be a positive integer")
+    sections = {name: {**DEFAULTS[name], **given[name]} for name in DEFAULTS}
+    for name, rule in RANGES.items():
+        section, key = name.split(".")
+        value = sections[section][key]
+        if value < 0 or (value == 0 and rule == "> 0"):
+            raise ConfigError(f"config {name} must be {rule}, got {shown(value)}")
 
     layers_doc = given["layers"]
     missing = [k for k in LAYER_KEYS if k not in layers_doc]
@@ -87,7 +99,6 @@ def load_config(path) -> RunConfig:
     except ValueError as e:
         raise ConfigError(f"invalid constraints: {e}") from e
 
-    sections = {name: {**DEFAULTS[name], **given[name]} for name in DEFAULTS}
     return RunConfig(
         layers=layers,
         trips_format=trips_format,

@@ -192,8 +192,8 @@ class PoiIndex:
 
     POIs are indexed in poi_id order, so a distance tie goes to the smallest
     poi_id. Cells are the POIs' extent over the square root of their count,
-    at least 0.01 degrees, so that nearest finds a POI within a ring or two
-    instead of walking rings of empty cells. Queries go through
+    at least 0.01 degrees, so that nearest most often finds a POI in its own
+    cell or in one of the first, small windows around it. Queries go through
     SpatialIndex.nearest_all, a group of nearby points at a time (see
     geo.cell_groups).
     """

@@ -64,8 +64,6 @@ def alignment_rate(recs: list[Recommendation], station_index: SpatialIndex,
     Meant to run on pre-dedup recommendations; an empty rec list reports 0.0
     with count 0.
     """
-    if align_m <= 0:
-        raise EvaluateError("align_m must be > 0")
     if not recs:
         return 0.0, 0
     aligned = sum(1 for r in recs if station_index.any_within(r.location, align_m))
@@ -76,8 +74,6 @@ def coverage(points: list[DemandPoint], sites: SpatialIndex, radius_m: float,
              uncovered: list[DemandPoint] | None = None) -> float:
     """Fraction of demand points within radius_m of any indexed site; the
     points outside that radius are appended to uncovered, when given."""
-    if radius_m <= 0:
-        raise EvaluateError("radius_m must be > 0")
     if not points:
         raise EvaluateError("no demand points")
     missed = [dp for dp in points if not sites.any_within(dp.location, radius_m)]

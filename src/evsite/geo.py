@@ -379,22 +379,17 @@ class SpatialIndex:
 
     def nearest_bound(self, p: GeoPoint) -> float:
         """An upper bound on the distance from p to its nearest indexed point:
-        the least distance to the points of the first ring of cells around
-        p's cell that holds any (or to every point, once rings grow sparse)."""
+        the least distance to the points of p's cell or, if it is empty, of
+        the first window (see _window) that holds any, its radius doubled
+        from one cell side."""
         if not self._lon:
             raise GeoError("empty index")
         cells = self._cells
-        key = (math.floor(p.lat / self.cell_size), math.floor(p.lon / self.cell_size))
-        max_ring = max(abs(self._row_range[0] - key[0]), abs(self._row_range[1] - key[0]),
-                       abs(self._col_range[0] - key[1]), abs(self._col_range[1] - key[1]))
-        for ring in range(max_ring + 1):
-            if ring and 8 * ring > len(cells):
-                # sparse index: scanning occupied cells beats walking empty rings
-                ids = [i for cell in cells.values() for i in cell]
-            else:
-                ids = [i for k in _ring_cells(key, ring) for i in cells.get(k, ())]
-            if ids:
-                break
+        ids = cells.get((math.floor(p.lat / self.cell_size), math.floor(p.lon / self.cell_size)))
+        radius_m = self.cell_size * METERS_PER_DEG
+        while not ids:
+            ids = [i for key in self._window(p, radius_m) for i in cells[key]]
+            radius_m *= 2.0
         return min(self._distances(_query_terms(p), ids))
 
     def nearest(self, p: GeoPoint) -> tuple[int, float]:
@@ -448,19 +443,6 @@ def _haversine_terms(lat1: float, cos1: float, lon1: float,
     s = math.sqrt(math.sin((lat2 - lat1) / 2.0) ** 2
                   + cos1 * cos2 * math.sin((lon2 - lon1) * _DEG / 2.0) ** 2)
     return _DIAMETER_M * math.asin(s if s < 1.0 else 1.0)
-
-
-def _ring_cells(center: tuple[int, int], ring: int):
-    r0, c0 = center
-    if ring == 0:
-        yield (r0, c0)
-        return
-    for c in range(c0 - ring, c0 + ring + 1):
-        yield (r0 - ring, c)
-        yield (r0 + ring, c)
-    for r in range(r0 - ring + 1, r0 + ring):
-        yield (r, c0 - ring)
-        yield (r, c0 + ring)
 
 
 def segment_reaches(lat, lon) -> array:

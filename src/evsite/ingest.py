@@ -348,8 +348,6 @@ def clean_trips(trips: list[TripRecord],
     inlined over the trip's columns, the very same doubles: radians(lat) and
     cos(lat) are taken once per fix. A trip that keeps every fix is passed
     on as it is; any other is rebuilt from the indices of the fixes kept."""
-    if max_speed_mps <= 0:
-        raise IngestError("max_speed_mps must be > 0")
     summary = CleaningSummary()
     out = []
     sin, cos, sqrt, asin = math.sin, math.cos, math.sqrt, math.asin
@@ -407,8 +405,6 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
     very same doubles. A stay's centroid is its mean latitude and _stay_lon.
     Ids are dense 0..n-1 in (trip_id, timestamp) order.
     """
-    if dwell_radius_m <= 0 or dwell_min_s <= 0:
-        raise IngestError("dwell parameters must be > 0")
     raw: list[tuple[str, int, int, float, float, str]] = []  # sort keys + payload
     sin, cos, sqrt, asin = math.sin, math.cos, math.sqrt, math.asin
     for trip in trips:

@@ -58,8 +58,6 @@ def snap(locations: list[GeoPoint], pois: PoiIndex, locator: RouteLocator,
     """(location, target, distance) for every location, parallel to the input
     list: the nearest POI within poi_snap_m, else the nearest route
     projection within route_snap_m, else unsnapped at the location itself."""
-    if poi_snap_m <= 0 or route_snap_m <= 0:
-        raise RecommendError("snap radii must be > 0")
     out = [(poi.location, f"poi:{poi.poi_id}", d) if poi is not None and d <= poi_snap_m
            else None for poi, d in pois.nearest_all(locations)]
     rest = [i for i, hit in enumerate(out) if hit is None]
@@ -73,8 +71,6 @@ def snap(locations: list[GeoPoint], pois: PoiIndex, locator: RouteLocator,
 def dedup(recs: list[Recommendation], stations: SpatialIndex,
           min_sep_m: float) -> list[Recommendation]:
     """Drop recommendations within min_sep_m (inclusive) of any indexed station."""
-    if min_sep_m < 0:
-        raise RecommendError("min_sep_m must be >= 0")
     kept = [r for r in recs if not stations.any_within(r.location, min_sep_m)]
     return sorted(kept, key=lambda r: r.rec_id)
 

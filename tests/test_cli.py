@@ -36,6 +36,13 @@ NUMERIC_KEYS = ([(name, key) for name, section in DEFAULTS.items()
                 + [("constraints", f.name) for f in fields(ConstraintConfig)])
 
 
+# (section, key, value) of each setting with a range, at a value it refuses
+OUT_OF_RANGE = [("cleaning", "max_speed_mps", 0), ("demand", "dwell_radius_m", 0),
+                ("demand", "dwell_min_s", 0), ("snap", "poi_snap_m", 0),
+                ("snap", "route_snap_m", 0), ("evaluate", "align_m", 0),
+                ("evaluate", "coverage_radius_m", 0), ("dedup", "min_sep_m", -1)]
+
+
 # JSON nested far deeper than the interpreter's recursion limit
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
@@ -75,9 +82,12 @@ class TestConfig:
         (lambda doc: doc.update(constraints={"base_minpts": 10.5}) or doc,
          "constraints.base_minpts"),
         (lambda doc: doc.update(workers=0) or doc, "workers"),
+        *[(lambda doc, s=s, k=k, v=v: doc[s].update({k: v}) or doc, f"{s}.{k}")
+          for s, k, v in OUT_OF_RANGE],
     ], ids=["root-number", "root-null", "snap-list", "constraints-string",
             "dedup-string", "layer-number", "workers-boolean", "snap-nan",
-            "dedup-nan", "evaluate-infinity", "constraints-fraction", "workers-zero"])
+            "dedup-nan", "evaluate-infinity", "constraints-fraction", "workers-zero",
+            *[f"{s}.{k}={v}" for s, k, v in OUT_OF_RANGE]])
     def test_malformed_config_exits_1(self, runner, scenario, edit, names):
         _, _, dirs = scenario
         doc = edit(default_config_dict(str(dirs["scenario"])))
@@ -85,6 +95,26 @@ class TestConfig:
         result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
         assert result.exit_code == 1, result.output
         assert names in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "recommend", "evaluate"])
+    def test_every_command_refuses_a_setting_out_of_range(self, runner, scenario, command):
+        _, _, dirs = scenario
+        doc = default_config_dict(str(dirs["scenario"]))
+        doc["snap"]["poi_snap_m"] = 0
+        dirs["config"].write_text(json.dumps(doc))
+        args = [command, "--config", str(dirs["config"])]
+        if command != "validate":
+            args += ["--out", str(dirs["tmp"] / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "config snap.poi_snap_m must be > 0, got 0.0" in result.output
+
+    def test_min_sep_zero_loads(self, scenario):
+        _, _, dirs = scenario
+        doc = default_config_dict(str(dirs["scenario"]))
+        doc["dedup"]["min_sep_m"] = 0
+        dirs["config"].write_text(json.dumps(doc))
+        assert load_config(dirs["config"]).min_sep_m == 0.0
 
     @pytest.mark.parametrize("section,key", NUMERIC_KEYS)
     @settings(max_examples=12, deadline=None,

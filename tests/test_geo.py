@@ -590,6 +590,52 @@ class TestNearestAll:
             index_of([], 0.01).nearest_all([GeoPoint(0, 0)])
 
 
+class TestNearestBound:
+    """nearest_bound is never below the nearest distance, and it sees across
+    the antimeridian."""
+
+    @pytest.mark.parametrize("lat_range,lon_range,cell", [
+        ((-34.0, -33.0), (150.0, 151.0), 0.02),
+        ((-1.0, 1.0), (179.9, 180.0), 0.01),      # either side of the antimeridian
+        ((89.9, 90.0), (-180.0, 180.0), 0.01),    # about the north pole
+        ((-90.0, 90.0), (-180.0, 180.0), 5.0),    # the whole globe, sparsely
+    ])
+    def test_bound_is_at_least_the_nearest_distance(self, lat_range, lon_range, cell):
+        rng = random.Random(41)
+
+        def point(widen):
+            lat = rng.uniform(*lat_range) + rng.uniform(-widen, widen)
+            lon = rng.uniform(*lon_range) * rng.choice((-1, 1))
+            return GeoPoint(max(-90.0, min(90.0, lat)), lon)
+
+        pts = [point(0.0) for _ in range(150)]
+        idx = index_of(pts, cell)
+        queries = [point(0.5) for _ in range(200)] + [GeoPoint(-p.lat, _wrap_lon(p.lon + 180.0))
+                                                      for p in pts[:20]]
+        empty = [q for q in queries
+                 if (math.floor(q.lat / cell), math.floor(q.lon / cell)) not in idx._cells]
+        assert empty
+        for q in queries:
+            assert idx.nearest_bound(q) >= idx.nearest(q)[1]
+
+    def test_one_point_from_its_antipode(self):
+        p = GeoPoint(-33.87, 151.21)
+        q = GeoPoint(33.87, 151.21 - 180.0)
+        idx = index_of([p], 0.01)
+        assert idx.nearest_bound(q) == idx.nearest(q)[1] == haversine_distance(q, p)
+
+    def test_bound_across_the_antimeridian_is_the_nearest_distance(self):
+        # the cells west of the query's are full, and the one nearest point
+        # lies one cell east of it, across +-180
+        rng = random.Random(5)
+        far = GeoPoint(0.0, -179.9995)
+        pts = [GeoPoint(rng.uniform(-1, 1), rng.uniform(179.90, 179.95)) for _ in range(400)]
+        idx = index_of(pts + [far], 0.01)
+        q = GeoPoint(0.0, 179.9995)
+        assert idx.nearest(q) == (400, haversine_distance(q, far))
+        assert idx.nearest(q)[1] <= idx.nearest_bound(q) <= haversine_distance(q, far)
+
+
 class TestSharedWindows:
     """any_within and claim_within share one window per (query cell, radius)
     from the pair's second query on. Here every cell is queried by many

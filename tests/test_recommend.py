@@ -125,10 +125,6 @@ class TestSnap:
         assert abs(d - want_d) < 1.0
         assert haversine_distance(got_loc, loc) == pytest.approx(d, abs=1.0)
 
-    def test_bad_radii(self):
-        with pytest.raises(RecommendError):
-            snap([GeoPoint(0, 0)], PoiIndex([]), RouteLocator([]), 0.0, 100.0)
-
     @staticmethod
     def _scan(p, pois, routes, poi_snap_m, route_snap_m):
         """snap's answer for one centre from every POI and every route: the
