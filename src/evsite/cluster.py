@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import AdjustedParams, ConstraintConfig, PointContext, adjust_params
+from .constraints import AdjustedParams
 from .geo import METERS_PER_DEG, SpatialIndex
 from .ingest import DemandPoint
 
@@ -45,11 +45,10 @@ class LgaClusterResult:
     per_point_params: tuple[AdjustedParams, ...]
 
 
-def dbscan_lga(points: list[DemandPoint], contexts: list[PointContext],
-               cfg: ConstraintConfig, lga_name: str = "") -> LgaClusterResult:
-    if len(points) != len(contexts):
-        raise ClusterError("points and contexts must be parallel")
-    params = [adjust_params(ctx, cfg) for ctx in contexts]
+def dbscan_lga(points: list[DemandPoint], params: list[AdjustedParams],
+               lga_name: str = "") -> LgaClusterResult:
+    if len(points) != len(params):
+        raise ClusterError("points and params must be parallel")
     # work in point-id order, so that index ids and visiting order follow
     # point ids
     order = sorted(range(len(points)), key=lambda i: points[i].point_id)
@@ -100,8 +99,7 @@ def dbscan_lga(points: list[DemandPoint], contexts: list[PointContext],
 
 
 def cluster_all(buckets: dict[str, list[DemandPoint]],
-                contexts: dict[str, list[PointContext]],
-                cfg: ConstraintConfig) -> list[LgaClusterResult]:
+                params: dict[str, list[AdjustedParams]]) -> list[LgaClusterResult]:
     """One independent clustering per LGA, returned sorted by name."""
-    return [dbscan_lga(buckets[name], contexts[name], cfg, lga_name=name)
+    return [dbscan_lga(buckets[name], params[name], lga_name=name)
             for name in sorted(buckets)]

@@ -18,14 +18,6 @@ class ConstraintError(ValueError):
 
 
 @dataclass(frozen=True)
-class PointContext:
-    altitude_m: float           # nan when no route exists
-    dist_poi_m: float           # inf when no POI
-    dist_route_m: float         # inf when no route
-    ffdi_delta: float | None    # None = missing
-
-
-@dataclass(frozen=True)
 class ConstraintConfig:
     base_eps_m: float = 800.0
     base_minpts: int = 10
@@ -49,10 +41,16 @@ class ConstraintConfig:
             raise ConstraintError("need base_minpts >= minpts_min >= 2")
         if not self.eps_min_m <= self.base_eps_m <= self.eps_max_m:
             raise ConstraintError("need eps_min_m <= base_eps_m <= eps_max_m")
-        for name in ("eps_factor_poi", "minpts_factor_poi", "minpts_factor_route",
-                     "minpts_factor_flood", "minpts_factor_fire"):
+        factors = ("minpts_factor_poi", "minpts_factor_route", "minpts_factor_flood",
+                   "minpts_factor_fire")
+        for name in ("eps_factor_poi", *factors):
             if getattr(self, name) <= 0:
                 raise ConstraintError(f"{name} must be > 0")
+        # the largest MinPts adjust_params can reach, its factors in the same
+        # order: a float product only grows with them, so finite here is finite there
+        if not math.isfinite(math.prod((max(1.0, getattr(self, name)) for name in factors),
+                                       start=float(self.base_minpts))):
+            raise ConstraintError(f"base_minpts times {', '.join(factors)} must stay finite")
 
 
 @dataclass(frozen=True)
@@ -217,15 +215,15 @@ class PoiIndex:
         return [(pois[j], d) for j, d in self._index.nearest_all(points)]
 
 
-def annotate_context(points: list[DemandPoint], pois: PoiIndex,
-                     routes: list[RouteRecord], grid: FireRiskGrid) -> list[PointContext]:
-    """Context for every demand point, parallel to the input list."""
+def annotate_context(points: list[DemandPoint], pois: PoiIndex, routes: list[RouteRecord],
+                     grid: FireRiskGrid, cfg: ConstraintConfig) -> list[AdjustedParams]:
+    """adjust_params for every demand point, parallel to the input list."""
     locations = [dp.location for dp in points]
     nearest_pois = pois.nearest_all(locations)
     located = RouteLocator(routes).locate_all(locations)
     out = []
     for p, (_, dist_poi), (_, dist_route, _, altitude) in zip(locations, nearest_pois, located):
-        out.append(PointContext(altitude, dist_poi, dist_route, lookup_ffdi(p, grid)))
+        out.append(adjust_params(altitude, dist_poi, dist_route, lookup_ffdi(p, grid), cfg))
     return out
 
 
@@ -237,7 +235,8 @@ def risk_flags(altitude_m: float, ffdi: float | None, flood_alt_m: float,
     return altitude_m < flood_alt_m, None if ffdi is None else ffdi >= ffdi_threshold
 
 
-def adjust_params(ctx: PointContext, cfg: ConstraintConfig) -> AdjustedParams:
+def adjust_params(altitude_m: float, dist_poi_m: float, dist_route_m: float,
+                  ffdi: float | None, cfg: ConstraintConfig) -> AdjustedParams:
     """Threshold-gated multiplicative adjustment with clamps.
 
     POI or route proximity eases cluster formation (tighter radius, lower
@@ -246,13 +245,12 @@ def adjust_params(ctx: PointContext, cfg: ConstraintConfig) -> AdjustedParams:
     """
     eps = cfg.base_eps_m
     m = float(cfg.base_minpts)
-    if ctx.dist_poi_m <= cfg.poi_near_m:
+    if dist_poi_m <= cfg.poi_near_m:
         eps *= cfg.eps_factor_poi
         m *= cfg.minpts_factor_poi
-    if ctx.dist_route_m <= cfg.route_near_m:
+    if dist_route_m <= cfg.route_near_m:
         m *= cfg.minpts_factor_route
-    flood, fire = risk_flags(ctx.altitude_m, ctx.ffdi_delta, cfg.flood_alt_m,
-                             cfg.ffdi_threshold)
+    flood, fire = risk_flags(altitude_m, ffdi, cfg.flood_alt_m, cfg.ffdi_threshold)
     if flood:
         m *= cfg.minpts_factor_flood
     if fire:

@@ -441,21 +441,28 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
 _FEATURE_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError)
 
 
-def _read_features(path, make, bad: list[str] | None = None) -> list:
+def _read_features(path, make, bad: list[str] | None = None,
+                   unique: str | None = None) -> list:
     """make(feature) for each feature of the FeatureCollection at path.
 
-    A feature that make cannot read raises IngestError naming path and
+    A feature that make cannot read, or whose property unique, as a string,
+    repeats an earlier feature's, raises IngestError naming path and
     feature, or, given a list bad, is dropped with that message appended to it.
     """
     doc = load_json(path)
     if (not isinstance(doc, dict) or doc.get("type") != "FeatureCollection"
             or not isinstance(doc.get("features"), list)):
         raise IngestError(f"{path}: not a GeoJSON FeatureCollection")
-    records = []
+    records, seen = [], set()
     for idx, feat in enumerate(doc["features"]):
         try:
             if not isinstance(feat, dict):
                 raise ValueError("not a GeoJSON Feature")
+            if unique is not None:
+                value = str(_prop(feat, unique))
+                if value in seen:
+                    raise ValueError(f"duplicate {unique} {shown(value)}")
+                seen.add(value)
             records.append(make(feat))
         except _FEATURE_ERRORS as e:
             if bad is None:
@@ -593,22 +600,19 @@ def _polygon(rings) -> Polygon:
 
 
 def load_lgas(path) -> list[LgaRecord]:
-    seen = set()
-
     def lga(feat: dict) -> LgaRecord:
         name = str(_prop(feat, "lga_name"))
-        if name in seen:
-            raise ValueError(f"duplicate lga_name {shown(name)}")
-        seen.add(name)
         coords = _geometry(feat, "Polygon", "MultiPolygon")
         polygons = [coords] if feat["geometry"]["type"] == "Polygon" else coords
         return LgaRecord(name, MultiPolygon(tuple(map(_polygon, polygons))))
-    return _read_features(path, lga)
+    return _read_features(path, lga, unique="lga_name")
 
 
 def load_pois(path) -> list[PoiRecord]:
+    # PoiIndex.categories is keyed by poi_id
     return _read_features(path, lambda feat: PoiRecord(
-        str(_prop(feat, "poi_id")), str(_prop(feat, "category")), _point(feat)))
+        str(_prop(feat, "poi_id")), str(_prop(feat, "category")), _point(feat)),
+        unique="poi_id")
 
 
 def load_stations(path) -> list[StationRecord]:

@@ -80,13 +80,12 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         [s.location.lat for s in layers.stations], [s.location.lon for s in layers.stations],
         max(cfg.min_sep_m, cfg.align_m, cfg.coverage_radius_m, 1.0) / METERS_PER_DEG)
 
-    contexts_all = constraints.annotate_context(
-        demand, poi_index, layers.routes, layers.fire_grid)
+    params = constraints.annotate_context(demand, poi_index, layers.routes, layers.fire_grid, c)
     # extract_demand_points numbers the points 0..n-1 in list order
     buckets = {name: [demand[i] for i in ids] for name, ids in bucket_ids.items()}
-    bucket_ctx = {name: [contexts_all[i] for i in ids] for name, ids in bucket_ids.items()}
+    bucket_params = {name: [params[i] for i in ids] for name, ids in bucket_ids.items()}
 
-    results = cluster.cluster_all(buckets, bucket_ctx, c)
+    results = cluster.cluster_all(buckets, bucket_params)
     recs_pre = recommend.propose_all(results, buckets, poi_index, layers.routes,
                                      cfg.poi_snap_m, cfg.route_snap_m, cfg.corridor_span_m)
     if cfg.dedup_enabled:

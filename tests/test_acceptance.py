@@ -18,7 +18,7 @@ import oracles
 from evsite.cli import main as cli_main
 from evsite.cluster import dbscan_lga
 from evsite.config import default_config_dict, load_config
-from evsite.constraints import ConstraintConfig, PointContext, RouteLocator, adjust_params
+from evsite.constraints import ConstraintConfig, RouteLocator, adjust_params
 from evsite.evaluate import coverage
 from evsite.export import export_map
 from evsite.geo import GeoPoint, MultiPolygon, Polygon, haversine_distance, point_in_polygon, project_to_polyline
@@ -38,10 +38,11 @@ def report(criterion: int, line: str):
     print(msg)
 
 
-def random_contexts(rng, n):
-    return [PointContext(rng.uniform(-10.0, 100.0), rng.uniform(0.0, 600.0),
-                         rng.uniform(0.0, 400.0),
-                         rng.choice([None, rng.uniform(0.0, 5.0)]))
+def random_params(rng, n, cfg):
+    """adjust_params at n random altitudes, POI and route distances and FFDIs."""
+    return [adjust_params(rng.uniform(-10.0, 100.0), rng.uniform(0.0, 600.0),
+                          rng.uniform(0.0, 400.0),
+                          rng.choice([None, rng.uniform(0.0, 5.0)]), cfg)
             for _ in range(n)]
 
 
@@ -77,12 +78,11 @@ def test_criterion_1_dbscan_oracle_equivalence():
     for seed in range(100):
         rng = random.Random(seed)
         pts = random_points(rng, 200)
-        ctx = random_contexts(rng, 200)
-        params = [adjust_params(c, cfg) for c in ctx]
+        params = random_params(rng, 200, cfg)
         coords = [(p.location.lat, p.location.lon) for p in pts]
         want, _ = oracles.brute_dbscan_per_point(
             coords, [pp.eps_m for pp in params], [pp.minpts for pp in params])
-        got = dbscan_lga(pts, ctx, cfg)
+        got = dbscan_lga(pts, params)
         assert (oracles.relabel_by_first_occurrence(list(got.assignment.labels))
                 == oracles.relabel_by_first_occurrence(want)), f"seed {seed}"
     elapsed = time.perf_counter() - t0
@@ -99,11 +99,11 @@ def test_criterion_2_neutral_config_degeneration():
     for seed in range(50):
         rng = random.Random(1000 + seed)
         pts = random_points(rng, 150)
-        ctx = random_contexts(rng, 150)
+        params = random_params(rng, 150, neutral)
         coords = [(p.location.lat, p.location.lon) for p in pts]
         want, n_want = oracles.textbook_dbscan(coords, neutral.base_eps_m,
                                                neutral.base_minpts)
-        got = dbscan_lga(pts, ctx, neutral)
+        got = dbscan_lga(pts, params)
         assert list(got.assignment.labels) == want, f"seed {seed}"
         assert got.assignment.cluster_count == n_want
     report(2, "neutral config equals textbook DBSCAN on 50 instances, exactly")

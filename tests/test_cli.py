@@ -42,6 +42,12 @@ OUT_OF_RANGE = [("cleaning", "max_speed_mps", 0), ("demand", "dwell_radius_m", 0
                 ("snap", "route_snap_m", 0), ("evaluate", "align_m", 0),
                 ("evaluate", "coverage_radius_m", 0), ("dedup", "min_sep_m", -1)]
 
+# constraints whose largest MinPts, base_minpts times every factor above 1,
+# is past the largest float
+MINPTS_OVERFLOW = [{"minpts_factor_poi": 1e308}, {"minpts_factor_route": 1e308},
+                   {"minpts_factor_flood": 1e308}, {"minpts_factor_fire": 1e308},
+                   {"base_minpts": 1e18, "minpts_factor_flood": 1e300}]
+
 
 # JSON nested far deeper than the interpreter's recursion limit
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -84,10 +90,14 @@ class TestConfig:
         (lambda doc: doc.update(workers=0) or doc, "workers"),
         *[(lambda doc, s=s, k=k, v=v: doc[s].update({k: v}) or doc, f"{s}.{k}")
           for s, k, v in OUT_OF_RANGE],
+        *[(lambda doc, c=c: doc["constraints"].update(c) or doc, "minpts_factor")
+          for c in MINPTS_OVERFLOW],
     ], ids=["root-number", "root-null", "snap-list", "constraints-string",
             "dedup-string", "layer-number", "workers-boolean", "snap-nan",
             "dedup-nan", "evaluate-infinity", "constraints-fraction", "workers-zero",
-            *[f"{s}.{k}={v}" for s, k, v in OUT_OF_RANGE]])
+            *[f"{s}.{k}={v}" for s, k, v in OUT_OF_RANGE],
+            *["minpts-" + "-".join(f"{k}={v}" for k, v in c.items())
+              for c in MINPTS_OVERFLOW]])
     def test_malformed_config_exits_1(self, runner, scenario, edit, names):
         _, _, dirs = scenario
         doc = edit(default_config_dict(str(dirs["scenario"])))
@@ -108,6 +118,19 @@ class TestConfig:
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert "config snap.poi_snap_m must be > 0, got 0.0" in result.output
+
+    @pytest.mark.parametrize("command", ["validate", "recommend", "evaluate"])
+    def test_every_command_refuses_a_minpts_past_the_floats(self, runner, scenario, command):
+        _, _, dirs = scenario
+        doc = default_config_dict(str(dirs["scenario"]))
+        doc["constraints"]["minpts_factor_flood"] = 1e308
+        dirs["config"].write_text(json.dumps(doc))
+        args = [command, "--config", str(dirs["config"])]
+        if command != "validate":
+            args += ["--out", str(dirs["tmp"] / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "invalid constraints: base_minpts times minpts_factor_poi" in result.output
 
     def test_min_sep_zero_loads(self, scenario):
         _, _, dirs = scenario
@@ -211,6 +234,19 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
         assert result.exit_code == 1
         assert "feature 0" in result.output
+
+    @pytest.mark.parametrize("layer,key", [("pois.geojson", "poi_id"),
+                                           ("lgas.geojson", "lga_name")])
+    def test_repeated_id_exits_1_naming_the_file_and_feature(self, runner, scenario,
+                                                              layer, key):
+        _, _, dirs = scenario
+        path = dirs["scenario"] / layer
+        doc = json.loads(path.read_text())
+        doc["features"][1]["properties"][key] = doc["features"][0]["properties"][key]
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
+        assert result.exit_code == 1, result.output
+        assert f"{layer}: feature 1: duplicate {key} " in result.output
 
     @pytest.mark.parametrize("layer,edit", [
         ("stations.geojson", lambda g: g.pop("coordinates")),

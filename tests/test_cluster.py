@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from evsite.cluster import NOISE, ClusterError, cluster_all, dbscan_lga
-from evsite.constraints import ConstraintConfig, PointContext, adjust_params
+from evsite.constraints import AdjustedParams, ConstraintConfig, adjust_params
 from evsite.geo import METERS_PER_DEG, GeoPoint
 from evsite.ingest import DemandPoint
 
@@ -14,7 +14,8 @@ NEUTRAL = ConstraintConfig(eps_factor_poi=1.0, minpts_factor_poi=1.0,
                            minpts_factor_route=1.0, minpts_factor_flood=1.0,
                            minpts_factor_fire=1.0)
 
-FAR_CTX = PointContext(100.0, math.inf, math.inf, None)
+# what adjust_params gives every point under NEUTRAL
+BASE = AdjustedParams(NEUTRAL.base_eps_m, NEUTRAL.base_minpts)
 
 
 def demand(points, start_id=0):
@@ -30,31 +31,27 @@ def random_cloud(rng, n, box_km=10.0):
 
 class TestDbscanLga:
     def test_three_coincident_points_one_cluster(self):
-        cfg = ConstraintConfig(base_minpts=2, minpts_min=2,
-                               eps_factor_poi=1.0, minpts_factor_poi=1.0,
-                               minpts_factor_route=1.0, minpts_factor_flood=1.0,
-                               minpts_factor_fire=1.0)
         pts = demand([(-33.5, 150.5)] * 3)
-        result = dbscan_lga(pts, [FAR_CTX] * 3, cfg)
+        result = dbscan_lga(pts, [AdjustedParams(800.0, 2)] * 3)
         assert result.assignment.labels == (0, 0, 0)
         assert result.assignment.cluster_count == 1
 
     def test_far_apart_all_noise(self):
         pts = demand([(-33.0, 150.0), (-33.5, 150.5), (-34.0, 151.0)])
-        result = dbscan_lga(pts, [FAR_CTX] * 3, NEUTRAL)
+        result = dbscan_lga(pts, [BASE] * 3)
         assert result.assignment.labels == (NOISE, NOISE, NOISE)
         assert result.assignment.cluster_count == 0
 
     def test_length_mismatch_errors(self):
         with pytest.raises(ClusterError):
-            dbscan_lga(demand([(-33.5, 150.5)] * 2), [FAR_CTX], NEUTRAL)
+            dbscan_lga(demand([(-33.5, 150.5)] * 2), [BASE])
 
     def test_neutral_matches_textbook_oracle(self):
         for seed in range(50):
             rng = random.Random(1000 + seed)
             coords = random_cloud(rng, 80, box_km=8.0)
             pts = demand(coords)
-            result = dbscan_lga(pts, [FAR_CTX] * len(pts), NEUTRAL)
+            result = dbscan_lga(pts, [BASE] * len(pts))
             want, want_c = oracles.textbook_dbscan(coords, NEUTRAL.base_eps_m,
                                                    NEUTRAL.base_minpts)
             got = oracles.relabel_by_first_occurrence(result.assignment.labels)
@@ -67,15 +64,14 @@ class TestDbscanLga:
             coords = random_cloud(rng, 100, box_km=10.0)
             pts = demand(coords)
             # random contexts so per-point factors actually vary
-            contexts = [PointContext(rng.uniform(0, 100),
-                                     rng.choice([rng.uniform(0, 400), math.inf]),
-                                     rng.choice([rng.uniform(0, 400), math.inf]),
-                                     rng.choice([None, rng.uniform(0, 5)]))
+            contexts = [(rng.uniform(0, 100),
+                         rng.choice([rng.uniform(0, 400), math.inf]),
+                         rng.choice([rng.uniform(0, 400), math.inf]),
+                         rng.choice([None, rng.uniform(0, 5)]))
                         for _ in coords]
             cfg = ConstraintConfig()
-            result = dbscan_lga(pts, contexts, cfg)
-            from evsite.constraints import adjust_params
-            params = [adjust_params(ctx, cfg) for ctx in contexts]
+            params = [adjust_params(*ctx, cfg) for ctx in contexts]
+            result = dbscan_lga(pts, params)
             want, _ = oracles.brute_dbscan_per_point(
                 coords, [p.eps_m for p in params], [p.minpts for p in params])
             assert (oracles.relabel_by_first_occurrence(result.assignment.labels)
@@ -85,12 +81,12 @@ class TestDbscanLga:
         rng = random.Random(17)
         coords = random_cloud(rng, 60)
         pts = demand(coords)
-        base = dbscan_lga(pts, [FAR_CTX] * len(pts), NEUTRAL)
+        base = dbscan_lga(pts, [BASE] * len(pts))
         by_id = {dp.point_id: lab for dp, lab in zip(pts, base.assignment.labels)}
         order = list(range(len(pts)))
         rng.shuffle(order)
         shuffled = [pts[i] for i in order]
-        got = dbscan_lga(shuffled, [FAR_CTX] * len(pts), NEUTRAL)
+        got = dbscan_lga(shuffled, [BASE] * len(pts))
         assert {dp.point_id: lab for dp, lab in
                 zip(shuffled, got.assignment.labels)} == by_id
 
@@ -98,7 +94,7 @@ class TestDbscanLga:
         rng = random.Random(18)
         coords = random_cloud(rng, 150)
         pts = demand(coords)
-        result = dbscan_lga(pts, [FAR_CTX] * len(pts), NEUTRAL)
+        result = dbscan_lga(pts, [BASE] * len(pts))
         labels = result.assignment.labels
         n_clusters = result.assignment.cluster_count
         assert all(lab == NOISE or 0 <= lab < n_clusters for lab in labels)
@@ -140,13 +136,13 @@ class TestDbscanLga:
         ids = rng.sample(range(100_000), len(coords))
         pts = [DemandPoint(pid, GeoPoint(lat, lon), "t", "origin")
                for pid, (lat, lon) in zip(ids, coords)]
-        contexts = [PointContext(rng.uniform(0, 20),
-                                 rng.uniform(0, 300) if rng.random() < 0.8 else math.inf,
-                                 rng.choice([rng.uniform(0, 400), math.inf]),
-                                 rng.choice([None, rng.uniform(0, 5)]))
+        contexts = [(rng.uniform(0, 20),
+                     rng.uniform(0, 300) if rng.random() < 0.8 else math.inf,
+                     rng.choice([rng.uniform(0, 400), math.inf]),
+                     rng.choice([None, rng.uniform(0, 5)]))
                     for _ in pts]
-        result = dbscan_lga(pts, contexts, cfg)
-        params = [adjust_params(ctx, cfg) for ctx in contexts]
+        params = [adjust_params(*ctx, cfg) for ctx in contexts]
+        result = dbscan_lga(pts, params)
         assert result.per_point_params == tuple(params)
         # the oracle visits in index order: hand it the points by id
         by_id = sorted(range(len(pts)), key=lambda k: pts[k].point_id)
@@ -166,9 +162,6 @@ class TestDbscanLga:
         # query a cell that an earlier step queried at the same eps. A point
         # has about 26 others within eps, so one point missed can change
         # whether it is core. At 70 N the square straddles the antimeridian.
-        cfg = ConstraintConfig(base_eps_m=100.0, base_minpts=minpts, eps_factor_poi=1.0,
-                               minpts_factor_poi=1.0, minpts_factor_route=1.0,
-                               minpts_factor_flood=1.0, minpts_factor_fire=1.0)
         rng = random.Random(minpts)
         m_lon = METERS_PER_DEG * math.cos(math.radians(lat0))
         coords = []
@@ -181,7 +174,7 @@ class TestDbscanLga:
         per_cell = Counter((math.floor(lat / cell), math.floor(lon / cell))
                            for lat, lon in coords)
         assert sum(n for n in per_cell.values() if n >= 2) >= len(coords) / 3
-        result = dbscan_lga(demand(coords), [FAR_CTX] * len(coords), cfg)
+        result = dbscan_lga(demand(coords), [AdjustedParams(100.0, minpts)] * len(coords))
         want, want_c = oracles.brute_dbscan_per_point(
             coords, [100.0] * len(coords), [minpts] * len(coords))
         assert list(result.assignment.labels) == want
@@ -195,12 +188,11 @@ class TestDbscanLga:
         cfg = ConstraintConfig(base_eps_m=400.0, eps_factor_poi=0.25, base_minpts=4,
                                minpts_factor_poi=1.0, minpts_factor_route=1.0,
                                minpts_factor_flood=1.0, minpts_factor_fire=1.0)
-        near_poi = PointContext(100.0, 0.0, math.inf, None)
+        near_poi, far = (100.0, 0.0, math.inf, None), (100.0, math.inf, math.inf, None)
         north_m = [0.0, 10.0, 20.0, 30.0, 250.0, 600.0]
         coords = [(-33.5 + m / METERS_PER_DEG, 150.5) for m in north_m]
-        contexts = [near_poi] * 4 + [FAR_CTX, near_poi]
-        result = dbscan_lga(demand(coords), contexts, cfg)
-        params = [adjust_params(ctx, cfg) for ctx in contexts]
+        params = [adjust_params(*ctx, cfg) for ctx in [near_poi] * 4 + [far, near_poi]]
+        result = dbscan_lga(demand(coords), params)
         want, want_c = oracles.brute_dbscan_per_point(
             coords, [p.eps_m for p in params], [p.minpts for p in params])
         assert want == [0, 0, 0, 0, 1, 1]
@@ -213,13 +205,12 @@ class TestClusterAll:
         blob_a = demand([(-33.5, 150.5)] * 12, start_id=0)
         blob_b = demand([(-34.5, 151.5)] * 12, start_id=12)
         buckets = {"A": blob_a, "B": blob_b}
-        ctx = {"A": [FAR_CTX] * 12, "B": [FAR_CTX] * 12}
-        results = cluster_all(buckets, ctx, NEUTRAL)
+        results = cluster_all(buckets, {"A": [BASE] * 12, "B": [BASE] * 12})
         assert [r.lga_name for r in results] == ["A", "B"]
         assert all(r.assignment.cluster_count == 1 for r in results)
 
     def test_empty_bucket(self):
-        results = cluster_all({"A": []}, {"A": []}, NEUTRAL)
+        results = cluster_all({"A": []}, {"A": []})
         assert results[0].assignment.cluster_count == 0
         assert results[0].assignment.labels == ()
 
@@ -233,8 +224,7 @@ class TestClusterAll:
         in_a = [dp for dp in pts if dp.location.lon < 150.52]
         in_b = [dp for dp in pts if dp.location.lon >= 150.52]
         buckets = {"A": in_a, "B": in_b}
-        ctx = {"A": [FAR_CTX] * len(in_a), "B": [FAR_CTX] * len(in_b)}
-        results = cluster_all(buckets, ctx, NEUTRAL)
+        results = cluster_all(buckets, {"A": [BASE] * len(in_a), "B": [BASE] * len(in_b)})
         seen = {}
         for r in results:
             for dp, lab in zip(buckets[r.lga_name], r.assignment.labels):

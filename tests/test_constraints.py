@@ -11,7 +11,6 @@ from evsite.constraints import (
     ConstraintConfig,
     ConstraintError,
     PoiIndex,
-    PointContext,
     RouteLocator,
     adjust_params,
     annotate_context,
@@ -115,27 +114,43 @@ class TestLookupFfdi:
 
 
 class TestAnnotateContext:
+    """The distances annotate_context reads, as PoiIndex.nearest_all and
+    RouteLocator.locate_all give them, and the parameters it makes of them."""
+
     def test_point_on_poi_and_route(self):
         loc = GeoPoint(-33.5, 150.5)
         pois = [PoiRecord("p1", "fuel", loc)]
         routes = [make_route("r1", [(-33.5, 150.0, 10.0), (-33.5, 151.0, 20.0)])]
-        ctx, = annotate_context([DemandPoint(0, loc, "t", "origin")],
-                                PoiIndex(pois), routes, NO_FIRE)
-        assert ctx.dist_poi_m == 0.0
-        assert ctx.dist_route_m < 1e-6
-        assert ctx.ffdi_delta is None
+        (_, dist_poi), = PoiIndex(pois).nearest_all([loc])
+        (_, dist_route, _, altitude), = RouteLocator(routes).locate_all([loc])
+        assert dist_poi == 0.0
+        assert dist_route < 1e-6
+        assert lookup_ffdi(loc, NO_FIRE) is None
+        cfg = ConstraintConfig()
+        assert annotate_context([DemandPoint(0, loc, "t", "origin")], PoiIndex(pois),
+                                routes, NO_FIRE, cfg) == [
+            adjust_params(altitude, 0.0, dist_route, None, cfg)]
 
     def test_empty_poi_layer(self):
+        loc = GeoPoint(-33.5, 150.5)
         routes = [make_route("r1", [(-33.5, 150.0, 10.0), (-33.5, 151.0, 20.0)])]
-        ctx, = annotate_context([DemandPoint(0, GeoPoint(-33.5, 150.5), "t", "origin")],
-                                PoiIndex([]), routes, NO_FIRE)
-        assert ctx.dist_poi_m == math.inf
+        assert PoiIndex([]).nearest_all([loc]) == [(None, math.inf)]
+        (_, dist_route, _, altitude), = RouteLocator(routes).locate_all([loc])
+        cfg = ConstraintConfig()
+        assert annotate_context([DemandPoint(0, loc, "t", "origin")], PoiIndex([]),
+                                routes, NO_FIRE, cfg) == [
+            adjust_params(altitude, math.inf, dist_route, None, cfg)]
 
     def test_no_routes_gives_inf_and_nan(self):
-        ctx, = annotate_context([DemandPoint(0, GeoPoint(-33.5, 150.5), "t", "origin")],
-                                PoiIndex([]), [], NO_FIRE)
-        assert ctx.dist_route_m == math.inf
-        assert math.isnan(ctx.altitude_m)
+        loc = GeoPoint(-33.5, 150.5)
+        (_, dist_route, _, altitude), = RouteLocator([]).locate_all([loc])
+        assert dist_route == math.inf
+        assert math.isnan(altitude)
+        # a flood factor that would show if a NaN altitude counted as low
+        cfg = ConstraintConfig(flood_alt_m=1e9, minpts_factor_flood=7.0)
+        assert annotate_context([DemandPoint(0, loc, "t", "origin")], PoiIndex([]), [],
+                                NO_FIRE, cfg) == [AdjustedParams(cfg.base_eps_m,
+                                                                 cfg.base_minpts)]
 
     def test_scenario_matches_brute_force(self):
         rng = random.Random(13)
@@ -148,26 +163,31 @@ class TestAnnotateContext:
                   for r in range(4)]
         cells = tuple(rng.uniform(0, 5) for _ in range(100))
         grid = FireRiskGrid(BoundingBox(-34, 150, -33, 151), 10, 10, cells)
-        points = [DemandPoint(i, GeoPoint(rng.uniform(-34, -33),
-                                          rng.uniform(150, 151)), "t", "origin")
-                  for i in range(50)]
-        contexts = annotate_context(points, PoiIndex(pois), routes, grid)
-        for dp, ctx in zip(points, contexts):
-            lat, lon = dp.location.lat, dp.location.lon
-            want_poi = min(oracles.haversine_oracle(lat, lon, p.location.lat,
-                                                    p.location.lon) for p in pois)
-            assert ctx.dist_poi_m == pytest.approx(want_poi)
+        locations = [GeoPoint(rng.uniform(-34, -33), rng.uniform(150, 151))
+                     for _ in range(50)]
+        nearest = PoiIndex(pois).nearest_all(locations)
+        located = RouteLocator(routes).locate_all(locations)
+        for p, (_, dist_poi), (_, dist_route, _, altitude) in zip(locations, nearest, located):
+            lat, lon = p.lat, p.lon
+            want_poi = min(oracles.haversine_oracle(lat, lon, q.location.lat,
+                                                    q.location.lon) for q in pois)
+            assert dist_poi == pytest.approx(want_poi)
             want_route = min(
                 oracles.dense_projection(lat, lon,
                                          [(v.lat, v.lon) for v in vertices_of(r)],
                                          samples_per_segment=3000)[1]
                 for r in routes)
-            assert abs(ctx.dist_route_m - want_route) < 2.0
+            assert abs(dist_route - want_route) < 2.0
             alt_coords = [(v.lat, v.lon) for r in routes for v in vertices_of(r)]
             alt_values = [a for r in routes for a in r.altitudes]
             want_alt = alt_values[oracles.linear_nearest(alt_coords, lat, lon)[0]]
-            assert ctx.altitude_m == want_alt
-            assert ctx.ffdi_delta == lookup_ffdi(dp.location, grid)
+            assert altitude == want_alt
+        cfg = ConstraintConfig()
+        points = [DemandPoint(i, p, "t", "origin") for i, p in enumerate(locations)]
+        assert annotate_context(points, PoiIndex(pois), routes, grid, cfg) == [
+            adjust_params(altitude, dist_poi, dist_route, lookup_ffdi(p, grid), cfg)
+            for p, (_, dist_poi), (_, dist_route, _, altitude)
+            in zip(locations, nearest, located)]
 
     @pytest.mark.parametrize("n_pois,span_deg", [(64, 2.0), (1, 0.0)])
     def test_poi_distance_is_the_exact_minimum(self, n_pois, span_deg):
@@ -179,44 +199,74 @@ class TestAnnotateContext:
         locations = [GeoPoint(rng.uniform(-36.0, -30.0), rng.uniform(148.0, 154.0))
                      for _ in range(200)]
         locations += [poi.location for poi in pois[:3]]
-        points = [DemandPoint(i, loc, "t", "origin") for i, loc in enumerate(locations)]
-        contexts = annotate_context(points, PoiIndex(pois), [], NO_FIRE)
-        for dp, ctx in zip(points, contexts):
-            assert ctx.dist_poi_m == min(haversine_distance(dp.location, poi.location)
-                                         for poi in pois)
+        for p, (_, dist_poi) in zip(locations, PoiIndex(pois).nearest_all(locations)):
+            assert dist_poi == min(haversine_distance(p, poi.location) for poi in pois)
+
+    def test_params_match_brute_force(self):
+        # thresholds that split the points, and factors that tell apart which
+        # rules applied: every branch of adjust_params fires
+        cfg = ConstraintConfig(base_minpts=20, poi_near_m=8000.0, route_near_m=3000.0,
+                               eps_factor_poi=0.5, minpts_factor_poi=0.7,
+                               minpts_factor_route=0.9, flood_alt_m=50.0,
+                               minpts_factor_flood=3.0, ffdi_threshold=2.5,
+                               minpts_factor_fire=5.0)
+        rng = random.Random(26)
+        pois = [PoiRecord(f"p{i}", "fuel",
+                          GeoPoint(rng.uniform(-34, -33), rng.uniform(150, 151)))
+                for i in range(10)]
+        routes = [make_route(f"r{r}",
+                             [(rng.uniform(-34, -33), rng.uniform(150, 151),
+                               rng.uniform(0, 100)) for _ in range(8)])
+                  for r in range(8)]
+        # the grid covers the southern half, with some null cells
+        grid = FireRiskGrid(BoundingBox(-34, 150, -33.5, 151), 10, 10,
+                            tuple(None if rng.random() < 0.2 else rng.uniform(0, 5)
+                                  for _ in range(100)))
+        locations = [GeoPoint(rng.uniform(-34, -33), rng.uniform(150, 151))
+                     for _ in range(200)] + [poi.location for poi in pois[:3]]
+        points = [DemandPoint(i, p, "t", "origin") for i, p in enumerate(locations)]
+        want, branches = [], set()
+        for p in locations:
+            alt = oracles.nearest_vertex_altitude(p.lat, p.lon, routes)
+            d_poi = min(haversine_distance(p, q.location) for q in pois)
+            d_route = TestRouteLocator._full_scan(p, routes)[1]
+            ffdi = lookup_ffdi(p, grid)
+            want.append(adjust_params(alt, d_poi, d_route, ffdi, cfg))
+            branches.add((d_poi <= cfg.poi_near_m, d_route <= cfg.route_near_m,
+                          *risk_flags(alt, ffdi, cfg.flood_alt_m, cfg.ffdi_threshold)))
+        assert annotate_context(points, PoiIndex(pois), routes, grid, cfg) == want
+        for k, values in enumerate([{True, False}] * 3 + [{True, False, None}]):
+            assert {b[k] for b in branches} == values
 
 
 class TestAdjustParams:
     def test_far_from_everything_is_identity(self):
         cfg = ConstraintConfig()
-        ctx = PointContext(100.0, math.inf, math.inf, 0.0)
-        assert adjust_params(ctx, cfg) == AdjustedParams(cfg.base_eps_m,
-                                                         cfg.base_minpts)
+        assert adjust_params(100.0, math.inf, math.inf, 0.0, cfg) == AdjustedParams(
+            cfg.base_eps_m, cfg.base_minpts)
 
     def test_neutral_config_is_constant(self):
         rng = random.Random(14)
         for _ in range(50):
-            ctx = PointContext(rng.uniform(-50, 500),
-                               rng.choice([rng.uniform(0, 5000), math.inf]),
-                               rng.choice([rng.uniform(0, 5000), math.inf]),
-                               rng.choice([None, rng.uniform(0, 5)]))
-            assert adjust_params(ctx, NEUTRAL) == AdjustedParams(
+            ctx = (rng.uniform(-50, 500),
+                   rng.choice([rng.uniform(0, 5000), math.inf]),
+                   rng.choice([rng.uniform(0, 5000), math.inf]),
+                   rng.choice([None, rng.uniform(0, 5)]))
+            assert adjust_params(*ctx, NEUTRAL) == AdjustedParams(
                 NEUTRAL.base_eps_m, NEUTRAL.base_minpts)
 
     def test_default_worked_example(self):
         # base_eps 800 * 0.75 = 600; minpts = max(2, ceil(10*0.6*0.8*1.5)) = 8
         cfg = ConstraintConfig()
-        ctx = PointContext(altitude_m=2.0, dist_poi_m=50.0, dist_route_m=10.0,
-                           ffdi_delta=cfg.ffdi_threshold - 1.0)
-        got = adjust_params(ctx, cfg)
+        got = adjust_params(altitude_m=2.0, dist_poi_m=50.0, dist_route_m=10.0,
+                            ffdi=cfg.ffdi_threshold - 1.0, cfg=cfg)
         assert got == AdjustedParams(600.0, 8)
         assert math.ceil(10 * 0.6 * 0.8 * 1.5) == 8  # arithmetic cross-check
 
     def test_clamps_hold_for_extreme_factors(self):
         cfg = ConstraintConfig(eps_factor_poi=0.001, minpts_factor_poi=0.0001,
                                eps_min_m=200.0, eps_max_m=1000.0)
-        ctx = PointContext(50.0, 0.0, 0.0, None)
-        got = adjust_params(ctx, cfg)
+        got = adjust_params(50.0, 0.0, 0.0, None, cfg)
         assert got.eps_m == 200.0
         assert got.minpts == cfg.minpts_min
 
@@ -224,27 +274,25 @@ class TestAdjustParams:
         rng = random.Random(15)
         cfg = ConstraintConfig(minpts_factor_flood=3.0, minpts_factor_fire=4.0)
         for _ in range(200):
-            ctx = PointContext(rng.uniform(-100, 1000),
-                               rng.choice([rng.uniform(0, 2000), math.inf]),
-                               rng.choice([rng.uniform(0, 2000), math.inf]),
-                               rng.choice([None, rng.uniform(0, 10)]))
-            got = adjust_params(ctx, cfg)
+            ctx = (rng.uniform(-100, 1000),
+                   rng.choice([rng.uniform(0, 2000), math.inf]),
+                   rng.choice([rng.uniform(0, 2000), math.inf]),
+                   rng.choice([None, rng.uniform(0, 10)]))
+            got = adjust_params(*ctx, cfg)
             assert cfg.eps_min_m <= got.eps_m <= cfg.eps_max_m
             assert got.minpts >= cfg.minpts_min
 
     def test_fire_factor_monotone(self):
-        ctx = PointContext(100.0, math.inf, math.inf, 5.0)
         prev = 0
         for factor in (1.0, 1.2, 1.5, 2.0, 3.0):
             cfg = ConstraintConfig(minpts_factor_fire=factor)
-            got = adjust_params(ctx, cfg)
+            got = adjust_params(100.0, math.inf, math.inf, 5.0, cfg)
             assert got.minpts >= prev
             prev = got.minpts
 
     def test_missing_ffdi_skips_fire_rule(self):
         cfg = ConstraintConfig(minpts_factor_fire=5.0)
-        ctx = PointContext(100.0, math.inf, math.inf, None)
-        assert adjust_params(ctx, cfg).minpts == cfg.base_minpts
+        assert adjust_params(100.0, math.inf, math.inf, None, cfg).minpts == cfg.base_minpts
 
     # factors whose products tell apart which of the two applied
     RISK = ConstraintConfig(minpts_factor_flood=3.0, minpts_factor_fire=5.0)
@@ -263,8 +311,7 @@ class TestAdjustParams:
         assert (flood, fire) == flags
         want = (cfg.base_minpts * (cfg.minpts_factor_flood if flood else 1.0)
                 * (cfg.minpts_factor_fire if fire else 1.0))
-        ctx = PointContext(altitude, math.inf, math.inf, ffdi)
-        assert adjust_params(ctx, cfg).minpts == math.ceil(want)
+        assert adjust_params(altitude, math.inf, math.inf, ffdi, cfg).minpts == math.ceil(want)
 
     def test_config_invariants_enforced(self):
         with pytest.raises(ConstraintError):
@@ -275,6 +322,21 @@ class TestAdjustParams:
             ConstraintConfig(eps_min_m=900.0, base_eps_m=800.0)
         with pytest.raises(ConstraintError):
             ConstraintConfig(minpts_factor_fire=0.0)
+
+    @pytest.mark.parametrize("values", [
+        {"minpts_factor_poi": 1e308}, {"minpts_factor_route": 1e308},
+        {"minpts_factor_flood": 1e308}, {"minpts_factor_fire": 1e308},
+        {"base_minpts": 10**18, "minpts_factor_flood": 1e300},
+    ])
+    def test_minpts_product_past_the_floats_is_refused(self, values):
+        with pytest.raises(ConstraintError, match="base_minpts times minpts_factor"):
+            ConstraintConfig(**values)
+
+    def test_largest_minpts_a_config_allows_is_an_integer(self):
+        # flood and fire both apply: 10 * 1e300 * 1.5
+        cfg = ConstraintConfig(minpts_factor_flood=1e300)
+        got = adjust_params(0.0, math.inf, math.inf, 5.0, cfg)
+        assert got.minpts == math.ceil(10 * 1e300 * 1.5)
 
 
 class TestRouteLocator:
@@ -292,7 +354,8 @@ class TestRouteLocator:
             want = min(project_to_polyline(p, vertices_of(r))[1] for r in routes)
             assert got == pytest.approx(want, abs=1e-9)
 
-    def _full_scan(self, p, routes):
+    @staticmethod
+    def _full_scan(p, routes):
         """locate's answer from every segment of every route, unpruned: the
         nearest vertex first, then each segment in route-id order, replacing
         on a shorter distance or an equal one from a smaller route id."""
@@ -480,9 +543,9 @@ class TestRouteLocator:
             assert (d, poi.poi_id) == min((haversine_distance(p, q.location), q.poi_id)
                                           for q in pois)
         points = [DemandPoint(i, p, "t", "origin") for i, p in enumerate(locations)]
-        contexts = annotate_context(points, PoiIndex(pois), routes, NO_FIRE)
-        assert [(c.dist_route_m, c.altitude_m, c.dist_poi_m) for c in contexts] == [
-            (d, altitude, dist_poi)
+        cfg = ConstraintConfig()
+        assert annotate_context(points, PoiIndex(pois), routes, NO_FIRE, cfg) == [
+            adjust_params(altitude, dist_poi, d, None, cfg)
             for (_, d, _, altitude), (_, dist_poi) in zip(located, nearest)]
 
     def test_cell_straddling_a_spur_end_matches_full_scan(self):

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from evsite.cluster import dbscan_lga
-from evsite.constraints import ConstraintConfig, PoiIndex, PointContext, RouteLocator, risk_flags
+from evsite.constraints import AdjustedParams, PoiIndex, RouteLocator, risk_flags
 from evsite.geo import (
     _GROUP_CELL_DEG,
     METERS_PER_DEG,
@@ -258,7 +258,8 @@ class TestAnnotateRisk:
 
 
 class TestProposeAll:
-    CFG = ConstraintConfig(base_minpts=5)
+    # what adjust_params gives a point far from everything at base_minpts 5
+    PARAMS = AdjustedParams(800.0, 5)
 
     def _blob(self, center, n=12, start_id=0):
         rng = random.Random(24)
@@ -268,8 +269,7 @@ class TestProposeAll:
                             "t", "origin") for i in range(n)]
 
     def _cluster(self, pts):
-        ctx = [PointContext(50.0, math.inf, math.inf, None) for _ in pts]
-        return dbscan_lga(pts, ctx, self.CFG, lga_name="A")
+        return dbscan_lga(pts, [self.PARAMS] * len(pts), lga_name="A")
 
     def test_blob_at_fuel_poi_yields_one_fast_rec(self):
         center = GeoPoint(-33.5, 150.5)
@@ -318,8 +318,7 @@ class TestProposeAll:
                                                                 start_id=50)
         pts_b = self._blob(GeoPoint(-33.2, 150.2), start_id=100)
         results = [self._cluster(pts_a),
-                   dbscan_lga(pts_b, [PointContext(50.0, math.inf, math.inf, None)] * 12,
-                              self.CFG, lga_name="B")]
+                   dbscan_lga(pts_b, [self.PARAMS] * 12, lga_name="B")]
         recs = propose_all(results, {"A": pts_a, "B": pts_b},
                            PoiIndex([PoiRecord("p1", "fuel", GeoPoint(-33.5, 150.5))]),
                            [], 300.0, 1000.0, 10000.0)
