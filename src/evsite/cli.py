@@ -14,26 +14,21 @@ import click
 
 from . import export, pipeline, synth
 from .config import load_config
-from .ingest import load_json
+from .ingest import InputError, load_json
 
-EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 
 
-def _fail_input(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_INPUT)
-
-
 def _guarded(fn):
-    """Map input errors to exit 1 and anything unexpected to exit 2. Every
-    input error class is a ValueError; a file that cannot be read raises
-    OSError."""
+    """Map input errors to exit 1 and anything else to exit 2: an input the
+    user can mend raises InputError, and a file that cannot be read OSError.
+    Any other exception, a builtin ValueError among them, is a fault in the code."""
     try:
         return fn()
-    except (OSError, ValueError) as e:
-        _fail_input(str(e))
+    except (OSError, InputError) as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(EXIT_INPUT)
     except Exception as e:  # noqa: BLE001 - exit-code contract
         click.echo(f"internal error: {e}", err=True)
         sys.exit(EXIT_INTERNAL)
@@ -108,8 +103,8 @@ def synth_cmd(spec_path, out_dir):
         doc = load_json(spec_path)
         try:
             spec = synth.ScenarioSpec.from_dict(doc)
-        except ValueError as e:
-            raise ValueError(f"{spec_path}: {e}") from e
+        except InputError as e:
+            raise InputError(f"{spec_path}: {e}") from e
         manifest = synth.generate(spec, out_dir)
         click.echo(json.dumps(manifest.layer_counts, sort_keys=True))
     _guarded(run)

@@ -28,10 +28,6 @@ from .ingest import DemandPoint
 NOISE = -1
 
 
-class ClusterError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ClusterAssignment:
     labels: tuple[int, ...]  # NOISE or 0..cluster_count-1, parallel to points
@@ -48,15 +44,16 @@ class LgaClusterResult:
 def dbscan_lga(points: list[DemandPoint], params: list[AdjustedParams],
                lga_name: str = "") -> LgaClusterResult:
     if len(points) != len(params):
-        raise ClusterError("points and params must be parallel")
+        raise ValueError("points and params must be parallel")
     # work in point-id order, so that index ids and visiting order follow
     # point ids
     order = sorted(range(len(points)), key=lambda i: points[i].point_id)
     eps = [params[i].eps_m for i in order]
     minpts = [params[i].minpts for i in order]
     # cells of half the smallest eps, but no finer than an eighth of the
-    # largest, so that a query window stays within about 19 x 19 cells
-    cell_m = max(min(eps) / 2, max(eps) / 8) if points else METERS_PER_DEG
+    # largest, so that a query window stays within about 19 x 19 cells, nor
+    # than a metre, so that a tiny eps does not round the cell to 0 degrees
+    cell_m = max(min(eps) / 2, max(eps) / 8, 1.0) if points else METERS_PER_DEG
     locations = [points[i].location for i in order]
     index = SpatialIndex([p.lat for p in locations], [p.lon for p in locations],
                          cell_m / METERS_PER_DEG)

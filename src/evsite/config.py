@@ -6,11 +6,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .constraints import ConstraintConfig
-from .ingest import load_json, read_settings, shown
-
-
-class ConfigError(ValueError):
-    pass
+from .ingest import InputError, load_json, read_settings, shown
 
 
 LAYER_KEYS = ("trips", "stations", "lgas", "pois", "routes", "fire_grid")
@@ -63,41 +59,38 @@ SECTIONS = {
 def load_config(path) -> RunConfig:
     path = Path(path)
     doc = load_json(path)
-    try:
-        top = read_settings(doc, {**SECTIONS, "workers": 1}, f"config {path}", "config ")
-        given = {name: read_settings(top.get(name, {}), defaults, f"config {name}")
-                 for name, defaults in SECTIONS.items()}
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    top = read_settings(doc, {**SECTIONS, "workers": 1}, f"config {path}", "config ")
+    given = {name: read_settings(top.get(name, {}), defaults, f"config {name}")
+             for name, defaults in SECTIONS.items()}
     # accepted for older configs; clustering runs on one thread whatever it says
     if top.get("workers", 1) < 1:
-        raise ConfigError("config workers must be a positive integer")
+        raise InputError("config workers must be a positive integer")
     sections = {name: {**DEFAULTS[name], **given[name]} for name in DEFAULTS}
     for name, rule in RANGES.items():
         section, key = name.split(".")
         value = sections[section][key]
         if value < 0 or (value == 0 and rule == "> 0"):
-            raise ConfigError(f"config {name} must be {rule}, got {shown(value)}")
+            raise InputError(f"config {name} must be {rule}, got {shown(value)}")
 
     layers_doc = given["layers"]
     missing = [k for k in LAYER_KEYS if k not in layers_doc]
     if missing:
-        raise ConfigError(f"config layers: missing paths for {missing}")
+        raise InputError(f"config layers: missing paths for {missing}")
     trips_format = layers_doc.get("trips_format", "csv")
     if trips_format not in ("csv", "geojson"):
-        raise ConfigError("config layers.trips_format must be 'csv' or 'geojson', "
-                          f"got {shown(trips_format)}")
+        raise InputError("config layers.trips_format must be 'csv' or 'geojson', "
+                         f"got {shown(trips_format)}")
     base = path.parent
     layers = {k: (base / layers_doc[k] if not Path(layers_doc[k]).is_absolute()
                   else Path(layers_doc[k])) for k in LAYER_KEYS}
     for k, p in layers.items():
-        if not p.exists():
-            raise ConfigError(f"layer {k!r}: file not found: {p}")
+        if not p.exists() or p.is_dir():
+            raise InputError(f"layer {k!r}: file not found: {p}")
 
     try:
         constraints = ConstraintConfig(**given["constraints"])
-    except ValueError as e:
-        raise ConfigError(f"invalid constraints: {e}") from e
+    except InputError as e:
+        raise InputError(f"invalid constraints: {e}") from e
 
     return RunConfig(
         layers=layers,

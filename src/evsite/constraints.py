@@ -10,11 +10,7 @@ from dataclasses import dataclass
 from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex, cell_groups, project_segment
 # tracing patches these here by name; nothing here calls either
 from .geo import haversine_distance, project_to_polyline  # noqa: F401
-from .ingest import DemandPoint, FireRiskGrid, PoiRecord, RouteRecord
-
-
-class ConstraintError(ValueError):
-    pass
+from .ingest import DemandPoint, FireRiskGrid, InputError, PoiRecord, RouteRecord
 
 
 @dataclass(frozen=True)
@@ -36,24 +32,24 @@ class ConstraintConfig:
 
     def __post_init__(self):
         if self.base_eps_m <= 0:
-            raise ConstraintError("base_eps_m must be > 0")
+            raise InputError("base_eps_m must be > 0")
         if not self.base_minpts >= self.minpts_min >= 2:
-            raise ConstraintError("need base_minpts >= minpts_min >= 2")
+            raise InputError("need base_minpts >= minpts_min >= 2")
         if not self.eps_min_m <= self.base_eps_m <= self.eps_max_m:
-            raise ConstraintError("need eps_min_m <= base_eps_m <= eps_max_m")
+            raise InputError("need eps_min_m <= base_eps_m <= eps_max_m")
         factors = ("minpts_factor_poi", "minpts_factor_route", "minpts_factor_flood",
                    "minpts_factor_fire")
         for name in ("eps_factor_poi", *factors):
             if getattr(self, name) <= 0:
-                raise ConstraintError(f"{name} must be > 0")
+                raise InputError(f"{name} must be > 0")
         # the largest MinPts adjust_params can reach, its factors in the same
         # order: a float product only grows with them, so finite here is finite there
         if not math.isfinite(math.prod((max(1.0, getattr(self, name)) for name in factors),
                                        start=float(self.base_minpts))):
-            raise ConstraintError(f"base_minpts times {', '.join(factors)} must stay finite")
+            raise InputError(f"base_minpts times {', '.join(factors)} must stay finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdjustedParams:
     eps_m: float
     minpts: int

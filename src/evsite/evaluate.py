@@ -14,10 +14,6 @@ _COUNT_KEYS = ("existing_fast", "existing_destination", "approved",
                "recommended_fast", "recommended_destination")
 
 
-class EvaluateError(ValueError):
-    pass
-
-
 @dataclass
 class EvaluationReport:
     per_lga_counts: dict[str, dict[str, int]]
@@ -75,7 +71,7 @@ def coverage(points: list[DemandPoint], sites: SpatialIndex, radius_m: float,
     """Fraction of demand points within radius_m of any indexed site; the
     points outside that radius are appended to uncovered, when given."""
     if not points:
-        raise EvaluateError("no demand points")
+        raise ValueError("no demand points")
     missed = [dp for dp in points if not sites.any_within(dp.location, radius_m)]
     if uncovered is not None:
         uncovered += missed
@@ -106,9 +102,10 @@ def build_report(demand_points: list[DemandPoint], lgas: list[LgaRecord],
     # only the points the stations leave uncovered can gain a recommendation
     uncovered: list[DemandPoint] = []
     cov_before = coverage(demand_points, station_index, coverage_radius_m, uncovered)
+    # exact for any cell size; no narrower than a metre, as in run_pipeline
     rec_index = SpatialIndex([r.location.lat for r in recs_final],
                              [r.location.lon for r in recs_final],
-                             coverage_radius_m / METERS_PER_DEG)
+                             max(coverage_radius_m, 1.0) / METERS_PER_DEG)
     gained = sum(1 for dp in uncovered if rec_index.any_within(dp.location, coverage_radius_m))
     cov_after = (len(demand_points) - len(uncovered) + gained) / len(demand_points)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import html
 from pathlib import Path
 
-from .ingest import _point, _read_features
+from .ingest import _point, _read_features, _utf8
 
 _PAGE = """<!DOCTYPE html>
 <html>
@@ -45,10 +45,16 @@ document.body.addEventListener("click", () => popup.style.display = "none");
 
 def _marker(feat: dict) -> dict:
     """feat, unchanged, once its geometry is a Point that a layer loader would
-    take and its properties, if any, are an object."""
+    take, its properties, if any, are an object, and the id, keys and values
+    that its marker writes can be written as UTF-8."""
     _point(feat)
-    if not isinstance(feat.get("properties") or {}, dict):
+    props = feat.get("properties") or {}
+    if not isinstance(props, dict):
         raise ValueError("properties must be an object")
+    _utf8(feat.get("id"), "id")
+    for key, value in props.items():
+        _utf8(key, "a property name")
+        _utf8(value, f"property {key!r}")
     return feat
 
 

@@ -23,10 +23,6 @@ _REACH_MARGIN_M = 1.0
 _GROUP_CELL_DEG = 0.005
 
 
-class GeoError(ValueError):
-    """Raised for invalid geometry inputs."""
-
-
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
     lat: float
@@ -36,10 +32,10 @@ class GeoPoint:
         # one chained test on the way through; NaN fails it, as does +-inf
         if not (-90.0 <= self.lat <= 90.0 and -180.0 <= self.lon <= 180.0):
             if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-                raise GeoError(f"non-finite coordinate: ({self.lat}, {self.lon})")
+                raise ValueError(f"non-finite coordinate: ({self.lat}, {self.lon})")
             if not -90.0 <= self.lat <= 90.0:
-                raise GeoError(f"latitude out of range: {self.lat}")
-            raise GeoError(f"longitude out of range: {self.lon}")
+                raise ValueError(f"latitude out of range: {self.lat}")
+            raise ValueError(f"longitude out of range: {self.lon}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,9 @@ class Polygon:
     def __post_init__(self):
         for ring in (self.exterior, *self.holes):
             if len(ring) < 4:
-                raise GeoError(f"ring needs >= 4 vertices, got {len(ring)}")
+                raise ValueError(f"ring needs >= 4 vertices, got {len(ring)}")
             if ring[0] != ring[-1]:
-                raise GeoError("ring is not closed (first != last)")
+                raise ValueError("ring is not closed (first != last)")
 
     def rings(self):
         yield self.exterior
@@ -67,7 +63,7 @@ class MultiPolygon:
 
     def __post_init__(self):
         if not self.polygons:
-            raise GeoError("MultiPolygon must be non-empty")
+            raise ValueError("MultiPolygon must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class BoundingBox:
 
     def __post_init__(self):
         if self.min_lat > self.max_lat or self.min_lon > self.max_lon:
-            raise GeoError("inverted bounding box")
+            raise ValueError("inverted bounding box")
 
     def contains(self, p: GeoPoint) -> bool:
         return (self.min_lat <= p.lat <= self.max_lat
@@ -127,7 +123,7 @@ class SpatialIndex:
 
     def __init__(self, lat, lon, cell_size: float):
         if cell_size <= 0:
-            raise GeoError("cell_size must be > 0")
+            raise ValueError("cell_size must be > 0")
         self.cell_size = cell_size
         # a point's cell as every query takes it: floor(lat / cell), floor(lon / cell)
         cell, floor = cell_size, math.floor
@@ -176,7 +172,7 @@ class SpatialIndex:
     def _window(self, p: GeoPoint, radius_m: float) -> list[tuple[int, int]]:
         """Keys of the occupied cells in the lat/lon window of a radius query."""
         if radius_m < 0:
-            raise GeoError("radius must be >= 0")
+            raise ValueError("radius must be >= 0")
         if not self._lon:
             return []
         # the margin keeps a point at exactly radius_m inside the window when
@@ -232,7 +228,7 @@ class SpatialIndex:
         too: nearest calls it at a bound that changes with every query.
         """
         if radius_m < 0:
-            raise GeoError("radius must be >= 0")
+            raise ValueError("radius must be >= 0")
         cell = self.cell_size
         row, col = math.floor(p.lat / cell), math.floor(p.lon / cell)
         key = (row, col, radius_m)
@@ -383,7 +379,7 @@ class SpatialIndex:
         the first window (see _window) that holds any, its radius doubled
         from one cell side."""
         if not self._lon:
-            raise GeoError("empty index")
+            raise ValueError("empty index")
         cells = self._cells
         ids = cells.get((math.floor(p.lat / self.cell_size), math.floor(p.lon / self.cell_size)))
         radius_m = self.cell_size * METERS_PER_DEG
@@ -472,7 +468,7 @@ def project_to_polyline(p: GeoPoint, polyline) -> tuple[GeoPoint, float]:
     """Closest point on the polyline and its distance from p: the first vertex,
     unless some segment's projection (see project_segment) is strictly closer."""
     if len(polyline) < 2:
-        raise GeoError("degenerate polyline")
+        raise ValueError("degenerate polyline")
     rad_lat = math.radians(p.lat)
     cos_lat = math.cos(rad_lat)
     best_pt = polyline[0]

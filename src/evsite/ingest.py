@@ -33,8 +33,9 @@ TRIPS_CSV_HEADER = ["trip_id", "timestamp", "lat", "lon"]
 UNASSIGNED_LGA = "(unassigned)"
 
 
-class IngestError(ValueError):
-    """Schema or content violation in an input file."""
+class InputError(ValueError):
+    """A malformed input file, config key or spec value, named first in the
+    message: the command line exits 1 on this and on an OSError, 2 on all else."""
 
 
 def shown(value) -> str:
@@ -58,7 +59,7 @@ class TripRecord:
     def __post_init__(self):
         ts = self.timestamps
         if len(ts) < 2:
-            raise IngestError(f"trip {self.trip_id}: needs >= 2 points")
+            raise InputError(f"trip {self.trip_id}: needs >= 2 points")
         if all(map(lt, ts, islice(ts, 1, None))):
             return
         lat, lon = self.lat, self.lon
@@ -67,7 +68,7 @@ class TripRecord:
             # cleaning pass removes
             if ts[i] < ts[i - 1] or (ts[i] == ts[i - 1] and (
                     lat[i] != lat[i - 1] or lon[i] != lon[i - 1])):
-                raise IngestError(
+                raise InputError(
                     f"trip {self.trip_id}: timestamps not strictly increasing")
 
     @property
@@ -85,7 +86,7 @@ class StationRecord:
 
     def __post_init__(self):
         if self.kind not in STATION_KINDS:
-            raise IngestError(f"station {self.station_id}: unknown kind {shown(self.kind)}")
+            raise InputError(f"station {self.station_id}: unknown kind {shown(self.kind)}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class PoiRecord:
 
     def __post_init__(self):
         if self.category not in POI_CATEGORIES:
-            raise IngestError(f"POI {self.poi_id}: unknown category {shown(self.category)}")
+            raise InputError(f"POI {self.poi_id}: unknown category {shown(self.category)}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,12 @@ class RouteRecord:
 
     def __post_init__(self):
         if len(self.lat) < 2:
-            raise IngestError(f"route {self.route_id}: needs >= 2 vertices")
+            raise InputError(f"route {self.route_id}: needs >= 2 vertices")
         if len(self.altitudes) != len(self.lat):
-            raise IngestError(f"route {self.route_id}: altitudes length mismatch")
+            raise InputError(f"route {self.route_id}: altitudes length mismatch")
         for a in self.altitudes:
             if not math.isfinite(a) or not -100.0 <= a <= 3000.0:
-                raise IngestError(f"route {self.route_id}: altitude {a} out of range")
+                raise InputError(f"route {self.route_id}: altitude {a} out of range")
 
     @cached_property
     def segment_reach_m(self) -> array:
@@ -149,12 +150,12 @@ class FireRiskGrid:
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
-            raise IngestError("fire grid needs n_rows, n_cols >= 1")
+            raise InputError("fire grid needs n_rows, n_cols >= 1")
         if self.n_rows * self.n_cols != len(self.cells):
-            raise IngestError("fire grid len(cells) != n_rows * n_cols")
+            raise InputError("fire grid len(cells) != n_rows * n_cols")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DemandPoint:
     point_id: int
     location: GeoPoint
@@ -190,11 +191,11 @@ def load_trips(path, format: str = "csv") -> tuple[list[TripRecord], list[str]]:
     elif format == "geojson":
         by_trip, bad = _read_trip_geojson(path)
     else:
-        raise IngestError(f"unknown trips format {format!r}")
+        raise InputError(f"unknown trips format {format!r}")
 
     total = sum(len(ts) for ts, _, _ in by_trip.values()) + len(bad)
     if total and len(bad) > total / 2:
-        raise IngestError(
+        raise InputError(
             f"corrupt input {path}: {len(bad)} of {total} rows malformed")
 
     trips = []
@@ -211,7 +212,7 @@ def load_trips(path, format: str = "csv") -> tuple[list[TripRecord], list[str]]:
             ts, lat, lon = ([c[i] for i in order] for c in (ts, lat, lon))
         try:
             trips.append(TripRecord(trip_id, ts, lat, lon))
-        except IngestError as e:
+        except InputError as e:
             bad.append(f"{e}, dropped")
     return trips, bad
 
@@ -228,9 +229,9 @@ def _read_trip_csv(path: Path):
         try:
             header = next(reader, None)
         except csv.Error as e:
-            raise IngestError(f"{path}: header: {e}") from e
+            raise InputError(f"{path}: header: {e}") from e
         if header != TRIPS_CSV_HEADER:
-            raise IngestError(f"{path}: expected header {TRIPS_CSV_HEADER}, got {shown(header)}")
+            raise InputError(f"{path}: expected header {TRIPS_CSV_HEADER}, got {shown(header)}")
         while True:
             lineno = reader.line_num + 1    # where the next record starts
             try:
@@ -313,7 +314,7 @@ def _plain(text: str) -> bool:
 def _read_trip_geojson(path: Path):
     """As _read_trip_csv, a feature's fixes counting as rows."""
     def fixes(feat: dict) -> tuple[str, list[int], list[float], list[float]]:
-        trip_id = str(_prop(feat, "trip_id"))
+        trip_id = _text(feat, "trip_id")
         timestamps = _prop(feat, "timestamps")
         lat, lon = _columns(_geometry(feat, "LineString"))
         if len(lat) != len(timestamps):
@@ -436,7 +437,7 @@ def extract_demand_points(trips: list[TripRecord], dwell_radius_m: float,
 # GeoJSON layers
 
 # what reading a feature may raise: a missing key or index, a value of the
-# wrong type, a bad value (GeoError and IngestError among them) and an
+# wrong type, a bad value (InputError and GeoPoint's among them) and an
 # integer too large for a float
 _FEATURE_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError)
 
@@ -446,27 +447,27 @@ def _read_features(path, make, bad: list[str] | None = None,
     """make(feature) for each feature of the FeatureCollection at path.
 
     A feature that make cannot read, or whose property unique, as a string,
-    repeats an earlier feature's, raises IngestError naming path and
+    repeats an earlier feature's, raises InputError naming path and
     feature, or, given a list bad, is dropped with that message appended to it.
     """
     doc = load_json(path)
     if (not isinstance(doc, dict) or doc.get("type") != "FeatureCollection"
             or not isinstance(doc.get("features"), list)):
-        raise IngestError(f"{path}: not a GeoJSON FeatureCollection")
+        raise InputError(f"{path}: not a GeoJSON FeatureCollection")
     records, seen = [], set()
     for idx, feat in enumerate(doc["features"]):
         try:
             if not isinstance(feat, dict):
                 raise ValueError("not a GeoJSON Feature")
             if unique is not None:
-                value = str(_prop(feat, unique))
+                value = _text(feat, unique)
                 if value in seen:
                     raise ValueError(f"duplicate {unique} {shown(value)}")
                 seen.add(value)
             records.append(make(feat))
         except _FEATURE_ERRORS as e:
             if bad is None:
-                raise IngestError(f"{path}: feature {idx}: {e}") from e
+                raise InputError(f"{path}: feature {idx}: {e}") from e
             bad.append(f"{path}: feature {idx}: {e}")
     return records
 
@@ -475,7 +476,7 @@ def load_json(path):
     """The JSON document at path, read as UTF-8 (RFC 8259 8.1): the one reader
     of every JSON input. Bytes that are not UTF-8, malformed JSON, an
     integer literal past the interpreter's digit limit and JSON nested too
-    deeply to parse raise IngestError naming path; a file that cannot be
+    deeply to parse raise InputError naming path; a file that cannot be
     opened raises OSError, which names it too."""
     try:
         with open(path, encoding="utf-8") as f:
@@ -483,12 +484,12 @@ def load_json(path):
     except UnicodeDecodeError as e:
         raise _not_utf8(path, e) from e
     except ValueError as e:  # json.JSONDecodeError, or int()'s digit limit
-        raise IngestError(f"{path}: not valid JSON: {e}") from e
+        raise InputError(f"{path}: not valid JSON: {e}") from e
     except RecursionError as e:
-        raise IngestError(f"{path}: not valid JSON: nested too deeply") from e
+        raise InputError(f"{path}: not valid JSON: nested too deeply") from e
 
 
-def _not_utf8(path, e: UnicodeDecodeError) -> IngestError:
+def _not_utf8(path, e: UnicodeDecodeError) -> InputError:
     """The error for a file that is not UTF-8, at the first bad byte of the
     whole file: a reader that decodes as it goes reports a position within
     the chunk it was decoding, so the file is read again here."""
@@ -498,9 +499,9 @@ def _not_utf8(path, e: UnicodeDecodeError) -> IngestError:
     except UnicodeDecodeError as whole:
         at = whole.start
         line = data.count(b"\n", 0, at) + 1
-        return IngestError(f"{path}: not UTF-8 text: byte 0x{data[at]:02x} at offset {at} "
-                           f"(line {line}): {whole.reason}")
-    return IngestError(f"{path}: not UTF-8 text: {e}")  # the file changed since
+        return InputError(f"{path}: not UTF-8 text: byte 0x{data[at]:02x} at offset {at} "
+                          f"(line {line}): {whole.reason}")
+    return InputError(f"{path}: not UTF-8 text: {e}")  # the file changed since
 
 
 def _geometry(feat: dict, *types: str):
@@ -520,6 +521,22 @@ def _prop(feat: dict, key: str):
     if key not in props:
         raise ValueError(f"missing property {key!r}")
     return props[key]
+
+
+def _text(feat: dict, key: str) -> str:
+    """Property key of feat as a string, checked as _utf8 checks it."""
+    return _utf8(str(_prop(feat, key)), key)
+
+
+def _utf8(value, what: str):
+    """value, unless it is a string that UTF-8 cannot encode: JSON's \\ud800
+    escape gives a lone surrogate, which no output file can hold."""
+    if isinstance(value, str) and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{what} is not UTF-8 text: {shown(value)}") from None
+    return value
 
 
 # the types json gives a JSON number; bool, a subclass of int, is not one
@@ -601,7 +618,7 @@ def _polygon(rings) -> Polygon:
 
 def load_lgas(path) -> list[LgaRecord]:
     def lga(feat: dict) -> LgaRecord:
-        name = str(_prop(feat, "lga_name"))
+        name = _text(feat, "lga_name")
         coords = _geometry(feat, "Polygon", "MultiPolygon")
         polygons = [coords] if feat["geometry"]["type"] == "Polygon" else coords
         return LgaRecord(name, MultiPolygon(tuple(map(_polygon, polygons))))
@@ -611,13 +628,13 @@ def load_lgas(path) -> list[LgaRecord]:
 def load_pois(path) -> list[PoiRecord]:
     # PoiIndex.categories is keyed by poi_id
     return _read_features(path, lambda feat: PoiRecord(
-        str(_prop(feat, "poi_id")), str(_prop(feat, "category")), _point(feat)),
+        _text(feat, "poi_id"), _text(feat, "category"), _point(feat)),
         unique="poi_id")
 
 
 def load_stations(path) -> list[StationRecord]:
     return _read_features(path, lambda feat: StationRecord(
-        str(_prop(feat, "station_id")), str(_prop(feat, "kind")), _point(feat)))
+        _text(feat, "station_id"), _text(feat, "kind"), _point(feat)))
 
 
 def load_routes(path) -> list[RouteRecord]:
@@ -625,7 +642,7 @@ def load_routes(path) -> list[RouteRecord]:
         altitudes = _prop(feat, "altitudes")
         if type(altitudes) is not list:
             raise ValueError("altitudes must be an array")
-        route_id = str(_prop(feat, "route_id"))
+        route_id = _text(feat, "route_id")
         lat, lon = _columns(_geometry(feat, "LineString"))
         return RouteRecord(route_id, lat, lon, _numbers(altitudes, "altitude"))
     return _read_features(path, route)
@@ -652,7 +669,7 @@ def load_fire_grid(path) -> FireRiskGrid:
                                   else _json_number(c, f"cells[{k}]", finite=True)
                                   for k, c in enumerate(cells)))
     except _FEATURE_ERRORS as e:
-        raise IngestError(f"{path}: {e}") from e
+        raise InputError(f"{path}: {e}") from e
 
 
 def _json_number(value, key: str, *, finite=False, integral=False, bits64=False):
@@ -660,7 +677,7 @@ def _json_number(value, key: str, *, finite=False, integral=False, bits64=False)
     (RFC 8259 6): an int or a float, never a bool or a str. The flags refuse
     more: finite a NaN, an infinity and an int with no double; integral a
     fraction too, and bits64 an integer outside the signed 64-bit range. A
-    refused value is a ValueError naming key; with no flag, NaN and infinity
+    refused value is an InputError naming key; with no flag, NaN and infinity
     pass and an int with no double raises OverflowError."""
     kind = type(value)
     if kind is int or kind is float:
@@ -670,7 +687,7 @@ def _json_number(value, key: str, *, finite=False, integral=False, bits64=False)
             # the range test comes first: a timestamp is never made a float
             if -2 ** 63 <= value < 2 ** 63:
                 return value if kind is int else int(value)
-            raise ValueError(f"{key} must fit in a signed 64-bit integer, got {shown(value)}")
+            raise InputError(f"{key} must fit in a signed 64-bit integer, got {shown(value)}")
         try:
             x = float(value)
         except OverflowError:
@@ -678,7 +695,7 @@ def _json_number(value, key: str, *, finite=False, integral=False, bits64=False)
         if math.isfinite(x) and (not integral or x.is_integer()):
             return int(value) if integral else x
     what = "a finite integer" if integral else "a finite number" if finite else "a JSON number"
-    raise ValueError(f"{key} must be {what}, got {shown(value)}")
+    raise InputError(f"{key} must be {what}, got {shown(value)}")
 
 
 # what a setting of each of these kinds must be, in JSON
@@ -691,13 +708,13 @@ def read_settings(doc, defaults: dict, where: str, prefix: str | None = None) ->
     int a finite integral one (returned as an int), a tuple as many finite
     numbers and a bool, str or dict a JSON value of that type.
 
-    Else ValueError: where names the object, and prefix plus a key names that
+    Else InputError: where names the object, and prefix plus a key names that
     key's value (prefix is where and a dot unless given)."""
     if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
+        raise InputError(f"{where} must be a JSON object")
     unknown = doc.keys() - defaults.keys()
     if unknown:
-        raise ValueError(f"unknown keys in {where}: {shown(sorted(unknown))}")
+        raise InputError(f"unknown keys in {where}: {shown(sorted(unknown))}")
     prefix = f"{where}." if prefix is None else prefix
     settings = {}
     for key, value in doc.items():
@@ -707,12 +724,12 @@ def read_settings(doc, defaults: dict, where: str, prefix: str | None = None) ->
             value = _json_number(value, name, finite=True, integral=kind is int)
         elif kind is tuple:
             if type(value) is not list or len(value) != len(default):
-                raise ValueError(f"{name} must be an array of {len(default)} numbers, "
+                raise InputError(f"{name} must be an array of {len(default)} numbers, "
                                  f"got {shown(value)}")
             value = tuple(_json_number(v, f"{name}[{k}]", finite=True)
                           for k, v in enumerate(value))
         elif type(value) is not kind:
-            raise ValueError(f"{name} must be {_SETTING_KINDS[kind]}, got {shown(value)}")
+            raise InputError(f"{name} must be {_SETTING_KINDS[kind]}, got {shown(value)}")
         settings[key] = value
     return settings
 

@@ -10,7 +10,7 @@ from . import cluster, constraints, evaluate, ingest, recommend
 from .config import RunConfig
 from .constraints import RouteLocator
 from .geo import METERS_PER_DEG, GeoPoint, SpatialIndex
-from .ingest import write_json
+from .ingest import InputError, write_json
 
 KIND_COLORS = {
     "existing_fast": "#00008B",
@@ -19,10 +19,6 @@ KIND_COLORS = {
     "recommended_fast": "#FF0000",
     "recommended_destination": "#FFA500",
 }
-
-
-class PipelineError(ValueError):
-    """Inputs that load but cannot run together."""
 
 
 @dataclass
@@ -66,8 +62,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     layers = load_layers(cfg)
     c = cfg.constraints
     if not layers.routes and (c.minpts_factor_flood != 1.0):
-        raise PipelineError(f"routes layer {cfg.layers['routes']} is empty, so the "
-                            "flood (altitude) adjustment has no altitude source")
+        raise InputError(f"routes layer {cfg.layers['routes']} is empty, so the "
+                         "flood (altitude) adjustment has no altitude source")
 
     trips, cleaning = ingest.clean_trips(layers.trips, cfg.max_speed_mps)
     demand = ingest.extract_demand_points(trips, cfg.dwell_radius_m, cfg.dwell_min_s)
@@ -168,6 +164,8 @@ def write_outputs(result: PipelineResult, cfg: RunConfig, out_dir) -> dict:
 
 
 def write_evaluation(result: PipelineResult, cfg: RunConfig, out_dir) -> evaluate.EvaluationReport:
+    if not result.demand_points:
+        raise InputError(f"trips layer {cfg.layers['trips']} gives no demand points to evaluate")
     report = evaluate.build_report(
         result.demand_points, result.layers.lgas, result.layers.stations,
         result.station_index, result.recs_pre_dedup, result.recs_final,

@@ -13,10 +13,6 @@ from .ingest import DemandPoint, RouteRecord
 UNSNAPPED = "unsnapped"
 
 
-class RecommendError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Recommendation:
     rec_id: str
@@ -31,7 +27,7 @@ class Recommendation:
 def cluster_location(member_points: list[GeoPoint]) -> GeoPoint:
     """Spherical mean of the members; medoid fallback on degeneracy."""
     if not member_points:
-        raise RecommendError("empty cluster")
+        raise ValueError("empty cluster")
     if len(member_points) == 1:
         return member_points[0]
     x = y = z = 0.0

@@ -15,6 +15,7 @@ from pathlib import Path
 from .geo import GeoPoint, METERS_PER_DEG, BoundingBox, haversine_distance
 from .ingest import (
     FireRiskGrid,
+    InputError,
     LgaRecord,
     MultiPolygon,
     PoiRecord,
@@ -75,22 +76,22 @@ class ScenarioSpec:
     ffdi_missing_prob: float = 0.05
 
     def __post_init__(self):
-        """Each field in its range, else ValueError naming the key: a route
+        """Each field in its range, else InputError naming the key: a route
         step of 0 would never end the route loops of generate, and a scenario
         past MAX_GENERATED would not end them in time."""
         for keys, ok, text in _RANGES:
             for key in keys:
                 value = getattr(self, key)
                 if not ok(value):
-                    raise ValueError(f"{key} must be {text}, got {shown(value)}")
+                    raise InputError(f"{key} must be {text}, got {shown(value)}")
         min_lat, min_lon, max_lat, max_lon = self.bbox
         if not (-90.0 <= min_lat <= max_lat <= 90.0
                 and -180.0 <= min_lon <= max_lon <= 180.0):
-            raise ValueError("bbox must be [min_lat, min_lon, max_lat, max_lon] with "
+            raise InputError("bbox must be [min_lat, min_lon, max_lat, max_lon] with "
                              "-90 <= min_lat <= max_lat <= 90 and "
                              f"-180 <= min_lon <= max_lon <= 180, got {shown(list(self.bbox))}")
         if self.points_per_hotspot_min > self.points_per_hotspot_max:
-            raise ValueError("points_per_hotspot_min must be <= points_per_hotspot_max")
+            raise InputError("points_per_hotspot_min must be <= points_per_hotspot_max")
         # what generate builds, the route grid give or take a line and a
         # vertex per line; a float, as a tiny step makes the grid infinite
         lines = (max_lat - min_lat) // self.route_spacing_deg + 1
@@ -113,14 +114,14 @@ class ScenarioSpec:
         if sum(min(n, MAX_GENERATED + 1) for n, _, _ in sizes) > MAX_GENERATED:
             n, keys, what = max(sizes)
             count = f"{n:.0f}" if n <= MAX_GENERATED else f"more than {MAX_GENERATED}"
-            raise ValueError(f"{keys}: {count} {what}; the scenario would hold more than "
+            raise InputError(f"{keys}: {count} {what}; the scenario would hold more than "
                              f"{MAX_GENERATED} route vertices, fire cells, LGA ring "
                              "vertices, points and stations in all")
 
     @staticmethod
     def from_dict(doc) -> "ScenarioSpec":
         """The spec a JSON object sets, read by ingest.read_settings against
-        the fields' defaults; else ValueError naming the key."""
+        the fields' defaults; else InputError naming the key."""
         defaults = {f.name: f.default for f in fields(ScenarioSpec)}
         return ScenarioSpec(**read_settings(doc, defaults, "scenario spec", ""))
 
@@ -203,14 +204,14 @@ def _hotspot_centers(spec: ScenarioSpec, tile: BoundingBox, rng: Rng) -> list[Ge
 
 def _scatter(rng: Rng, center: GeoPoint, sigma_m: float) -> GeoPoint:
     """A Gaussian offset of center; a longitude past +-180 wraps by 360, and a
-    latitude off the globe is a ValueError naming the keys that put it there."""
+    latitude off the globe is an InputError naming the keys that put it there."""
     dlat = rng.normal(0.0, sigma_m) / METERS_PER_DEG
     dlon = rng.normal(0.0, sigma_m) / (METERS_PER_DEG * math.cos(math.radians(center.lat)))
     lat, lon = center.lat + dlat, center.lon + dlon
     if not -180.0 <= lon <= 180.0 and math.isfinite(lon):
         lon = math.remainder(lon, 360.0)
     if not (-90.0 <= lat <= 90.0 and math.isfinite(lon)):
-        raise ValueError("hotspot_sigma_m and bbox scatter a point off the globe, "
+        raise InputError("hotspot_sigma_m and bbox scatter a point off the globe, "
                          f"to latitude {lat}, longitude {lon}")
     return GeoPoint(lat, lon)
 

@@ -12,13 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import evsite
-from evsite import synth
+from evsite import pipeline, synth
 from evsite.cli import main
 from evsite.config import (
-    DEFAULTS, LAYER_KEYS, ConfigError, default_config_dict, load_config)
+    DEFAULTS, LAYER_KEYS, default_config_dict, load_config)
 from evsite.constraints import ConstraintConfig
 from evsite.export import export_map
-from evsite.ingest import load_lgas, load_stations, load_trips
+from evsite.ingest import InputError, load_lgas, load_stations, load_trips
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ class TestConfig:
         doc["surprise"] = 1
         p = dirs["tmp"] / "bad.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="surprise"):
+        with pytest.raises(InputError, match="surprise"):
             load_config(p)
 
     def test_unknown_nested_key_rejected(self, scenario):
@@ -69,7 +69,7 @@ class TestConfig:
         doc["snap"]["poi_snap_km"] = 1
         p = dirs["tmp"] / "bad.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="poi_snap_km"):
+        with pytest.raises(InputError, match="poi_snap_km"):
             load_config(p)
 
     @pytest.mark.parametrize("edit,names", [
@@ -132,6 +132,23 @@ class TestConfig:
         assert result.exit_code == 1, result.output
         assert "invalid constraints: base_minpts times minpts_factor_poi" in result.output
 
+    @pytest.mark.parametrize("section,values", [
+        ("evaluate", {"coverage_radius_m": 5e-324}), ("evaluate", {"align_m": 5e-324}),
+        ("dedup", {"min_sep_m": 5e-324}), ("snap", {"poi_snap_m": 5e-324}),
+        ("snap", {"route_snap_m": 5e-324}), ("demand", {"dwell_radius_m": 5e-324}),
+        ("constraints", {"eps_min_m": 5e-324, "base_eps_m": 5e-324})],
+        ids=["coverage", "align", "min_sep", "poi_snap", "route_snap", "dwell", "eps"])
+    def test_smallest_positive_distance_runs(self, runner, scenario, section, values):
+        # 5e-324 m is > 0, but a grid cell that many metres wide is 0 degrees
+        # wide unless the cell has a floor
+        _, _, dirs = scenario
+        doc = default_config_dict(str(dirs["scenario"]))
+        doc[section].update(values)
+        dirs["config"].write_text(json.dumps(doc))
+        result = runner.invoke(main, ["evaluate", "--config", str(dirs["config"]),
+                                      "--out", str(dirs["tmp"] / "out")])
+        assert result.exit_code == 0, result.output
+
     def test_min_sep_zero_loads(self, scenario):
         _, _, dirs = scenario
         doc = default_config_dict(str(dirs["scenario"]))
@@ -151,7 +168,7 @@ class TestConfig:
         doc[section][key] = value
         p = dirs["tmp"] / "bad.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match=rf"config {section}\.{key} must be a finite"):
+        with pytest.raises(InputError, match=rf"config {section}\.{key} must be a finite"):
             load_config(p)
 
     # (path, in the config document, of a value the fuzz breaks; the name its
@@ -197,8 +214,39 @@ class TestConfig:
         doc["layers"]["pois"] = str(tmp_path / "nope.geojson")
         p = dirs["tmp"] / "bad.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="nope.geojson"):
+        with pytest.raises(InputError, match="nope.geojson"):
             load_config(p)
+
+    def test_layer_path_to_a_directory_exits_1_naming_the_key(self, runner, scenario):
+        # an empty path names the directory the config is in
+        _, _, dirs = scenario
+        doc = default_config_dict(str(dirs["scenario"]))
+        doc["layers"]["trips"] = ""
+        p = dirs["tmp"] / "dir.json"
+        p.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", "--config", str(p)])
+        assert result.exit_code == 1, result.output
+        assert "layer 'trips': file not found" in result.output
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error,code", [
+        (InputError("a bad input"), 1), (OSError("an unreadable file"), 1),
+        (ValueError("a fault"), 2), (ZeroDivisionError("a fault"), 2)],
+        ids=["input", "os", "value", "other"])
+    def test_only_input_and_os_errors_exit_1(self, runner, scenario, monkeypatch,
+                                              error, code):
+        # a builtin ValueError is a fault in the code, not the input's
+        _, _, dirs = scenario
+
+        def fail(cfg):
+            raise error
+        monkeypatch.setattr(pipeline, "run_pipeline", fail)
+        result = runner.invoke(main, ["recommend", "--config", str(dirs["config"]),
+                                      "--out", str(dirs["tmp"] / "out")])
+        assert result.exit_code == code, result.output
+        prefix = "error: " if code == 1 else "internal error: "
+        assert result.output == f"{prefix}{error}\n"
 
 
 class TestCommandNames:
@@ -247,6 +295,27 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--config", str(dirs["config"])])
         assert result.exit_code == 1, result.output
         assert f"{layer}: feature 1: duplicate {key} " in result.output
+
+    @pytest.mark.parametrize("layer,key", [
+        ("lgas.geojson", "lga_name"), ("stations.geojson", "station_id"),
+        ("stations.geojson", "kind"), ("pois.geojson", "poi_id"),
+        ("pois.geojson", "category"), ("routes.geojson", "route_id")])
+    def test_lone_surrogate_exits_1_naming_the_file_and_feature(self, runner, scenario,
+                                                                layer, key):
+        # JSON's \ud800 escape gives a string that no UTF-8 output can hold;
+        # an LGA name once reached evaluation.txt and failed there
+        _, _, dirs = scenario
+        path = dirs["scenario"] / layer
+        doc = json.loads(path.read_text())
+        doc["features"][0]["properties"][key] = "\ud800X"
+        path.write_text(json.dumps(doc))
+        config = ["--config", str(dirs["config"])]
+        for args in (["validate", *config],
+                     ["recommend", *config, "--out", str(dirs["tmp"] / "out")],
+                     ["evaluate", *config, "--out", str(dirs["tmp"] / "out")]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1, result.output
+            assert f"{layer}: feature 0: {key} is not UTF-8 text: '\\ud800X'" in result.output
 
     @pytest.mark.parametrize("layer,edit", [
         ("stations.geojson", lambda g: g.pop("coordinates")),
@@ -612,6 +681,20 @@ class TestEvaluateCmd:
             assert name in table
         assert f"coverage_after: {doc['coverage_after']}" in table
 
+    def test_no_demand_points_exits_1_naming_the_trips_file(self, runner, scenario):
+        # a header-only trips.csv validates and recommends nothing, but
+        # coverage has no demand to measure
+        _, _, dirs = scenario
+        trips = dirs["scenario"] / "trips.csv"
+        trips.write_text("trip_id,timestamp,lat,lon\n")
+        out = dirs["tmp"] / "out"
+        result = runner.invoke(main, ["evaluate", "--config", str(dirs["config"]),
+                                      "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output == (f"error: trips layer {trips} gives no demand points "
+                                 "to evaluate\n")
+        assert not (out / "evaluation.json").exists()
+
 
 class TestSynthCmd:
     def test_generates_bundle(self, runner, tmp_path):
@@ -900,6 +983,25 @@ class TestExportMap:
                                       "--out", str(tmp_path / "map.html")])
         assert result.exit_code == 1, result.output
         assert f"recommendations.geojson: {message}" in result.output
+
+    @pytest.mark.parametrize("edit,what", [
+        (lambda f: f.update(id="A\ud800"), "id"),
+        (lambda f: f["properties"].update(note="a\udfff"), "property 'note'"),
+        (lambda f: f["properties"].update({"\ud800": 1}), "a property name")],
+        ids=["id", "value", "name"])
+    def test_lone_surrogate_exits_1_naming_the_file(self, runner, tmp_path, edit, what):
+        # a marker writes its id and properties into map.html as UTF-8
+        feat = {"type": "Feature", "id": "A-0", "properties": {"kind": "recommended_fast"},
+                "geometry": {"type": "Point", "coordinates": [150.5, -33.5]}}
+        edit(feat)
+        (tmp_path / "recommendations.geojson").write_text(json.dumps({
+            "type": "FeatureCollection", "features": [feat]}))
+        self._empty_collection(tmp_path / "stations.geojson")
+        result = runner.invoke(main, ["export-map", "--in", str(tmp_path),
+                                      "--out", str(tmp_path / "map.html")])
+        assert result.exit_code == 1, result.output
+        assert f"recommendations.geojson: feature 0: {what} is not UTF-8 text" in result.output
+        assert not (tmp_path / "map.html").exists()
 
     @pytest.mark.parametrize("coordinates", [[181.0, -33.0], [150.0, -90.5]],
                              ids=["longitude", "latitude"])

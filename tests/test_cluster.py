@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from evsite.cluster import NOISE, ClusterError, cluster_all, dbscan_lga
+from evsite.cluster import NOISE, cluster_all, dbscan_lga
 from evsite.constraints import AdjustedParams, ConstraintConfig, adjust_params
 from evsite.geo import METERS_PER_DEG, GeoPoint
 from evsite.ingest import DemandPoint
@@ -43,7 +43,7 @@ class TestDbscanLga:
         assert result.assignment.cluster_count == 0
 
     def test_length_mismatch_errors(self):
-        with pytest.raises(ClusterError):
+        with pytest.raises(ValueError):
             dbscan_lga(demand([(-33.5, 150.5)] * 2), [BASE])
 
     def test_neutral_matches_textbook_oracle(self):

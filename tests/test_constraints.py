@@ -9,7 +9,6 @@ import oracles
 from evsite.constraints import (
     AdjustedParams,
     ConstraintConfig,
-    ConstraintError,
     PoiIndex,
     RouteLocator,
     adjust_params,
@@ -25,7 +24,7 @@ from evsite.geo import (
     haversine_distance,
     project_to_polyline,
 )
-from evsite.ingest import DemandPoint, FireRiskGrid, PoiRecord
+from evsite.ingest import DemandPoint, FireRiskGrid, InputError, PoiRecord
 from records import NO_FIRE, route_of, vertices_of
 
 NEUTRAL = ConstraintConfig(eps_factor_poi=1.0, minpts_factor_poi=1.0,
@@ -314,13 +313,13 @@ class TestAdjustParams:
         assert adjust_params(altitude, math.inf, math.inf, ffdi, cfg).minpts == math.ceil(want)
 
     def test_config_invariants_enforced(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(InputError):
             ConstraintConfig(base_eps_m=-1)
-        with pytest.raises(ConstraintError):
+        with pytest.raises(InputError):
             ConstraintConfig(base_minpts=1)
-        with pytest.raises(ConstraintError):
+        with pytest.raises(InputError):
             ConstraintConfig(eps_min_m=900.0, base_eps_m=800.0)
-        with pytest.raises(ConstraintError):
+        with pytest.raises(InputError):
             ConstraintConfig(minpts_factor_fire=0.0)
 
     @pytest.mark.parametrize("values", [
@@ -329,7 +328,7 @@ class TestAdjustParams:
         {"base_minpts": 10**18, "minpts_factor_flood": 1e300},
     ])
     def test_minpts_product_past_the_floats_is_refused(self, values):
-        with pytest.raises(ConstraintError, match="base_minpts times minpts_factor"):
+        with pytest.raises(InputError, match="base_minpts times minpts_factor"):
             ConstraintConfig(**values)
 
     def test_largest_minpts_a_config_allows_is_an_integer(self):

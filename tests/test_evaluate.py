@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from evsite.evaluate import (
-    EvaluateError,
     alignment_rate,
     build_report,
     coverage,
@@ -75,7 +74,7 @@ class TestCoverage:
         assert coverage(pts, index_of([]), 3000.0) == 0.0
 
     def test_no_points_errors(self):
-        with pytest.raises(EvaluateError, match="no demand points"):
+        with pytest.raises(ValueError, match="no demand points"):
             coverage([], index_of([GeoPoint(0, 0)]), 3000.0)
 
     def test_monotone_under_station_addition(self):

@@ -12,7 +12,6 @@ from evsite.geo import (
     _REACH_MARGIN_M,
     EARTH_RADIUS_M,
     METERS_PER_DEG,
-    GeoError,
     GeoPoint,
     MultiPolygon,
     Polygon,
@@ -71,7 +70,7 @@ class TestGeoPoint:
     @pytest.mark.parametrize("lat,lon", [(91, 0), (-91, 0), (0, 181), (0, -181),
                                          (float("nan"), 0), (0, float("inf"))])
     def test_invalid(self, lat, lon):
-        with pytest.raises(GeoError):
+        with pytest.raises(ValueError):
             GeoPoint(lat, lon)
 
     @pytest.mark.parametrize("lat,lon,message", [
@@ -83,7 +82,7 @@ class TestGeoPoint:
     ])
     def test_invalid_message(self, lat, lon, message):
         # the first failed check names the fault: finiteness, then latitude
-        with pytest.raises(GeoError) as e:
+        with pytest.raises(ValueError) as e:
             GeoPoint(lat, lon)
         assert str(e.value) == message
 
@@ -519,7 +518,7 @@ class TestSpatialIndex:
                 assert free == before
 
     def test_nearest_empty_errors(self):
-        with pytest.raises(GeoError, match="empty index"):
+        with pytest.raises(ValueError, match="empty index"):
             index_of([], 0.01).nearest(GeoPoint(0, 0))
 
 
@@ -586,7 +585,7 @@ class TestNearestAll:
         assert index_of([], 0.01).nearest_all([]) == []
 
     def test_empty_index_errors(self):
-        with pytest.raises(GeoError, match="empty index"):
+        with pytest.raises(ValueError, match="empty index"):
             index_of([], 0.01).nearest_all([GeoPoint(0, 0)])
 
 
@@ -713,9 +712,9 @@ class TestSharedWindows:
         idx = index_of([p], 0.01)
         for _ in range(3):
             assert idx.any_within(p, 10.0)
-            with pytest.raises(GeoError, match="radius must be >= 0"):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
                 idx.any_within(p, -1.0)
-            with pytest.raises(GeoError, match="radius must be >= 0"):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
                 idx.claim_within(p, -1.0, 1, idx.free_cells())
 
 
@@ -733,7 +732,7 @@ class TestProjectToPolyline:
         assert pt.lat == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerate_errors(self):
-        with pytest.raises(GeoError, match="degenerate polyline"):
+        with pytest.raises(ValueError, match="degenerate polyline"):
             project_to_polyline(GeoPoint(0, 0), [GeoPoint(0, 0)])
 
     def test_random_vs_dense_sampling(self):

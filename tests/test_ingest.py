@@ -16,7 +16,7 @@ from evsite.ingest import (
     CleaningSummary,
     DemandPoint,
     FireRiskGrid,
-    IngestError,
+    InputError,
     LgaRecord,
     PoiRecord,
     StationRecord,
@@ -156,13 +156,13 @@ class TestLoadTrips:
     def test_majority_malformed_is_corrupt(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, ["a,100,-33.5,150.5", "a,nonsense,999,x", "b,y,998,z"])
-        with pytest.raises(IngestError, match="corrupt input"):
+        with pytest.raises(InputError, match="corrupt input"):
             load_trips(f)
 
     def test_wrong_header(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("id,ts,lat,lon\n")
-        with pytest.raises(IngestError, match="header"):
+        with pytest.raises(InputError, match="header"):
             load_trips(f)
 
     def test_missing_file(self, tmp_path):
@@ -429,6 +429,17 @@ class TestMalformedGolden:
             (200 + 10 * k, GeoPoint(-33.5, 150.5 + k / 1000)) for k in range(2, 22))
         assert [(t.trip_id, t.points) for t in trips] == [("good", want)]
 
+    def test_geojson_trip_id_that_is_not_utf8_is_a_malformed_feature(self, tmp_path):
+        # JSON's \ud800 escape gives a lone surrogate, which no output can hold
+        line = [[150.5, -33.5], [150.6, -33.6]]
+        f = tmp_path / "trips.geojson"
+        f.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            self.feature("a\ud800", line, [100, 200]), self.feature("b", line, [100, 200]),
+            self.feature("c", line, [100, 200])]}))
+        trips, bad = load_trips(f, format="geojson")
+        assert [t.trip_id for t in trips] == ["b", "c"]
+        assert bad == [f"{f}: feature 0: trip_id is not UTF-8 text: 'a\\ud800'"]
+
     @pytest.mark.parametrize("n_bad,corrupt", [(2, False), (3, True)])
     @pytest.mark.parametrize("format", ["csv", "geojson"])
     def test_more_than_half_malformed_is_corrupt(self, tmp_path, format, n_bad, corrupt):
@@ -442,7 +453,7 @@ class TestMalformedGolden:
                 self.feature("a", [[150.5, -33.5], [150.6, -33.6]], [100, 200])] + [
                 self.feature("a", [[150.5, -33.5], [150.6, -33.6]], [1.5, 2])] * n_bad}))
         if corrupt:
-            with pytest.raises(IngestError) as e:
+            with pytest.raises(InputError) as e:
                 load_trips(f, format=format)
             assert str(e.value) == f"corrupt input {f}: 3 of 5 rows malformed"
         else:
@@ -608,7 +619,7 @@ class TestLayerLoaders:
              "properties": {"poi_id": "p1", "category": "hotel"}}]}
         f = tmp_path / "p.geojson"
         f.write_text(json.dumps(doc))
-        with pytest.raises(IngestError, match="feature 0"):
+        with pytest.raises(InputError, match="feature 0"):
             load_pois(f)
 
     def test_bad_station_kind(self, tmp_path):
@@ -618,7 +629,7 @@ class TestLayerLoaders:
              "properties": {"station_id": "s1", "kind": "imaginary"}}]}
         f = tmp_path / "s.geojson"
         f.write_text(json.dumps(doc))
-        with pytest.raises(IngestError, match="feature 0"):
+        with pytest.raises(InputError, match="feature 0"):
             load_stations(f)
 
     def test_route_altitude_length_mismatch(self, tmp_path):
@@ -629,7 +640,7 @@ class TestLayerLoaders:
              "properties": {"route_id": "r1", "altitudes": [10.0]}}]}
         f = tmp_path / "r.geojson"
         f.write_text(json.dumps(doc))
-        with pytest.raises(IngestError, match="feature 0"):
+        with pytest.raises(InputError, match="feature 0"):
             load_routes(f)
 
     @pytest.mark.parametrize("coordinates,altitudes,message", [
@@ -643,7 +654,7 @@ class TestLayerLoaders:
         f.write_text(json.dumps({"type": "FeatureCollection", "features": [
             {"type": "Feature", "geometry": {"type": "LineString", "coordinates": coordinates},
              "properties": {"route_id": "r1", "altitudes": altitudes}}]}))
-        with pytest.raises(IngestError, match=f"feature 0: {message}"):
+        with pytest.raises(InputError, match=f"feature 0: {message}"):
             load_routes(f)
 
     def test_integer_json_numbers_load_as_floats(self, tmp_path):
@@ -665,7 +676,7 @@ class TestLayerLoaders:
         doc[key] = value
         f = tmp_path / "g.json"
         f.write_text(json.dumps(doc))
-        with pytest.raises(IngestError, match=rf"{key}(\[1\])? must be a finite"):
+        with pytest.raises(InputError, match=rf"{key}(\[1\])? must be a finite"):
             load_fire_grid(f)
 
     def test_trips_csv_roundtrip(self, tmp_path):
@@ -758,7 +769,7 @@ class TestPositionReader:
         try:
             want = oracles.per_position_reader(coords)
         except (ValueError, OverflowError) as e:
-            with pytest.raises(IngestError) as got:
+            with pytest.raises(InputError) as got:
                 load_routes(f)
             assert str(got.value) == f"{f}: feature 0: {e}"
             return
@@ -784,7 +795,7 @@ class TestPositionReader:
                 try:
                     (lat, lon), = oracles.per_position_reader([position])
                 except (ValueError, OverflowError) as e:
-                    with pytest.raises(IngestError) as got:
+                    with pytest.raises(InputError) as got:
                         load(f)
                     assert str(got.value) == f"{f}: feature 0: {e}"
                     continue
@@ -805,7 +816,7 @@ class TestPositionReader:
              "properties": {"lga_name": "A"}}]}))
         try:
             lga, = load_lgas(f)
-        except IngestError as e:
+        except InputError as e:
             return str(e)
         return [[(repr(v.lat), repr(v.lon)) for v in ring]
                 for ring in lga.boundary.polygons[0].rings()]
@@ -914,7 +925,7 @@ GEOJSON_LOADERS = {
 
 class TestLoaderFuzz:
     """A value of one feature replaced or removed: the loader reads the file,
-    or raises IngestError naming the file and the feature. The trips reader
+    or raises InputError naming the file and the feature. The trips reader
     drops such a feature as a malformed row that names it."""
 
     @pytest.mark.parametrize("loader", sorted(GEOJSON_LOADERS))
@@ -932,7 +943,7 @@ class TestLoaderFuzz:
         where = f"{f}: feature {path[1]}: "
         try:
             result = GEOJSON_LOADERS[loader](f)
-        except IngestError as e:
+        except InputError as e:
             assert str(e).startswith(where), str(e)
             return
         if loader == "load_trips":
@@ -952,7 +963,7 @@ class TestLoaderFuzz:
         f.write_text(json.dumps(_edited(doc, path, value)))
         try:
             load_fire_grid(f)
-        except IngestError as e:
+        except InputError as e:
             assert str(e).startswith(f"{f}: ") and path[0] in str(e), str(e)
 
 

@@ -17,7 +17,6 @@ from evsite.ingest import DemandPoint, PoiRecord, StationRecord
 from evsite import recommend
 from evsite.recommend import (
     Recommendation,
-    RecommendError,
     UNSNAPPED,
     classify_charger,
     cluster_location,
@@ -51,7 +50,7 @@ class TestClusterLocation:
         assert got.lon == pytest.approx(150.5, abs=1e-9)
 
     def test_empty_errors(self):
-        with pytest.raises(RecommendError):
+        with pytest.raises(ValueError):
             cluster_location([])
 
     def test_matches_grid_search_minimizer(self):
