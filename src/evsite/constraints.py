@@ -33,6 +33,11 @@ class ConstraintConfig:
     def __post_init__(self):
         if self.base_eps_m <= 0:
             raise InputError("base_eps_m must be > 0")
+        for name in ("poi_near_m", "route_near_m"):
+            # a negative distance would switch its rule off, and near_all
+            # needs a finite one to bound its radius query
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be >= 0 and finite")
         if not self.base_minpts >= self.minpts_min >= 2:
             raise InputError("need base_minpts >= minpts_min >= 2")
         if not self.eps_min_m <= self.base_eps_m <= self.eps_max_m:
@@ -73,7 +78,8 @@ def lookup_ffdi(p: GeoPoint, grid: FireRiskGrid) -> float | None:
 
 
 class RouteLocator:
-    """Exact nearest-route queries accelerated by a grid index over vertices.
+    """Exact nearest-route and route-proximity queries accelerated by a grid
+    index over vertices.
 
     Every point of a segment lies within the segment's reach (see
     RouteRecord.segment_reach_m) of one of its two ends, so a segment can only
@@ -87,7 +93,8 @@ class RouteLocator:
     closest on-route point lie within D + 2 rho of c. One radius query around
     c, at an upper bound on D plus 2 rho plus the longest reach, gives D and
     the segments with an end within D + 2 rho plus their reach; each member
-    scans only those segments and their ends.
+    scans only those segments and their ends. near_all asks less, whether
+    some route lies within a radius, and stops at the first segment that does.
     """
 
     def __init__(self, routes: list[RouteRecord]):
@@ -129,19 +136,11 @@ class RouteLocator:
         reach_m, route_ids = self._reach_m, self._route_ids
         out: list = [None] * len(points)
         for c, rho, members in cell_groups(points):
-            near = index.neighbors_within(
-                c, index.nearest_bound(c) + 2.0 * rho + self.max_reach_m)
-            h = dict(zip(near, index.distances(c, near)))
+            h = index.within(c, index.nearest_bound(c) + 2.0 * rho + self.max_reach_m)
             bound = min(h.values()) + 2.0 * rho
             # the segments, by ascending start vertex, that may come within
-            # bound of c; an end outside near lies farther than bound + reach
-            segs = []
-            for v in near:
-                s = v - 1
-                if s >= 0 and s not in h and reach_m[s] >= 0 and h[v] - reach_m[s] <= bound:
-                    segs.append(s)
-                if reach_m[v] >= 0 and min(h[v], h.get(v + 1, math.inf)) - reach_m[v] <= bound:
-                    segs.append(v)
+            # bound of c
+            segs = [s for _, s in self._segments(h, bound)]
             # their ends, ascending, and where each segment's start sits there
             ends, starts = [], []
             for s in segs:
@@ -180,6 +179,76 @@ class RouteLocator:
                 out[i] = (GeoPoint(best_lat, best_lon), best_d, best_id, self._altitudes[vid])
         return out
 
+    def _segments(self, h: dict[int, float], limit: float) -> list[tuple[float, int]]:
+        """(bound, s) for each segment s whose bound is at most limit, by
+        ascending s. The bound, the least distance in h to one of the
+        segment's ends less its reach, is at most the segment's distance from
+        the point h was measured from. An end missing from h counts as
+        farther than limit plus the longest reach, so h must hold every
+        vertex within that."""
+        reach_m = self._reach_m
+        out = []
+        for v, h_v in h.items():
+            s = v - 1
+            if s >= 0 and s not in h and reach_m[s] >= 0 and h_v - reach_m[s] <= limit:
+                out.append((h_v - reach_m[s], s))
+            if reach_m[v] >= 0:
+                key = min(h_v, h.get(v + 1, math.inf)) - reach_m[v]
+                if key <= limit:
+                    out.append((key, v))
+        return out
+
+    def near_all(self, points: list[GeoPoint], radius_m: float) -> list[tuple[float, float]]:
+        """(witness, altitude) for every point, parallel to the input list: the
+        distance to some on-route point within radius_m, inf when there is
+        none, and the altitude of the nearest vertex, as locate_all gives it.
+        The witness is within radius_m exactly when locate_all's distance is.
+        inf and nan when no routes.
+
+        A segment can only come within radius_m of a member if one of its
+        ends lies within radius_m + rho + its reach of c. One radius query
+        around c at radius_m + rho plus the longest reach serves both
+        questions when it also reaches D + 2 rho; otherwise a second one at
+        D + 2 rho follows. Each member accepts at its nearest vertex, or else
+        projects the segments in ascending order of their bound (see
+        _segments) and stops at the first within radius_m.
+        """
+        index = self._index
+        if index is None:
+            return [(math.inf, math.nan)] * len(points)
+        v_lat, v_lon, altitudes = self._lat, self._lon, self._altitudes
+        out: list = [None] * len(points)
+        for c, rho, members in cell_groups(points):
+            limit = radius_m + rho
+            h = index.within(c, limit + self.max_reach_m)
+            bound = min(h.values(), default=math.inf) + 2.0 * rho
+            if bound > limit + self.max_reach_m:
+                # too few vertices in range to settle the nearest one: D is
+                # min(h) if h holds any, else at most nearest_bound
+                h = index.within(c, (min(h.values()) if h else index.nearest_bound(c))
+                                 + 2.0 * rho)
+                bound = min(h.values()) + 2.0 * rho
+            verts = [v for v, h_v in h.items() if h_v <= bound]
+            keyed = sorted(self._segments(h, limit))
+            for i in members:
+                p = points[i]
+                # the first member is c, whose distances h holds
+                dists = [h[v] for v in verts] if i == members[0] else index.distances(p, verts)
+                d, vid = min(zip(dists, verts))
+                if d > radius_m:
+                    lat, lon = p.lat, p.lon
+                    rad_lat = math.radians(lat)
+                    cos_lat = math.cos(rad_lat)
+                    d = math.inf
+                    for _, s in keyed:
+                        d_s = project_segment(lat, lon, rad_lat, cos_lat, v_lat[s], v_lon[s],
+                                              v_lat[s + 1], v_lon[s + 1])[2]
+                        if d_s <= radius_m:
+                            d = d_s
+                            break
+                out[i] = (d, altitudes[vid])
+        return out
+
 
 class PoiIndex:
     """Exact nearest-POI queries over a grid of about one POI per cell.
@@ -216,11 +285,9 @@ def annotate_context(points: list[DemandPoint], pois: PoiIndex, routes: list[Rou
     """adjust_params for every demand point, parallel to the input list."""
     locations = [dp.location for dp in points]
     nearest_pois = pois.nearest_all(locations)
-    located = RouteLocator(routes).locate_all(locations)
-    out = []
-    for p, (_, dist_poi), (_, dist_route, _, altitude) in zip(locations, nearest_pois, located):
-        out.append(adjust_params(altitude, dist_poi, dist_route, lookup_ffdi(p, grid), cfg))
-    return out
+    near = RouteLocator(routes).near_all(locations, cfg.route_near_m)
+    return [adjust_params(altitude, dist_poi, dist_route, lookup_ffdi(p, grid), cfg)
+            for p, (_, dist_poi), (dist_route, altitude) in zip(locations, nearest_pois, near)]
 
 
 def risk_flags(altitude_m: float, ffdi: float | None, flood_alt_m: float,

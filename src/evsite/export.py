@@ -78,7 +78,7 @@ def export_map(recommendations_path, stations_path, out_html) -> int:
     for f in features:
         lon, lat = f["geometry"]["coordinates"][:2]
         props = f.get("properties") or {}
-        color = props.get("color", "#000000")
+        color = html.escape(str(props.get("color", "#000000")), quote=True)
         lines = [f"id: {f.get('id', '')}"]
         lines += [f"{k}: {v}" for k, v in sorted(props.items()) if k != "color"]
         info = html.escape("\n".join(lines), quote=True)

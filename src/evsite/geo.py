@@ -125,11 +125,13 @@ class SpatialIndex:
         if cell_size <= 0:
             raise ValueError("cell_size must be > 0")
         self.cell_size = cell_size
-        # a point's cell as every query takes it: floor(lat / cell), floor(lon / cell)
+        # a point's cell as every query takes it: floor(lat / cell), floor(lon / cell),
+        # worked out a column at a time so that the loop only groups the ids
         cell, floor = cell_size, math.floor
+        rows = [floor(y / cell) for y in lat]
+        cols = [floor(x / cell) for x in lon]
         cells: dict[tuple[int, int], list[int]] = {}
-        for i, (y, x) in enumerate(zip(lat, lon)):
-            key = (floor(y / cell), floor(x / cell))
+        for i, key in enumerate(zip(rows, cols)):
             ids = cells.get(key)
             if ids is None:
                 cells[key] = [i]
@@ -293,6 +295,17 @@ class SpatialIndex:
             out += cells[key]
         out.sort()
         return out
+
+    def within(self, p: GeoPoint, radius_m: float) -> dict[int, float]:
+        """id -> haversine_distance from p for all indexed points within
+        radius_m, by ascending id: one distance per point of the cells that
+        may hold any."""
+        q = _query_terms(p)
+        cells = self._cells
+        whole, part = self._split(self._window(p, radius_m), q, radius_m)
+        ids = [i for keys in (whole, part) for key in keys for i in cells[key]]
+        ids.sort()
+        return {i: d for i, d in zip(ids, self._distances(q, ids)) if d <= radius_m}
 
     def any_within(self, p: GeoPoint, radius_m: float) -> bool:
         """Whether any indexed point lies at haversine distance <= radius_m."""

@@ -132,6 +132,22 @@ class TestConfig:
         assert result.exit_code == 1, result.output
         assert "invalid constraints: base_minpts times minpts_factor_poi" in result.output
 
+    @pytest.mark.parametrize("command", ["validate", "recommend", "evaluate"])
+    @pytest.mark.parametrize("key", ["poi_near_m", "route_near_m"])
+    def test_every_command_refuses_a_negative_near_distance(self, runner, scenario, command,
+                                                            key):
+        # -5 once loaded and switched the proximity rule off
+        _, _, dirs = scenario
+        doc = default_config_dict(str(dirs["scenario"]))
+        doc["constraints"][key] = -5
+        dirs["config"].write_text(json.dumps(doc))
+        args = [command, "--config", str(dirs["config"])]
+        if command != "validate":
+            args += ["--out", str(dirs["tmp"] / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert f"invalid constraints: {key} must be >= 0" in result.output
+
     @pytest.mark.parametrize("section,values", [
         ("evaluate", {"coverage_radius_m": 5e-324}), ("evaluate", {"align_m": 5e-324}),
         ("dedup", {"min_sep_m": 5e-324}), ("snap", {"poi_snap_m": 5e-324}),
@@ -923,6 +939,20 @@ class TestExportMap:
         assert html.count('class="marker"') == 1
         assert 'fill="#FF0000"' in html
         assert "altitude_m: 42.0" in html
+
+    def test_marker_colour_cannot_add_an_attribute(self, tmp_path):
+        doc = {"type": "FeatureCollection", "features": [{
+            "type": "Feature", "id": "A-0",
+            "geometry": {"type": "Point", "coordinates": [150.5, -33.5]},
+            "properties": {"color": '#f00" onmouseover="alert(1)'}}]}
+        (tmp_path / "recommendations.geojson").write_text(json.dumps(doc))
+        self._empty_collection(tmp_path / "stations.geojson")
+        export_map(tmp_path / "recommendations.geojson",
+                   tmp_path / "stations.geojson", tmp_path / "map.html")
+        html = (tmp_path / "map.html").read_text()
+        # the whole value stays inside fill's quotes
+        assert 'onmouseover="' not in html
+        assert 'fill="#f00&quot; onmouseover=&quot;alert(1)"' in html
 
     def test_marker_count_matches_features(self, runner, scenario):
         _, _, dirs = scenario

@@ -114,7 +114,8 @@ class TestLookupFfdi:
 
 class TestAnnotateContext:
     """The distances annotate_context reads, as PoiIndex.nearest_all and
-    RouteLocator.locate_all give them, and the parameters it makes of them."""
+    RouteLocator.locate_all give them (near_all puts each route distance on
+    the same side of route_near_m), and the parameters it makes of them."""
 
     def test_point_on_poi_and_route(self):
         loc = GeoPoint(-33.5, 150.5)
@@ -322,6 +323,13 @@ class TestAdjustParams:
         with pytest.raises(InputError):
             ConstraintConfig(minpts_factor_fire=0.0)
 
+    @pytest.mark.parametrize("key", ["poi_near_m", "route_near_m"])
+    @pytest.mark.parametrize("value", [-5.0, -5e-324, math.nan, math.inf])
+    def test_near_distance_out_of_range_is_refused(self, key, value):
+        with pytest.raises(InputError, match=f"{key} must be >= 0"):
+            ConstraintConfig(**{key: value})
+        assert getattr(ConstraintConfig(**{key: 0.0}), key) == 0.0
+
     @pytest.mark.parametrize("values", [
         {"minpts_factor_poi": 1e308}, {"minpts_factor_route": 1e308},
         {"minpts_factor_flood": 1e308}, {"minpts_factor_fire": 1e308},
@@ -484,6 +492,129 @@ class TestRouteLocator:
         for p, (pt, d, route_id, altitude) in zip(points, RouteLocator(routes).locate_all(points)):
             assert (pt, d, route_id) == self._full_scan(p, routes)
             self._check_altitude(p, altitude, routes)
+
+    # -- the proximity question alone ----------------------------------------
+
+    def _check_near(self, points, routes, radius_m):
+        """near_all's flag, witness and altitude against locate_all's answer
+        and the full scan."""
+        locator = RouteLocator(routes)
+        located = locator.locate_all(points)
+        near = locator.near_all(points, radius_m)
+        assert len(near) == len(points)
+        for p, (_, d, _, altitude), (witness, near_altitude) in zip(points, located, near):
+            if not routes:
+                assert witness == math.inf and math.isnan(near_altitude)
+                continue
+            assert (witness <= radius_m) == (d <= radius_m)
+            assert (d <= radius_m) == (self._full_scan(p, routes)[1] <= radius_m)
+            # the witness is the distance to some on-route point, or inf
+            assert d <= witness if witness <= radius_m else witness == math.inf
+            assert near_altitude == altitude
+            self._check_altitude(p, near_altitude, routes)
+        return located, near
+
+    @settings(max_examples=80, deadline=None)
+    @given(origin=st.sampled_from([(-33.5, 150.0), (0.0, 179.995), (60.0, -179.999),
+                                   (84.0, 30.0), (88.5, 179.99), (-89.2, 0.0)]),
+           starts=st.lists(st.tuples(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0)),
+                           max_size=4),
+           steps=st.lists(st.lists(st.tuples(st.floats(-400.0, 400.0),
+                                             st.floats(-400.0, 400.0)),
+                                   min_size=1, max_size=4), min_size=4, max_size=4),
+           rings=st.lists(st.booleans(), min_size=4, max_size=4),
+           spur=st.none() | st.tuples(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0),
+                                      st.floats(0.0, 2.0 * math.pi)),
+           queries=st.lists(st.tuples(st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0)),
+                            max_size=20),
+           on_vertex=st.lists(st.integers(0, 100), max_size=4),
+           extension=st.lists(st.tuples(st.integers(0, 100), st.floats(0.0, 1.0)), max_size=4),
+           radius_m=st.just(0.0) | st.floats(0.0, 3000.0),
+           tie=st.none() | st.integers(0, 100))
+    # no routes at all
+    @example(origin=(0.0, 179.995), starts=[], steps=[[(0.0, 0.0)]] * 4, rings=[False] * 4,
+             spur=None, queries=[(0.0, 0.0), (10.0, 10.0)], on_vertex=[], extension=[],
+             radius_m=200.0, tie=None)
+    # radius 0 with points on vertices and on a segment's extension, by a spur
+    @example(origin=(84.0, 30.0), starts=[(0.0, 0.0)], steps=[[(300.0, 0.0), (0.0, 300.0)]] * 4,
+             rings=[True] * 4, spur=(100.0, 100.0, 1.0), queries=[(150.0, 10.0)],
+             on_vertex=[0, 1, 2, 5], extension=[(0, 0.5), (1, 0.25)], radius_m=0.0, tie=None)
+    def test_near_all_equals_locate_all_on_random_layers(self, origin, starts, steps, rings,
+                                                         spur, queries, on_vertex, extension,
+                                                         radius_m, tie):
+        # routes of short steps, some closed into rings, and maybe one spur
+        # about 4.6 km long whose reach, like synth's spurs, dwarfs the rest;
+        # queries scattered, some 36 m from another so that groups have
+        # members besides their centre, on vertices and on the extension of
+        # a segment past its end; radius_m 0, random, or the exact distance
+        # of one query, so that a witness lands on the threshold
+        routes = []
+        for k, (start, route_steps, ring) in enumerate(zip(starts, steps, rings)):
+            east, north = start
+            offsets = [(east, north)]
+            for de, dn in route_steps:
+                east, north = east + de, north + dn
+                offsets.append((east, north))
+            if ring:
+                offsets.append(offsets[0])
+            routes.append(make_route(f"r{k}", [(*self._offset(origin, e, n), 10.0 * k + j)
+                                               for j, (e, n) in enumerate(offsets)]))
+        if spur is not None:
+            east, north, heading = spur
+            routes.append(make_route("spur", [
+                (*self._offset(origin, east, north), 1.0),
+                (*self._offset(origin, east + 4600.0 * math.cos(heading),
+                               north + 4600.0 * math.sin(heading)), 2.0)]))
+        points = [GeoPoint(*self._offset(origin, e, n)) for e, n in queries]
+        points += [GeoPoint(*self._offset((p.lat, p.lon), 30.0, -20.0)) for p in points[:3]]
+        segments = [(a, b) for r in routes for a, b in zip(vertices_of(r), vertices_of(r)[1:])]
+        vertices = [v for r in routes for v in vertices_of(r)]
+        if vertices:
+            points += [vertices[k % len(vertices)] for k in on_vertex]
+            for k, t in extension:
+                a, b = segments[k % len(segments)]
+                lat = min(90.0, max(-90.0, b.lat + t * (b.lat - a.lat)))
+                dlon = (b.lon - a.lon + 180.0) % 360.0 - 180.0
+                points.append(GeoPoint(lat, (b.lon + t * dlon + 180.0) % 360.0 - 180.0))
+        if tie is not None and points and routes:
+            radius_m = RouteLocator(routes).locate(points[tie % len(points)])[1]
+        self._check_near(points, routes, radius_m)
+
+    def test_near_all_finds_a_member_nearer_than_the_centre(self):
+        # a 40 m segment; the group's centre lies 129 m north of its middle
+        # and a member 99 m north: the segment's bound from the centre,
+        # about 130.5 m less its reach of about 21 m, is past radius_m, and
+        # both its ends lie farther than radius_m from the member, which
+        # only a projection finds within it
+        mid = (-33.5012, 150.0012)
+        routes = [make_route("r", [(*self._offset(mid, -20.0, 0.0), 1.0),
+                                   (*self._offset(mid, 20.0, 0.0), 2.0)])]
+        centre, member = (GeoPoint(*self._offset(mid, 0.0, n)) for n in (129.0, 99.0))
+        assert self._same_cell([centre, member])
+        _, near = self._check_near([centre, member], routes, 100.0)
+        assert [w <= 100.0 for w, _ in near] == [False, True]
+
+    def test_near_all_with_a_long_spur_over_a_street_grid(self):
+        # synth's layout: a grid of streets with segments of about 1.8 km
+        # (reach about 930 m) and one spur of 4.6 km (reach about 2,330 m);
+        # radius 0, the default 200 m, and the exact distance of a point
+        # that lies on the extension of the spur past its end
+        step = 0.0165
+        routes = [make_route(f"h{k}", [(-33.5 + 0.02 * k, 150.0 + i * step, 10.0 + i + k)
+                                       for i in range(7)]) for k in range(5)]
+        routes += [make_route(f"v{k}", [(-33.5 + i * step, 150.0 + 0.02 * k, 50.0 + i + k)
+                                        for i in range(7)]) for k in range(5)]
+        routes.append(make_route("spur", [(-33.49, 150.011, 3.0), (-33.4486, 150.011, 4.0)]))
+        rng = random.Random(27)
+        points = [GeoPoint(rng.uniform(-33.52, -33.38), rng.uniform(149.98, 150.12))
+                  for _ in range(300)]
+        points += [vertices_of(routes[0])[3], GeoPoint(-33.4476, 150.011)]
+        for radius_m in (0.0, 200.0, RouteLocator(routes).locate(points[-1])[1]):
+            located, near = self._check_near(points, routes, radius_m)
+            assert {w <= radius_m for w, _ in near} == {True, False}
+        assert near[-1][0] == located[-1][1]
+        for p, (_, altitude) in zip(points, near):
+            assert altitude == oracles.nearest_vertex_altitude(p.lat, p.lon, routes)
 
     def test_segment_bowing_near_the_pole_is_projected(self):
         # along 89.5 N a 20-degree segment's midpoint lies 37 m farther from

@@ -36,17 +36,39 @@ SPEC = ScenarioSpec(seed=3, bbox=(-34.0, 150.0, -33.8, 150.3), lga_rows=1, lga_c
                     route_spacing_deg=0.1, route_vertex_step_deg=0.1,
                     ffdi_rows=3, ffdi_cols=3)
 
-# what takes the place of one JSON value: wrong types, NaN and the
-# infinities (written as the NaN and Infinity literals), numbers past a
-# double and past 64 bits, nesting, empty strings, and text with a letter
-# past ASCII or a lone surrogate, which JSON's \ud800 escape gives
-JSON_VALUES = st.one_of(
-    st.sampled_from([None, True, False, "", "LGA-00", 0, -1, 1, 2 ** 63, -2 ** 64,
-                     10 ** 400, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf,
-                     [], {}, [[[[[[[[[[1]]]]]]]]]], [0.0, 0.0], {"type": "Feature"},
-                     {"type": "FeatureCollection", "features": []}]),
-    st.integers(), st.floats(), st.text(st.sampled_from("x9-.é\ud800\udfff"), max_size=3),
+# what takes the place of a text value: text with a letter past ASCII or,
+# most often, a lone surrogate, which JSON's \ud800 escape gives
+TEXT_VALUES = st.text(st.sampled_from("xé\ud800\udfff"), min_size=1, max_size=3)
+
+# what takes the place of a number: NaN and the infinities (written as the
+# NaN and Infinity literals), and numbers past a double and past 64 bits
+NUMBER_VALUES = st.one_of(
+    st.sampled_from([0, -1, 1, 2 ** 63, -2 ** 64, 10 ** 400, 1e308, -1e308, 5e-324,
+                     math.nan, math.inf, -math.inf]),
+    st.integers(), st.floats(),
 )
+
+# what takes the place of any JSON value: the above, wrong types, nesting,
+# and empty and number-like strings
+JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "9", "-1.5", "LGA-00", [], {},
+                     [[[[[[[[[[1]]]]]]]]]], [0.0, 0.0], {"type": "Feature"},
+                     {"type": "FeatureCollection", "features": []}]),
+    NUMBER_VALUES, TEXT_VALUES,
+)
+
+
+def _replacing(value):
+    """What takes the place of value: three times in four a value of its own
+    kind, text for text and a number for a number, else any value. Drawn from
+    JSON_VALUES alone, a text property would seldom get text, and a lone
+    surrogate in one (say lga_name) would go unseen."""
+    kind = (TEXT_VALUES if isinstance(value, str)
+            else NUMBER_VALUES if type(value) in (int, float) else None)
+    if kind is None:
+        return JSON_VALUES
+    return st.sampled_from([kind, kind, kind, JSON_VALUES]).flatmap(lambda values: values)
+
 
 # what takes the place of one trips.csv field; a lone surrogate is written
 # as the bytes it would have, which are not UTF-8
@@ -88,7 +110,7 @@ def json_edits(draw, doc):
     if draw(st.booleans()):
         del parent[at[-1]]
     else:
-        parent[at[-1]] = draw(JSON_VALUES)
+        parent[at[-1]] = draw(_replacing(parent[at[-1]]))
     return at, doc
 
 
@@ -136,7 +158,9 @@ def _run(args: list, names: tuple[str, ...]):
         assert any(name in res.output for name in names), res.output
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+# about 80 (file, value shape) pairs, each edited a few ways: 1,000 examples
+# reach a lone surrogate in each text property
+@settings(max_examples=1000, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_one_changed_layer_value_exits_0_or_1_naming_the_file(bundle, data):
     scen, config, _ = bundle

@@ -317,11 +317,16 @@ class TestPointInPolygonAtTheRim:
 
 
 def assert_radius_queries(idx, q, r, want):
-    """neighbors_within, any_within and claim_within all agree with want.
+    """neighbors_within, within, any_within and claim_within all agree with
+    want.
 
+    within gives the same ids, ascending, with their distances from q.
     claim_within over a fresh free set takes every id in range when minpts is
     their count, and none when it is one more, so it counts them exactly."""
     assert idx.neighbors_within(q, r) == want
+    hits = idx.within(q, r)
+    assert list(hits) == want
+    assert list(hits.values()) == idx.distances(q, want)
     assert idx.any_within(q, r) == bool(want)
     assert sorted(idx.claim_within(q, r, len(want), idx.free_cells())) == want
     assert idx.claim_within(q, r, len(want) + 1, idx.free_cells()) == []
